@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
+from .exactgeom import barycentric
 from .forest import Triangulation, overlay as overlay_tris
-from .harness import compute_constants, run_sequence, verify_bdv
+from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
     MarkingError,
     VertexPartition,
@@ -197,66 +197,39 @@ def _cmd_pile_game(args):
 
 def _embed_refinement(base: Triangulation, other: Triangulation):
     """Map every leaf of ``other`` to a node of ``base``'s forest; both must
-    refine the same initial cells."""
+    refine the same initial cells.
+
+    The walk descends into the node that contains every vertex of the
+    target cell; those vertices are dyadic, so the test is exact.
+    """
     forest = base.forest
     pool = forest.pool
     opool = other.forest.pool
+    if pool.point(0).dim != opool.point(0).dim:
+        return None
+
+    def contains(nid, pts):
+        simplex = forest.tarray(nid).vertices(pool)
+        return all(barycentric(p, simplex) is not None for p in pts)
+
     mapped = []
     for leaf in sorted(other.leaves):
         cell = other.forest.tarray(leaf)
         pts = [opool.point(v) for v in cell.vertex_ids]
-        k = len(pts)
-        centroid_fr = [
-            sum(p.coords[d].as_fraction() for p in pts) / k
-            for d in range(pts[0].dim)
-        ]
         target_points = frozenset(pts)
-        node = None
-        for r in forest.roots:
-            if barycentric_point(centroid_fr, forest, r) is not None:
-                node = r
-                break
+        node = next((r for r in forest.roots if contains(r, pts)), None)
         if node is None:
             return None
         for _ in range(64 * cell.dim * (cell.level + 2)):
-            if frozenset(pool.point(v) for v in forest.tarray(node).vertex_ids) == target_points:
+            if frozenset(forest.tarray(node).vertices(pool)) == target_points:
                 break
-            c1, c2 = forest.ensure_children(node)
-            node = c1 if barycentric_point(centroid_fr, forest, c1) is not None else c2
+            node = next((c for c in forest.ensure_children(node) if contains(c, pts)), None)
+            if node is None:
+                return None
         else:
             return None
         mapped.append(node)
     return mapped
-
-
-def barycentric_point(centroid_fr, forest, nid):
-    # centroids have non-dyadic coordinates, so this works over Fractions
-    pts = forest.tarray(nid).vertices(forest.pool)
-    return _barycentric_fractions(centroid_fr, [p.as_fractions() for p in pts])
-
-
-def _barycentric_fractions(target, simplex):
-    from .exactgeom import _solve_fraction_system
-
-    k = len(simplex) - 1
-    p0 = simplex[0]
-    n = len(p0)
-    basis = [[v[d] - p0[d] for d in range(n)] for v in simplex[1:]]
-    t = [target[d] - p0[d] for d in range(n)]
-    gram = [
-        [sum(basis[i][d] * basis[j][d] for d in range(n)) for j in range(k)]
-        for i in range(k)
-    ]
-    rhs = [sum(basis[i][d] * t[d] for d in range(n)) for i in range(k)]
-    sol = _solve_fraction_system(gram, rhs) if k else []
-    if sol is None:
-        return None
-    for d in range(n):
-        if sum(sol[i] * basis[i][d] for i in range(k)) != t[d]:
-            return None
-    lam0 = 1 - sum(sol, Fraction(0))
-    coords = [lam0, *sol]
-    return coords if all(c >= 0 for c in coords) else None
 
 
 def _cmd_overlay(args):
@@ -273,6 +246,21 @@ def _cmd_overlay(args):
     out = overlay_tris(tri_a, other)
     _save(args, out)
     return EXIT_OK
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer option with lower bound ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def main(argv=None) -> int:
@@ -297,29 +285,29 @@ def main(argv=None) -> int:
     add("agk-init", _cmd_agk_init)
     p = add("check", _cmd_check, out=False, extra=[
         lambda p: p.add_argument("what", choices=sorted(_CHECKS)),
-        lambda p: p.add_argument("--depth", type=int, default=0),
+        lambda p: p.add_argument("--depth", type=_int_at_least(0), default=0),
     ])
     add("refine", _cmd_refine, extra=[
         lambda p: p.add_argument("--cell", type=int, required=True),
     ])
     add("uniform", lambda a: _cmd_sweep(a, uniform_refine))
-    add("hyper-uniform", lambda a: _cmd_sweep_hyper(a), extra=[
-        lambda p: p.add_argument("--depth", type=int, required=True),
+    add("hyper-uniform", lambda a: _cmd_sweep(a, hyperlevel_uniform_refine, j=a.depth), extra=[
+        lambda p: p.add_argument("--depth", type=_int_at_least(0), required=True),
     ])
     add("quasi-uniform", lambda a: _cmd_sweep(a, quasi_uniform_refine))
     add("constants", _cmd_constants, out=False, extra=[
-        lambda p: p.add_argument("--depth", type=int, default=0),
+        lambda p: p.add_argument("--depth", type=_int_at_least(0), default=0),
     ])
     add("bdv-run", _cmd_bdv_run, extra=[
-        lambda p: p.add_argument("--strategy", default="random-leaf"),
-        lambda p: p.add_argument("--rounds", "-N", type=int, default=50),
+        lambda p: p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES),
+        lambda p: p.add_argument("--rounds", "-N", type=_int_at_least(1), default=50),
         lambda p: p.add_argument("--seed", type=int, default=0),
         lambda p: p.add_argument("--mode", choices=["sic", "iso"]),
     ])
     add("pile-game", _cmd_pile_game, mesh=False, extra=[
         lambda p: p.add_argument("--strategy", default="random",
                                  choices=["tower", "quasitower", "random"]),
-        lambda p: p.add_argument("--rounds", "-N", type=int, default=100),
+        lambda p: p.add_argument("--rounds", "-N", type=_int_at_least(1), default=100),
         lambda p: p.add_argument("--seed", type=int, default=0),
     ])
     add("overlay", _cmd_overlay, extra=[
@@ -334,10 +322,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-
-def _cmd_sweep_hyper(args):
-    return _cmd_sweep(args, hyperlevel_uniform_refine, j=args.depth)
 
 
 if __name__ == "__main__":

@@ -2,15 +2,19 @@
 
 Every vertex produced by edge bisection is a dyadic midpoint, so coordinates
 are dyadic rationals (integer numerator over a power of two) and vertex
-equality is bit-exact.  Volumes and squared distances use general rationals
-(``fractions.Fraction``); floats appear only in reporting.
+equality is bit-exact.  A point is an integer vector over one shared power of
+two, and every predicate (volume, orientation, barycentric coordinates,
+squared distance) is integer arithmetic on such vectors: one fraction-free
+Bareiss determinant and one Gram/Cramer solve.  Results that leave the
+dyadics (volumes, barycentric coordinates) are returned as
+``fractions.Fraction``; floats appear only in reporting.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class Dyadic:
@@ -34,10 +38,6 @@ class Dyadic:
         self.num = num
         self.exp = exp
 
-    @staticmethod
-    def zero() -> "Dyadic":
-        return Dyadic(0, 0)
-
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)
         return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
@@ -54,13 +54,6 @@ class Dyadic:
 
     def half(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
-
-    def double(self) -> "Dyadic":
-        return Dyadic(self.num * 2, self.exp)
-
-    def scale_pow2(self, k: int) -> "Dyadic":
-        """Return self * 2**k (k may be negative)."""
-        return Dyadic(self.num, self.exp - k)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
@@ -106,37 +99,76 @@ def dyadic(value) -> Dyadic:
 
 
 class DyadicPoint:
-    """A point with exact dyadic coordinates."""
+    """A point with exact dyadic coordinates ``nums[d] / 2**exp``.
 
-    __slots__ = ("coords",)
+    Canonical form: the exponent is 0 or some numerator is odd, so equal
+    points have equal ``(nums, exp)`` and every operation is integer-vector
+    arithmetic.  ``coords`` returns the coordinates as :class:`Dyadic`.
+    """
+
+    __slots__ = ("nums", "exp")
 
     def __init__(self, coords: Iterable):
-        self.coords = tuple(dyadic(c) for c in coords)
+        ds = [dyadic(c) for c in coords]
+        self.exp = max((d.exp for d in ds), default=0)
+        self.nums = tuple(d.num << (self.exp - d.exp) for d in ds)
+
+    @classmethod
+    def _of(cls, nums, exp: int) -> "DyadicPoint":
+        """Canonical point ``nums / 2**exp`` for any integer vector and exponent."""
+        if exp < 0:
+            nums, exp = [x << -exp for x in nums], 0
+        elif exp:
+            bits = 0
+            for x in nums:
+                bits |= x
+            shift = min((bits & -bits).bit_length() - 1, exp) if bits else exp
+            if shift:
+                nums, exp = [x >> shift for x in nums], exp - shift
+        p = object.__new__(cls)
+        p.nums = tuple(nums)
+        p.exp = exp
+        return p
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Dyadic(x, self.exp) for x in self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    def at_exp(self, exp: int) -> list:
+        """Numerators over ``2**exp``, for any ``exp >= self.exp``."""
+        return [x << (exp - self.exp) for x in self.nums]
 
     def __add__(self, other: "DyadicPoint") -> "DyadicPoint":
-        return DyadicPoint(a + b for a, b in zip(self.coords, other.coords))
+        e = max(self.exp, other.exp)
+        return DyadicPoint._of([x + y for x, y in zip(self.at_exp(e), other.at_exp(e))], e)
 
     def __sub__(self, other: "DyadicPoint") -> "DyadicPoint":
-        return DyadicPoint(a - b for a, b in zip(self.coords, other.coords))
+        e = max(self.exp, other.exp)
+        return DyadicPoint._of([x - y for x, y in zip(self.at_exp(e), other.at_exp(e))], e)
 
     def half(self) -> "DyadicPoint":
-        return DyadicPoint(c.half() for c in self.coords)
+        return DyadicPoint._of(self.nums, self.exp + 1)
 
     def scale_pow2(self, k: int) -> "DyadicPoint":
-        return DyadicPoint(c.scale_pow2(k) for c in self.coords)
+        """Return self * 2**k (k may be negative)."""
+        return DyadicPoint._of(self.nums, self.exp - k)
 
     def as_fractions(self) -> tuple:
-        return tuple(c.as_fraction() for c in self.coords)
+        return tuple(Fraction(x, 1 << self.exp) for x in self.nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DyadicPoint) and self.coords == other.coords
+        return (
+            isinstance(other, DyadicPoint)
+            and self.exp == other.exp
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.exp))
 
     def __repr__(self):
         return "DyadicPoint(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -151,13 +183,30 @@ def midpoint(a: DyadicPoint, b: DyadicPoint) -> DyadicPoint:
     """Exact midpoint (a + b) / 2 of two points of equal dimension."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return (a + b).half()
+    e = max(a.exp, b.exp)
+    return DyadicPoint._of([x + y for x, y in zip(a.at_exp(e), b.at_exp(e))], e + 1)
 
 
-def _int_det(rows: list) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+# --- the integer kernel -------------------------------------------------------
+
+
+def _rows(pts: Sequence[DyadicPoint], origin: Optional[DyadicPoint] = None):
+    """Integer rows of ``p - origin`` (of ``p`` without an origin) for each
+    point, all over one ``2**exp``; returns ``(rows, exp)``."""
+    e = max([p.exp for p in pts] + ([] if origin is None else [origin.exp]), default=0)
+    if origin is None:
+        return [p.at_exp(e) for p in pts], e
+    o = origin.at_exp(e)
+    return [[x - y for x, y in zip(p.at_exp(e), o)] for p in pts], e
+
+
+def _det(rows: list) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination; 1 for the empty matrix."""
     m = [list(r) for r in rows]
     n = len(m)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -176,6 +225,49 @@ def _int_det(rows: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _dot(u: list, v: list) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _gram(basis: list) -> list:
+    """Gram matrix of integer rows; its determinant is positive iff the rows
+    are independent."""
+    return [[_dot(u, v) for v in basis] for u in basis]
+
+
+def _gram_solve(basis: list, target: list):
+    """Exact coordinates of the integer vector ``target`` in the independent
+    integer rows ``basis``, by Cramer's rule on the Gram system.
+
+    Returns ``(nums, den)`` with ``den > 0`` and
+    ``sum(nums[i] * basis[i]) == den * target``, or None when ``target`` is
+    off the span.  Raises ValueError when the rows are dependent.
+    """
+    gram = _gram(basis)
+    rhs = [_dot(u, target) for u in basis]
+    den = _det(gram)
+    if den == 0:
+        raise ValueError("dependent basis vectors (degenerate simplex)")
+    nums = [
+        _det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)])
+        for i in range(len(basis))
+    ]
+    for d, t in enumerate(target):
+        if sum(c * u[d] for c, u in zip(nums, basis)) != den * t:
+            return None
+    return nums, den
+
+
+# --- predicates ---------------------------------------------------------------
+
+
+def _edge_rows(vertices: Sequence[DyadicPoint]) -> tuple[list, int]:
+    n = len(vertices) - 1
+    if any(v.dim != n for v in vertices):
+        raise ValueError("need n+1 points of dimension n")
+    return _rows(vertices[1:], vertices[0])
+
+
 def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
     """Exact volume |det(p1-p0, ..., pn-p0)| / n! of an n-simplex.
 
@@ -184,32 +276,15 @@ def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
     n = len(vertices) - 1
     if n == 0:
         return Fraction(0)
-    if any(v.dim != n for v in vertices):
-        raise ValueError("need n+1 points of dimension n")
-    p0 = vertices[0]
-    diffs = [v - p0 for v in vertices[1:]]
-    e = max((c.exp for d in diffs for c in d.coords), default=0)
-    rows = [[c.num << (e - c.exp) for c in d.coords] for d in diffs]
-    det = _int_det(rows)
-    return Fraction(abs(det), (1 << (n * e)) * math.factorial(n))
+    rows, e = _edge_rows(vertices)
+    return Fraction(abs(_det(rows)), (1 << (n * e)) * math.factorial(n))
 
 
-def _solve_fraction_system(matrix: list, rhs: list):
-    """Solve a square linear system exactly over Fractions; None if singular."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col] / inv
-                for c in range(col, n + 1):
-                    a[r][c] -= factor * a[col][c]
-    return [a[r][n] / a[r][r] for r in range(n)]
+def orientation(vertices: Sequence[DyadicPoint]) -> int:
+    """Sign (1, 0 or -1) of det(p1-p0, ..., pn-p0) for n+1 points of
+    dimension n; 0 exactly when they are affinely dependent."""
+    det = _det(_edge_rows(vertices)[0])
+    return (det > 0) - (det < 0)
 
 
 def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
@@ -219,33 +294,46 @@ def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
     in the simplex, or None when it lies outside.  Works for a k-simplex
     embedded in n-space; a point off the affine hull counts as outside.
     """
-    k = len(simplex) - 1
-    p0 = simplex[0]
-    basis = [(v - p0).as_fractions() for v in simplex[1:]]
-    target = (pt - p0).as_fractions()
-    n = pt.dim
-    # Solve least-squares-free: use the Gram system B^T B x = B^T t, exact.
-    gram = [[sum(basis[i][d] * basis[j][d] for d in range(n)) for j in range(k)] for i in range(k)]
-    gt = [sum(basis[i][d] * target[d] for d in range(n)) for i in range(k)]
-    sol = _solve_fraction_system(gram, gt) if k else []
+    rows, _ = _rows([*simplex[1:], pt], simplex[0])
+    target = rows.pop()
+    sol = _gram_solve(rows, target)
     if sol is None:
-        raise ValueError("degenerate simplex")
-    # Residual must vanish for the point to lie in the affine hull.
-    for d in range(n):
-        if sum(sol[i] * basis[i][d] for i in range(k)) != target[d]:
-            return None
-    lam0 = 1 - sum(sol, Fraction(0))
-    coords = [lam0, *sol]
+        return None
+    nums, den = sol
+    coords = [den - sum(nums), *nums]
     if any(c < 0 for c in coords):
         return None
-    return coords
+    return [Fraction(c, den) for c in coords]
 
 
 def sq_dist(a: DyadicPoint, b: DyadicPoint) -> Fraction:
     """Exact squared Euclidean distance."""
-    return sum(((x - y).as_fraction() ** 2 for x, y in zip(a.coords, b.coords)), Fraction(0))
+    (row,), e = _rows([a], b)
+    return Fraction(_dot(row, row), 1 << (2 * e))
 
 
 def max_sq_dist_from(pt: DyadicPoint, simplex: Sequence[DyadicPoint]) -> Fraction:
     """Max squared distance from ``pt`` to a simplex; attained at a vertex."""
-    return max(sq_dist(pt, v) for v in simplex)
+    rows, e = _rows(simplex, pt)
+    return Fraction(max(_dot(r, r) for r in rows), 1 << (2 * e))
+
+
+def translation_key(pts: Sequence[DyadicPoint]) -> DyadicPoint:
+    """The offsets ``pts[1:] - pts[0]`` as one canonical flattened vector:
+    two point tuples of one dimension and length get equal keys exactly
+    when one is a translate of the other."""
+    rows, e = _rows(pts[1:], pts[0])
+    return DyadicPoint._of([x for r in rows for x in r], e)
+
+
+def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
+    """Exact squared diameter: the largest squared distance between two of
+    the points (0 for fewer than two)."""
+    rows, e = _rows(pts)
+    best = 0
+    for i, u in enumerate(rows):
+        for v in rows[i + 1 :]:
+            d = sum((x - y) * (x - y) for x, y in zip(u, v))
+            if d > best:
+                best = d
+    return Fraction(best, 1 << (2 * e))

@@ -228,10 +228,6 @@ def demands1(forest: Forest, t: int, s: int) -> bool:
     return pa.v_new is not None and pa.v_new == ns.v_new
 
 
-def demands01(forest: Forest, t: int, s: int) -> bool:
-    return demands0(forest, t, s) or demands1(forest, t, s)
-
-
 def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:
     """Smallest demand-closed node set containing the seeds and the roots.
 

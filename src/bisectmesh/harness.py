@@ -14,9 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .exactgeom import DyadicPoint, simplex_volume, sq_dist
+from .exactgeom import diam_sq, max_sq_dist_from, simplex_volume, translation_key
 from .tarray import TaggedSimplex, bisect_points
 from .forest import Triangulation, forest_size_identity
 from .refine import RefineRecord, refine
@@ -63,19 +63,6 @@ class ShapeCensus:
     max_iso_sq: Fraction  # sup over the tree of (2^h diam)^2
 
 
-def _shape_key(t: int, pts: Sequence[DyadicPoint]):
-    p0 = pts[0]
-    return (t, tuple((p - p0).coords for p in pts[1:]))
-
-
-def _diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
-    return max(
-        sq_dist(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
-
-
 def shape_census(
     root: TaggedSimplex,
     pool,
@@ -96,9 +83,9 @@ def shape_census(
     pts = [pool.point(v) for v in root.vertex_ids]
     c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
     iso_scale_sq = Fraction(4) ** root.hyperlevel
-    best_iso = iso_scale_sq * _diam_sq(pts)
+    best_iso = iso_scale_sq * diam_sq(pts)
     best_v = Fraction(0)
-    seen = {_shape_key(root.type, pts)}
+    seen = {(root.type, translation_key(pts))}
     frontier = [(root.type, tuple(pts))]
     generations = 0
     quiet = 0
@@ -113,15 +100,15 @@ def shape_census(
             for hor, ver in ((h1, v1), (h2, v2)):
                 child = hor + ver
                 child_t = len(hor) - 1
-                d_sq = max(sq_dist(new, p) for p in child)
+                d_sq = max_sq_dist_from(new, child)
                 vol = simplex_volume(child)
                 value = c0**2 * d_sq**n / vol**2
                 if value > best_v:
                     best_v = value
-                iso = iso_scale_sq * _diam_sq(child)
+                iso = iso_scale_sq * diam_sq(child)
                 if iso > best_iso:
                     best_iso = iso
-                key = _shape_key(child_t, child)
+                key = (child_t, translation_key(child))
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append((child_t, child))
@@ -291,6 +278,9 @@ class Trace:
         return lines
 
 
+STRATEGIES = ("random-leaf", "max-level-leaf", "staircase-adversary", "quasitower-adversary")
+
+
 class SequenceError(AssertionError):
     """An invariant (counting identity, volume conservation) broke mid-run."""
 
@@ -320,11 +310,13 @@ def run_sequence(
     edge index.  Strategies: ``random-leaf``, ``max-level-leaf``,
     ``staircase-adversary`` (lowest-level neighbour of the previous round's
     new cells), ``quasitower-adversary`` (alternating deep and shallow
-    picks).
+    picks); :data:`STRATEGIES` lists them.
     """
     from .meshio import mesh_hash
     from .tarray import refinement_edge
 
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
     pool = forest.pool
     n = forest.tarray(forest.roots[0]).dim
@@ -350,11 +342,10 @@ def run_sequence(
             if not cand:
                 cand = tri.leaves
             return min(cand, key=lambda nid: (forest.tarray(nid).level, nid))
-        if strategy == "quasitower-adversary":
-            if trace.rounds % 4 == 3:
-                return min(tri.leaves, key=lambda nid: (forest.tarray(nid).level, nid))
-            return max(tri.leaves, key=lambda nid: (forest.tarray(nid).level, -nid))
-        raise ValueError(f"unknown strategy {strategy!r}")
+        # quasitower-adversary
+        if trace.rounds % 4 == 3:
+            return min(tri.leaves, key=lambda nid: (forest.tarray(nid).level, nid))
+        return max(tri.leaves, key=lambda nid: (forest.tarray(nid).level, -nid))
 
     for rnd in range(1, n_rounds + 1):
         marked = pick()
@@ -481,11 +472,7 @@ def tower_patch_spotcheck(
     pool = forest.pool
 
     def diameter_sq(vertex_ids):
-        pts = [pool.point(v) for v in vertex_ids]
-        return max(
-            (sq_dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :]),
-            default=Fraction(0),
-        )
+        return diam_sq([pool.point(v) for v in vertex_ids])
 
     for leaf in deep[:samples]:
         c1, _ = forest.ensure_children(leaf)

@@ -11,11 +11,10 @@ violations instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactgeom import DyadicPoint, barycentric, sq_dist
+from .exactgeom import DyadicPoint, barycentric, diam_sq
 from .tarray import TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict
 from .forest import Triangulation
 from .refine import check_conforming, uniform_refine
@@ -152,10 +151,7 @@ def greedy_low_dim_marking(pool: VertexPool, cells: Sequence[tuple]) -> PointMar
 
         def sort_key(face):
             ids = sorted(face)
-            longest = max(
-                (sq_dist(pool.point(a), pool.point(b)) for a, b in combinations(ids, 2)),
-                default=Fraction(0),
-            )
+            longest = diam_sq([pool.point(a) for a in ids])
             return (len(ids), -longest, ids)
 
         chosen: list[DyadicPoint] = []

@@ -155,6 +155,9 @@ def mesh_from_dict(doc: dict):
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
     tri = Triangulation.from_cells(pool, cells)
+    for i, root in enumerate(tri.forest.roots):
+        if tri.forest.volume(root) == 0:
+            raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
     marking = None
     if "marking" in doc:
         marking = PointMarking()
@@ -176,9 +179,22 @@ def mesh_from_dict(doc: dict):
         part = doc["partition"]
         if not isinstance(part, dict):
             raise MeshFormatError("partition: expected an object")
-        for key in ("v0", "v1"):
-            if key not in part or not isinstance(part[key], list):
-                raise MeshFormatError(f"partition.{key}: expected a list")
+        for key in ("v0", "v1", "order0", "order1"):
+            lst = part.get(key)
+            if lst is None and key.startswith("order"):
+                continue
+            if not isinstance(lst, list) or not all(
+                isinstance(v, int) and 0 <= v < len(ids) for v in lst
+            ):
+                raise MeshFormatError(f"partition.{key}: expected a list of vertex ids")
+        for key, block in (("order0", "v0"), ("order1", "v1")):
+            order = part.get(key)
+            if order is not None and (
+                len(set(order)) != len(order) or set(order) != set(part[block])
+            ):
+                raise MeshFormatError(
+                    f"partition.{key}: not a permutation of partition.{block}"
+                )
         partition = VertexPartition(
             v0=frozenset(part["v0"]),
             v1=frozenset(part["v1"]),

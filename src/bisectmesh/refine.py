@@ -8,10 +8,9 @@ coarsest conforming refinement strictly finer than the marked cell.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .exactgeom import barycentric
+from .exactgeom import barycentric, orientation
 from .tarray import Edge, refinement_edge
 from .forest import Triangulation
 
@@ -111,20 +110,18 @@ def check_conforming(tri: Triangulation) -> list[str]:
     forest = tri.forest
     pool = forest.pool
     problems = []
+    exp = max((pool.point(v).exp for v in tri.vertex_index), default=0)
+    rows = {v: pool.point(v).at_exp(exp) for v in tri.vertex_index}
     boxes = {}
     for leaf in tri.leaves:
-        pts = forest.tarray(leaf).vertices(pool)
-        lo = [min(p.coords[d] for p in pts) for d in range(pts[0].dim)]
-        hi = [max(p.coords[d] for p in pts) for d in range(pts[0].dim)]
-        boxes[leaf] = (lo, hi, pts)
-    for vid in tri.vertex_index:
-        p = pool.point(vid)
-        for leaf, (lo, hi, pts) in boxes.items():
-            if vid in forest.tarray(leaf).vertex_ids:
+        ids = forest.tarray(leaf).vertex_ids
+        cols = list(zip(*(rows[v] for v in ids)))
+        boxes[leaf] = ([min(c) for c in cols], [max(c) for c in cols], ids)
+    for vid, q in rows.items():
+        for leaf, (lo, hi, ids) in boxes.items():
+            if vid in ids or any(c < a or b < c for c, a, b in zip(q, lo, hi)):
                 continue
-            if any(c < a or b < c for c, a, b in zip(p.coords, lo, hi)):
-                continue
-            if barycentric(p, pts) is not None:
+            if barycentric(pool.point(vid), [pool.point(v) for v in ids]) is not None:
                 problems.append(
                     f"hanging node: vertex {vid} lies in leaf {leaf} "
                     "without being one of its vertices"
@@ -134,19 +131,9 @@ def check_conforming(tri: Triangulation) -> list[str]:
 
 def _segments_cross(a, b, c, d) -> bool:
     """Exact proper-crossing test for segments ab and cd in the plane."""
-
-    def orient(p, q, r):
-        (px, py), (qx, qy), (rx, ry) = (
-            p.as_fractions(),
-            q.as_fractions(),
-            r.as_fractions(),
-        )
-        val = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-        return (val > 0) - (val < 0)
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    if orientation((a, b, c)) * orientation((a, b, d)) >= 0:
+        return False
+    return orientation((c, d, a)) * orientation((c, d, b)) < 0
 
 
 def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
@@ -265,12 +252,3 @@ def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Tria
         "quasi-uniform sweep did not settle; input lacks restricted "
         "T-array coincidence"
     )
-
-
-def gss_jump(records: Iterable[RefineRecord], forest) -> int:
-    """Max over rounds of the largest per-cell recursive bisection count."""
-    return max((r.max_jump(forest) for r in records), default=0)
-
-
-def volumes_conserved(tri: Triangulation, initial_total: Fraction) -> bool:
-    return tri.total_volume() == initial_total

@@ -19,7 +19,10 @@ from .exactgeom import (
     DyadicPoint,
     midpoint,
     simplex_volume,
-    _solve_fraction_system,
+    _det,
+    _gram,
+    _gram_solve,
+    _rows,
 )
 
 
@@ -67,10 +70,6 @@ class Edge:
     @property
     def ids(self) -> frozenset:
         return frozenset((self.a, self.b))
-
-    def same_edge(self, other: "Edge") -> bool:
-        """Geometric equality, ignoring the hyperlevel annotation."""
-        return self.a == other.a and self.b == other.b
 
 
 @dataclass(frozen=True)
@@ -278,25 +277,15 @@ class ChebyshevLattice:
         )
 
     def coefficients(self, vector: DyadicPoint):
-        """Exact basis coefficients of a vector, or None if outside the span."""
-        m = len(self.basis)
-        if m == 0:
-            return [] if all(c.num == 0 for c in vector.coords) else None
-        n = vector.dim
-        cols = [b.as_fractions() for b in self.basis]
-        target = vector.as_fractions()
-        gram = [
-            [sum(cols[i][d] * cols[j][d] for d in range(n)) for j in range(m)]
-            for i in range(m)
-        ]
-        rhs = [sum(cols[i][d] * target[d] for d in range(n)) for i in range(m)]
-        sol = _solve_fraction_system(gram, rhs)
+        """Exact basis coefficients of a vector, or None if outside the span;
+        ValueError when the basis is dependent."""
+        rows, _ = _rows([*self.basis, vector])
+        target = rows.pop()
+        sol = _gram_solve(rows, target)
         if sol is None:
             return None
-        for d in range(n):
-            if sum(sol[i] * cols[i][d] for i in range(m)) != target[d]:
-                return None
-        return sol
+        nums, den = sol
+        return [Fraction(c, den) for c in nums]
 
     def __eq__(self, other) -> bool:
         """Exact equality of lattices including their max-norms.
@@ -352,41 +341,6 @@ def lattice_of(s: TaggedSimplex, pool: VertexPool) -> ChebyshevLattice:
             half_diag = half_diag + e.half()
         new_edge = (pts[j + 1] - half_diag).scale_pow2(1)
         edges.append(new_edge)
-    if s.dim > 0 and not _edges_independent(edges):
+    if _det(_gram(_rows(edges)[0])) == 0:
         raise ValueError("degenerate T-array has no lattice")
     return ChebyshevLattice(origin, edges, s.hyperlevel)
-
-
-def _edges_independent(edges: list) -> bool:
-    """Gram-determinant test rejecting degenerate lattice bases."""
-    m = len(edges)
-    if m == 0:
-        return True
-    cols = [e.as_fractions() for e in edges]
-    n = len(cols[0])
-    gram = [
-        [sum(cols[i][d] * cols[j][d] for d in range(n)) for j in range(m)]
-        for i in range(m)
-    ]
-    return _fraction_det(gram) != 0
-
-
-def _fraction_det(matrix: list) -> Fraction:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det

@@ -1,12 +1,15 @@
 import json
+import random
+from itertools import permutations
 
 import pytest
 
 from bisectmesh.cli import main
-from bisectmesh.meshio import read_mesh, write_mesh
+from bisectmesh.forest import overlay
+from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
 
-from conftest import kuhn_square, tripled_triangle_pair
-from bisectmesh import Triangulation
+from conftest import kuhn_cube_mesh, kuhn_square, tripled_triangle_pair
+from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
 from bisectmesh.inittags import VertexPartition
 from bisectmesh.tarray import TaggedSimplex
 
@@ -148,3 +151,83 @@ def test_refinement_failure_is_exit_3(tmp_path, capsys):
     src = tmp_path / "pcviolation.json"
     write_mesh(src, tri)
     assert main(["refine", "--mesh", str(src), "--cell", "0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bdv-run", "--strategy", "nope"],
+        ["bdv-run", "-N", "-2"],
+        ["bdv-run", "-N", "two"],
+        ["hyper-uniform", "--depth", "-5"],
+        ["constants", "--depth", "-1"],
+        ["check", "sic", "--depth", "-1"],
+    ],
+)
+def test_out_of_contract_options_exit_1(square_path, argv, capsys):
+    assert main([*argv, "--mesh", square_path]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_pile_game_zero_rounds_exit_1(capsys):
+    assert main(["pile-game", "-N", "0"]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def _canonical_hash(tri):
+    """mesh_hash after renumbering vertices by coordinates and sorting the
+    cells, so meshes built in different vertex orders compare by geometry."""
+    pool = tri.forest.pool
+    key = lambda vid: pool.point(vid).as_fractions()
+    ordered = sorted({v for c in tri.cells() for v in c.vertex_ids}, key=key)
+    new_pool = VertexPool()
+    new_id = {v: new_pool.id_of(pool.point(v)) for v in ordered}
+    cells = sorted(
+        (
+            TaggedSimplex(
+                tuple(new_id[v] for v in c.horizontal),
+                tuple(new_id[v] for v in c.vertical),
+                c.level,
+                c.hyperlevel,
+            )
+            for c in tri.cells()
+        ),
+        key=lambda c: (c.horizontal, c.vertical, c.level, c.hyperlevel),
+    )
+    return mesh_hash(Triangulation.from_cells(new_pool, cells))
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_overlay_matches_in_process_overlay_3d(tmp_path, seed):
+    pool = VertexPool()
+    base = Triangulation.from_cells(
+        pool, [kuhn(list(p), [1, 1, 1], pool) for p in permutations((1, 2, 3))]
+    )
+    rng = random.Random(seed)
+    coarse = base.copy()
+    for _ in range(4):
+        refine(coarse, rng.choice(sorted(coarse.leaves)))
+    fine = coarse.copy()
+    for _ in range(6):
+        refine(fine, rng.choice(sorted(fine.leaves)))
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ov.json"
+    write_mesh(a, coarse)
+    write_mesh(b, fine)
+    assert main(["overlay", "--mesh", str(a), "--mesh2", str(b), "--out", str(out)]) == 0
+    result, _, _ = read_mesh(out)
+    assert _canonical_hash(result) == _canonical_hash(overlay(coarse, fine))
+
+
+def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):
+    cube = tmp_path / "cube.json"
+    write_mesh(cube, kuhn_cube_mesh(3))
+    pool = VertexPool()
+    shifted = Triangulation.from_cells(
+        pool, [kuhn([1, 2, 3], [1, 1, 1], pool, offset=point(5, 0, 0))]
+    )
+    far = tmp_path / "far.json"
+    write_mesh(far, shifted)
+    for first, second in ((cube, far), (cube, square_path)):
+        argv = ["overlay", "--mesh", str(first), "--mesh2", str(second)]
+        assert main(argv) == 1
+        assert "not refinements of one common initial mesh" in capsys.readouterr().err

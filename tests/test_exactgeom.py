@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from bisectmesh.exactgeom import (
     Dyadic,
     DyadicPoint,
     barycentric,
+    diam_sq,
     dyadic,
     max_sq_dist_from,
     midpoint,
+    orientation,
     point,
     simplex_volume,
     sq_dist,
+    translation_key,
 )
 
 
@@ -148,3 +152,145 @@ class TestDistances:
         ]
         sample = DyadicPoint(sample_fr)
         assert sq_dist(target, sample) <= best_vertex
+
+
+# --- the integer kernel against a Fraction oracle ------------------------------
+
+small_dyadics = st.builds(Dyadic, st.integers(-6, 6), st.integers(0, 3))
+
+
+def points(n):
+    return st.lists(small_dyadics, min_size=n, max_size=n).map(DyadicPoint)
+
+
+class TestPointKernel:
+    @given(st.integers(1, 4).flatmap(points))
+    def test_coords_round_trip(self, p):
+        assert DyadicPoint(p.coords) == p
+        assert repr(DyadicPoint(p.coords)) == repr(p)
+
+    @given(st.integers(1, 4).flatmap(points), st.integers(1, 5))
+    def test_equal_points_from_other_exponents_hash_alike(self, p, k):
+        wide = DyadicPoint._of([x << k for x in p.nums], p.exp + k)
+        assert wide == p and hash(wide) == hash(p)
+        assert (wide.nums, wide.exp) == (p.nums, p.exp)
+        assert p.scale_pow2(k).scale_pow2(-k) == p
+        assert midpoint(p, p) == p
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(points(n), points(n))))
+    def test_midpoint_is_canonical_and_exact(self, ab):
+        a, b = ab
+        m = midpoint(a, b)
+        assert m.exp == 0 or any(x % 2 for x in m.nums)
+        assert m.as_fractions() == tuple(
+            (x + y) / 2 for x, y in zip(a.as_fractions(), b.as_fractions())
+        )
+
+
+def _frac_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _oracle_barycentric(pt, simplex):
+    """Cramer's rule over Fractions on the Gram system; "degenerate" for a
+    dependent simplex."""
+    p0 = simplex[0].as_fractions()
+    basis = [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
+    t = [x - y for x, y in zip(pt.as_fractions(), p0)]
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    gram = [[dot(u, v) for v in basis] for u in basis]
+    rhs = [dot(u, t) for u in basis]
+    den = _frac_det(gram)
+    if den == 0:
+        return "degenerate"
+    sol = [
+        _frac_det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)]) / den
+        for i in range(len(basis))
+    ]
+    if [sum(c * u[d] for c, u in zip(sol, basis)) for d in range(len(t))] != t:
+        return None
+    coords = [1 - sum(sol), *sol]
+    return coords if all(c >= 0 for c in coords) else None
+
+
+@st.composite
+def simplex_and_point(draw, full=False):
+    """A random dyadic k-simplex in n-space (often degenerate) and a point,
+    drawn half the time as a dyadic convex combination of the vertices."""
+    n = draw(st.integers(1, 3))
+    k = n if full else draw(st.integers(0, n))
+    simplex = draw(st.lists(points(n), min_size=k + 1, max_size=k + 1))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k + 1, max_size=k + 1))
+        total = sum(weights)
+        scale = 1 << total.bit_length()  # keep the weights dyadic
+        weights[0] += scale - total
+        pt = DyadicPoint(
+            sum(Fraction(w, scale) * v.as_fractions()[d] for w, v in zip(weights, simplex))
+            for d in range(n)
+        )
+    else:
+        pt = draw(points(n))
+    return simplex, pt
+
+
+class TestKernelOracle:
+    @given(simplex_and_point())
+    def test_barycentric(self, case):
+        simplex, pt = case
+        want = _oracle_barycentric(pt, simplex)
+        if want == "degenerate":
+            with pytest.raises(ValueError):
+                barycentric(pt, simplex)
+        else:
+            assert barycentric(pt, simplex) == want
+
+    @given(simplex_and_point(full=True))
+    def test_volume_and_orientation(self, case):
+        simplex, _ = case
+        p0 = simplex[0].as_fractions()
+        det = _frac_det(
+            [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
+        )
+        n = len(simplex) - 1
+        assert simplex_volume(simplex) == abs(det) / math.factorial(n)
+        assert orientation(simplex) == (det > 0) - (det < 0)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(points(n), max_size=5)))
+    def test_distances(self, pts):
+        def frac_sq(a, b):
+            return sum((x - y) ** 2 for x, y in zip(a.as_fractions(), b.as_fractions()))
+
+        pairs = [frac_sq(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+        assert diam_sq(pts) == max(pairs, default=0)
+        if pts:
+            assert max_sq_dist_from(pts[0], pts) == max(frac_sq(pts[0], b) for b in pts)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.lists(points(n), min_size=1, max_size=4), points(n))
+        ),
+        st.integers(0, 3),
+    )
+    def test_translation_key(self, case, k):
+        pts, shift = case
+        moved = [p + shift for p in pts]
+        assert translation_key(moved) == translation_key(pts)
+        assert hash(translation_key(moved)) == hash(translation_key(pts))
+        stretched = [p.scale_pow2(k) for p in pts]
+        same_shape = all(p - pts[0] == q - stretched[0] for p, q in zip(pts, stretched))
+        assert (translation_key(stretched) == translation_key(pts)) == same_shape

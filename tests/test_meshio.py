@@ -120,3 +120,56 @@ def test_hash_is_canonical_under_vertex_order():
     doc2 = json.loads(json.dumps(doc))
     tri_b, _, _ = mesh_from_dict(doc2)
     assert mesh_hash(tri_a) == mesh_hash(tri_b)
+
+
+def _unit_square_doc():
+    return {
+        "dim": 2,
+        "vertices": [
+            [["0", "0"], ["0", "0"]],
+            [["1", "0"], ["0", "0"]],
+            [["1", "0"], ["1", "0"]],
+            [["0", "0"], ["1", "0"]],
+        ],
+        "cells": [
+            {"horizontal": [0, 1, 2], "vertical": [], "hyperlevel": 0},
+            {"horizontal": [0, 3, 2], "vertical": [], "hyperlevel": 0},
+        ],
+    }
+
+
+def _exit_code_of(tmp_path, doc, argv):
+    from bisectmesh.cli import main
+
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    return main([*argv, "--mesh", str(path)])
+
+
+def test_zero_volume_cell_rejected(tmp_path, capsys):
+    doc = _unit_square_doc()
+    doc["vertices"][3] = [["1", "1"], ["1", "1"]]  # on the diagonal 0-2
+    with pytest.raises(MeshFormatError, match="cells\\[1\\]: zero volume"):
+        mesh_from_dict(doc)
+    assert _exit_code_of(tmp_path, doc, ["constants"]) == 1
+    assert "cells[1]: zero volume" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, order",
+    [("order1", [0, 1, 2]), ("order1", [0, 1, 1, 3]), ("order0", [3]), ("order0", "x")],
+)
+def test_partition_order_must_permute_its_block(tmp_path, capsys, key, order):
+    doc = _unit_square_doc()
+    doc["partition"] = {"v0": [2], "v1": [0, 1, 3], key: order}
+    with pytest.raises(MeshFormatError, match=f"partition.{key}"):
+        mesh_from_dict(doc)
+    assert _exit_code_of(tmp_path, doc, ["agk-init"]) == 1
+    assert f"partition.{key}" in capsys.readouterr().err
+
+
+def test_valid_partition_orders_accepted():
+    doc = _unit_square_doc()
+    doc["partition"] = {"v0": [2], "v1": [0, 1, 3], "order0": [2], "order1": [3, 0, 1]}
+    _, _, partition = mesh_from_dict(doc)
+    assert partition.order1 == [3, 0, 1]
