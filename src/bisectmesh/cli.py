@@ -235,7 +235,12 @@ def _embed_refinement(base: Triangulation, other: Triangulation):
 def _cmd_overlay(args):
     tri_a, _, _ = _load(args.mesh)
     tri_b, _, _ = _load(args.mesh2)
+    # A loaded mesh's cells are the roots of its forest, so only the finer
+    # mesh embeds into the coarser one: try both orders.
     mapped = _embed_refinement(tri_a, tri_b)
+    if mapped is None:
+        tri_a, tri_b = tri_b, tri_a
+        mapped = _embed_refinement(tri_a, tri_b)
     if mapped is None:
         print(
             "error: meshes are not refinements of one common initial mesh",

@@ -5,8 +5,9 @@ are dyadic rationals (integer numerator over a power of two) and vertex
 equality is bit-exact.  A point is an integer vector over one shared power of
 two, and every predicate (volume, orientation, barycentric coordinates,
 squared distance) is integer arithmetic on such vectors: one fraction-free
-Bareiss determinant and one Gram/Cramer solve.  Results that leave the
-dyadics (volumes, barycentric coordinates) are returned as
+Bareiss determinant, one Gram/Cramer solve and, for full-dimensional
+containment, Cramer sign tests on the same determinant.  Results that leave
+the dyadics (volumes, barycentric coordinates) are returned as
 ``fractions.Fraction``; floats appear only in reporting.
 """
 
@@ -256,6 +257,29 @@ def _gram_solve(basis: list, target: list):
         if sum(c * u[d] for c, u in zip(nums, basis)) != den * t:
             return None
     return nums, den
+
+
+def _cramer_contains(edges: list, det: int, offset: list) -> bool:
+    """True iff the integer vector ``offset`` lies in the closed simplex
+    spanned from the origin by the n square integer rows ``edges``, where
+    ``det == _det(edges)``.
+
+    By Cramer's rule the i-th barycentric coordinate is ``num_i / det``,
+    ``num_i`` being the determinant of ``edges`` with row i replaced by
+    ``offset``; the scan stops at the first numerator whose sign opposes
+    ``det`` and ends with ``det - sum(num_i)``, the origin's numerator.
+    Raises ValueError when ``det`` is 0 (degenerate simplex).
+    """
+    if det == 0:
+        raise ValueError("dependent basis vectors (degenerate simplex)")
+    neg = det < 0
+    rest = det
+    for i in range(len(edges)):
+        num = _det(edges[:i] + [offset] + edges[i + 1 :])
+        if num and (num < 0) != neg:
+            return False
+        rest -= num
+    return not rest or (rest < 0) == neg
 
 
 # --- predicates ---------------------------------------------------------------

@@ -220,7 +220,14 @@ def read_mesh(path):
 
 
 def mesh_hash(tri: Triangulation) -> str:
-    """Stable digest of the canonical mesh serialisation."""
+    """Stable digest of the canonical mesh serialisation.
+
+    The serialisation numbers vertices by pool id and lists cells by node
+    id, that is, in creation order.  Two triangulations with the same
+    tagged cells therefore hash alike only when their vertices and cells
+    were created in the same order: the digest identifies a mesh as built,
+    not its geometry up to renumbering.
+    """
     doc = mesh_to_dict(tri)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -52,10 +52,10 @@ class Pile:
         return brick in self.bricks
 
     def in_range(self, brick: Brick) -> bool:
+        """True iff the brick lies over the clipped basement; the shift
+        floors, so this is ``lo * 2**level <= index < hi * 2**level``."""
         level, index = brick
-        lo = self.basement_lo * (1 << level)
-        hi = self.basement_hi * (1 << level)
-        return lo <= index < hi
+        return self.basement_lo <= index >> level < self.basement_hi
 
     def is_legal_child(self, brick: Brick) -> bool:
         level, index = brick
@@ -68,20 +68,16 @@ class Pile:
         number of bricks added this round."""
         if not self.is_legal_child(chosen):
             raise ValueError(f"brick {chosen} is not a child of the pile")
-        added = 0
+        # A brick joins the pile when it is pushed, so each is tested once.
+        bricks = self.bricks
+        bricks.add(chosen)
+        added = 1
         stack = [chosen]
         while stack:
-            b = stack.pop()
-            if b in self or not self.in_range(b):
-                continue
-            if b[0] == 0:
-                continue  # outside the clipped basement; ignore
-            self.bricks.add(b)
-            added += 1
-            for dem in brick_demands(b):
-                if dem[0] == 0:
-                    continue
-                if dem not in self:
+            for dem in brick_demands(stack.pop()):
+                if dem[0] and dem not in bricks and self.in_range(dem):
+                    bricks.add(dem)
+                    added += 1
                     stack.append(dem)
         return added
 

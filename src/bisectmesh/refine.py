@@ -8,9 +8,11 @@ coarsest conforming refinement strictly finer than the marked cell.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import le
 from typing import Optional
 
-from .exactgeom import barycentric, orientation
+from .exactgeom import _cramer_contains, _det
 from .tarray import Edge, refinement_edge
 from .forest import Triangulation
 
@@ -99,6 +101,24 @@ def refine(
     return tri
 
 
+def _vertex_rows(tri: Triangulation) -> dict:
+    """Integer rows of every leaf vertex at one common exponent, in the
+    order of ``tri.vertex_index``."""
+    pool = tri.forest.pool
+    exp = max((pool.point(v).exp for v in tri.vertex_index), default=0)
+    return {v: pool.point(v).at_exp(exp) for v in tri.vertex_index}
+
+
+def _box(pts: list) -> tuple[list, list]:
+    """Closed bounding box ``(lo, hi)`` of integer rows."""
+    cols = list(zip(*pts))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
+def _boxes_meet(a: tuple, b: tuple) -> bool:
+    return all(map(le, a[0], b[1])) and all(map(le, b[0], a[1]))
+
+
 def check_conforming(tri: Triangulation) -> list[str]:
     """Report hanging nodes: leaf vertices lying in a leaf they do not span.
 
@@ -106,34 +126,61 @@ def check_conforming(tri: Triangulation) -> list[str]:
     to regularity, which the engine relies on for dimensions above 2; the
     exact pairwise-intersection oracle for the plane lives in
     :func:`check_conforming_2d_exact`.
+
+    Cost: one sort of the V leaf vertices by first coordinate, then per
+    leaf a binary search for the vertices in the x-range of its bounding
+    box, a box test on the other coordinates, and for each remaining
+    candidate an early-exit Cramer sign test (at most n determinants of
+    order n, the leaf's own determinant computed once).  That is
+    O(V log V + L log V + K) box work for L leaves and K vertices in
+    x-ranges, against the O(V L) of testing every vertex in every leaf.
+    Problems are listed by vertex in ``tri.vertex_index`` order, then by
+    leaf in ``tri.leaves`` order.
     """
     forest = tri.forest
-    pool = forest.pool
-    problems = []
-    exp = max((pool.point(v).exp for v in tri.vertex_index), default=0)
-    rows = {v: pool.point(v).at_exp(exp) for v in tri.vertex_index}
-    boxes = {}
-    for leaf in tri.leaves:
+    rows = _vertex_rows(tri)
+    rank = {v: k for k, v in enumerate(rows)}
+    by_x = sorted(rows, key=lambda v: rows[v][0])
+    xs = [rows[v][0] for v in by_x]
+    tails = [rows[v][1:] for v in by_x]
+    hits = []
+    for pos, leaf in enumerate(tri.leaves):
         ids = forest.tarray(leaf).vertex_ids
-        cols = list(zip(*(rows[v] for v in ids)))
-        boxes[leaf] = ([min(c) for c in cols], [max(c) for c in cols], ids)
-    for vid, q in rows.items():
-        for leaf, (lo, hi, ids) in boxes.items():
-            if vid in ids or any(c < a or b < c for c, a, b in zip(q, lo, hi)):
+        p0, *others = pts = [rows[v] for v in ids]
+        lo, hi = _box(pts)
+        lo_tail, hi_tail = lo[1:], hi[1:]
+        edges = None
+        for k in range(bisect_left(xs, lo[0]), bisect_right(xs, hi[0])):
+            q = tails[k]
+            if not (all(map(le, lo_tail, q)) and all(map(le, q, hi_tail))):
                 continue
-            if barycentric(pool.point(vid), [pool.point(v) for v in ids]) is not None:
-                problems.append(
-                    f"hanging node: vertex {vid} lies in leaf {leaf} "
-                    "without being one of its vertices"
-                )
-    return problems
+            vid = by_x[k]
+            if vid in ids:
+                continue
+            if edges is None:
+                edges = [[x - y for x, y in zip(r, p0)] for r in others]
+                det = _det(edges)
+            if _cramer_contains(edges, det, [x - y for x, y in zip(rows[vid], p0)]):
+                hits.append((rank[vid], pos, vid, leaf))
+    hits.sort()
+    return [
+        f"hanging node: vertex {vid} lies in leaf {leaf} "
+        "without being one of its vertices"
+        for _, _, vid, leaf in hits
+    ]
+
+
+def _orient(a: list, b: list, c: list) -> int:
+    """Sign of det(b - a, c - a) for integer rows in the plane."""
+    det = _det([[x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]])
+    return (det > 0) - (det < 0)
 
 
 def _segments_cross(a, b, c, d) -> bool:
-    """Exact proper-crossing test for segments ab and cd in the plane."""
-    if orientation((a, b, c)) * orientation((a, b, d)) >= 0:
+    """Exact proper-crossing test for segments ab and cd of integer rows."""
+    if _orient(a, b, c) * _orient(a, b, d) >= 0:
         return False
-    return orientation((c, d, a)) * orientation((c, d, b)) < 0
+    return _orient(c, d, a) * _orient(c, d, b) < 0
 
 
 def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
@@ -142,31 +189,45 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     For every pair of leaves it verifies that the geometric intersection is
     the common subsimplex spanned by the shared vertices: no vertex of one
     cell may lie inside the other beyond the shared ones (hanging nodes) and
-    no pair of edges may cross properly.
+    no pair of edges may cross properly.  A proper crossing point lies in
+    both closed cells and both closed edges, and never at an endpoint, so
+    only leaf pairs whose bounding boxes meet (found by a sweep over the
+    boxes sorted by their left ends), and within them only edge pairs with
+    meeting boxes and no common endpoint, reach the orientation tests.  An
+    edge of one triangle with both ends in the other shares an endpoint
+    with each of the other's edges, so it is skipped by the same rule.
     """
     forest = tri.forest
-    pool = forest.pool
     problems = check_conforming(tri)
-    leaves = sorted(tri.leaves)
-    for i, s in enumerate(leaves):
-        ts = forest.tarray(s)
-        s_edges = [
-            (pool.point(e.a), pool.point(e.b), e) for e in ts.edges()
+    rows = _vertex_rows(tri)
+    if any(len(r) != 2 for r in rows.values()):
+        raise ValueError("check_conforming_2d_exact needs a plane mesh")
+    boxes, edges = {}, {}
+    for s in tri.leaves:
+        cell = forest.tarray(s)
+        boxes[s] = _box([rows[v] for v in cell.vertex_ids])
+        edges[s] = [
+            (e, rows[e.a], rows[e.b], _box([rows[e.a], rows[e.b]])) for e in cell.edges()
         ]
-        for t in leaves[i + 1 :]:
-            tt = forest.tarray(t)
-            shared = set(ts.vertex_ids) & set(tt.vertex_ids)
-            for pa, pb, ea in s_edges:
-                if ea.a in shared and ea.b in shared:
-                    continue
-                for et in tt.edges():
-                    if et.a in shared and et.b in shared:
-                        continue
-                    if _segments_cross(pa, pb, pool.point(et.a), pool.point(et.b)):
-                        problems.append(
-                            f"leaves {s} and {t}: edges {ea.ids} and {et.ids} "
-                            "cross outside a common subsimplex"
-                        )
+    by_left = sorted(boxes, key=lambda s: boxes[s][0][0])
+    pairs = []
+    for i, s in enumerate(by_left):
+        for t in by_left[i + 1 :]:
+            if boxes[t][0][0] > boxes[s][1][0]:
+                break
+            if _boxes_meet(boxes[s], boxes[t]):
+                pairs.append((min(s, t), max(s, t)))
+    pairs.sort()
+    for s, t in pairs:
+        for ea, pa, pb, box_a in edges[s]:
+            for et, qa, qb, box_b in edges[t]:
+                if ea.a in (et.a, et.b) or ea.b in (et.a, et.b):
+                    continue  # a common endpoint is no proper crossing
+                if _boxes_meet(box_a, box_b) and _segments_cross(pa, pb, qa, qb):
+                    problems.append(
+                        f"leaves {s} and {t}: edges {ea.ids} and {et.ids} "
+                        "cross outside a common subsimplex"
+                    )
     return problems
 
 

@@ -218,6 +218,37 @@ def test_overlay_matches_in_process_overlay_3d(tmp_path, seed):
     assert _canonical_hash(result) == _canonical_hash(overlay(coarse, fine))
 
 
+def _cell_coordinates(tri):
+    """The cells as sets of vertex coordinates, independent of numbering."""
+    pool = tri.forest.pool
+    return {
+        frozenset(pool.point(v).as_fractions() for v in c.vertex_ids)
+        for c in tri.cells()
+    }
+
+
+def test_overlay_either_order_3d(tmp_path):
+    """The finer mesh may come first: the CLI embeds whichever mesh
+    refines the other."""
+    coarse = kuhn_cube_mesh(3)
+    rng = random.Random(3)
+    for _ in range(3):
+        refine(coarse, rng.choice(sorted(coarse.leaves)))
+    fine = coarse.copy()
+    for _ in range(5):
+        refine(fine, rng.choice(sorted(fine.leaves)))
+    a, b = tmp_path / "coarse.json", tmp_path / "fine.json"
+    write_mesh(a, coarse)
+    write_mesh(b, fine)
+    results = []
+    for first, second in ((a, b), (b, a)):
+        out = tmp_path / f"ov-{first.stem}.json"
+        argv = ["overlay", "--mesh", str(first), "--mesh2", str(second), "--out", str(out)]
+        assert main(argv) == 0
+        results.append(_cell_coordinates(read_mesh(out)[0]))
+    assert results[0] == results[1] == _cell_coordinates(fine)
+
+
 def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):
     cube = tmp_path / "cube.json"
     write_mesh(cube, kuhn_cube_mesh(3))

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bisectmesh.exactgeom import (
+    _cramer_contains,
+    _det,
+    _rows,
     Dyadic,
     DyadicPoint,
     barycentric,
@@ -294,3 +297,45 @@ class TestKernelOracle:
         stretched = [p.scale_pow2(k) for p in pts]
         same_shape = all(p - pts[0] == q - stretched[0] for p, q in zip(pts, stretched))
         assert (translation_key(stretched) == translation_key(pts)) == same_shape
+
+
+@st.composite
+def placed_point(draw):
+    """A random dyadic n-simplex in n-space (sometimes degenerate) and a
+    point at one of its vertices, on a facet, inside, or anywhere."""
+    n = draw(st.integers(1, 4))
+    simplex = draw(st.lists(points(n), min_size=n + 1, max_size=n + 1))
+    kind = draw(st.sampled_from(["vertex", "facet", "inside", "anywhere"]))
+    if kind == "anywhere":
+        return simplex, draw(points(n))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
+    j = draw(st.integers(0, n))
+    if kind == "vertex":
+        weights = [int(i == j) for i in range(n + 1)]
+    elif kind == "facet":
+        weights[j] = 0
+    total = sum(weights)
+    scale = 1 << (total - 1).bit_length()  # keep the weights dyadic
+    weights[next(i for i, w in enumerate(weights) if w)] += scale - total
+    pt = DyadicPoint(
+        sum(Fraction(w, scale) * v.as_fractions()[d] for w, v in zip(weights, simplex))
+        for d in range(n)
+    )
+    return simplex, pt
+
+
+@given(placed_point())
+def test_cramer_contains_matches_barycentric(case):
+    simplex, pt = case
+    rows, _ = _rows([*simplex[1:], pt], simplex[0])
+    offset = rows.pop()
+    det = _det(rows)
+    if det == 0:
+        for call in (
+            lambda: _cramer_contains(rows, det, offset),
+            lambda: barycentric(pt, simplex),
+        ):
+            with pytest.raises(ValueError):
+                call()
+    else:
+        assert _cramer_contains(rows, det, offset) == (barycentric(pt, simplex) is not None)

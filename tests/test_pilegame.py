@@ -54,6 +54,46 @@ class TestPile:
                     if dem[0] >= 1 and pile.in_range(dem):
                         assert dem in pile
 
+    @given(
+        st.integers(0, 80),
+        st.integers(-10, 10),
+        st.integers(-2, 2),
+        st.integers(-8, 0),
+        st.integers(1, 8),
+    )
+    def test_in_range_matches_scaled_basement(self, level, base, offset, lo, hi):
+        """Indices near the scaled basement ends, of both signs."""
+        index = (base << level) + offset
+        pile = Pile(lo, hi)
+        assert pile.in_range((level, index)) == (
+            lo * (1 << level) <= index < hi * (1 << level)
+        )
+
+    def test_add_brick_matches_pop_then_test_closure(self):
+        """Reference: the closure that tests each brick when it is popped."""
+
+        def closure(pile, chosen):
+            new, stack = set(), [chosen]
+            while stack:
+                b = stack.pop()
+                if b in pile or b in new or not pile.in_range(b):
+                    continue
+                new.add(b)
+                stack.extend(d for d in brick_demands(b) if d[0] >= 1)
+            return new
+
+        rng = random.Random(5)
+        pile = Pile(-6, 6)
+        for _ in range(400):
+            base = rng.choice([(0, rng.randrange(-6, 6))] + sorted(pile.bricks))
+            child = brick_children(base)[rng.randrange(2)]
+            if pile.is_legal_child(child):
+                new = closure(pile, child)
+                want = pile.bricks | new
+                assert pile.add_brick(child) == len(new)
+                assert pile.bricks == want
+        assert len(pile.bricks) > 100
+
     def test_level_one_brick_adds_exactly_one(self):
         pile = Pile()
         assert pile.add_brick((1, 5)) == 1

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from bisectmesh import Triangulation, VertexPool, point
+from bisectmesh.exactgeom import barycentric, orientation
 from bisectmesh.forest import verify_forest_characterisation
 from bisectmesh.refine import (
     RefinementError,
@@ -149,6 +151,10 @@ class TestCheckConforming:
         assert check_conforming(tri) == []
         assert check_conforming_2d_exact(tri) != []
 
+    def test_2d_exact_rejects_other_dimensions(self):
+        with pytest.raises(ValueError):
+            check_conforming_2d_exact(kuhn_cube_mesh(3))
+
     def test_random_suite(self):
         rng = random.Random(8)
         for n, rounds in ((2, 12), (3, 8), (4, 5)):
@@ -160,6 +166,121 @@ class TestCheckConforming:
             for _ in range(rounds):
                 refine(tri, rng.choice(sorted(tri.leaves)))
                 assert check_conforming(tri) == []
+
+
+def reference_check_conforming(tri):
+    """All-pairs hanging-node scan: every leaf vertex against every leaf's
+    bounding box, then the Gram/Cramer ``barycentric``."""
+    forest = tri.forest
+    pool = forest.pool
+    problems = []
+    exp = max((pool.point(v).exp for v in tri.vertex_index), default=0)
+    rows = {v: pool.point(v).at_exp(exp) for v in tri.vertex_index}
+    boxes = {}
+    for leaf in tri.leaves:
+        ids = forest.tarray(leaf).vertex_ids
+        cols = list(zip(*(rows[v] for v in ids)))
+        boxes[leaf] = ([min(c) for c in cols], [max(c) for c in cols], ids)
+    for vid, q in rows.items():
+        for leaf, (lo, hi, ids) in boxes.items():
+            if vid in ids or any(c < a or b < c for c, a, b in zip(q, lo, hi)):
+                continue
+            if barycentric(pool.point(vid), [pool.point(v) for v in ids]) is not None:
+                problems.append(
+                    f"hanging node: vertex {vid} lies in leaf {leaf} "
+                    "without being one of its vertices"
+                )
+    return problems
+
+
+def reference_check_conforming_2d_exact(tri):
+    """All-pairs plane oracle: the hanging-node scan, then every edge pair
+    of every leaf pair through ``orientation`` on points."""
+    forest = tri.forest
+    pool = forest.pool
+
+    def cross(a, b, c, d):
+        if orientation((a, b, c)) * orientation((a, b, d)) >= 0:
+            return False
+        return orientation((c, d, a)) * orientation((c, d, b)) < 0
+
+    problems = reference_check_conforming(tri)
+    leaves = sorted(tri.leaves)
+    for i, s in enumerate(leaves):
+        ts = forest.tarray(s)
+        s_edges = [(pool.point(e.a), pool.point(e.b), e) for e in ts.edges()]
+        for t in leaves[i + 1 :]:
+            tt = forest.tarray(t)
+            shared = set(ts.vertex_ids) & set(tt.vertex_ids)
+            for pa, pb, ea in s_edges:
+                if ea.a in shared and ea.b in shared:
+                    continue
+                for et in tt.edges():
+                    if et.a in shared and et.b in shared:
+                        continue
+                    if cross(pa, pb, pool.point(et.a), pool.point(et.b)):
+                        problems.append(
+                            f"leaves {s} and {t}: edges {ea.ids} and {et.ids} "
+                            "cross outside a common subsimplex"
+                        )
+    return problems
+
+
+def plain_mesh(coords, cells):
+    pool = VertexPool()
+    ids = [pool.id_of(point(*c)) for c in coords]
+    return Triangulation.from_cells(
+        pool, [TaggedSimplex(tuple(ids[i] for i in c), ()) for c in cells]
+    )
+
+
+def conformity_corpus(seed):
+    """Seeded meshes: conforming refinements for n = 2, 3, 4, each followed
+    by a copy with three leaves bisected without closure (hanging nodes),
+    then, at a dyadic shift, the overlapping plane pair (0,1,2)/(0,1,3) and
+    a row of three overlapping triangles."""
+    rng = random.Random(seed)
+    out = []
+    for n, rounds in ((2, 14), (3, 6), (4, 2)):
+        tri = kuhn_square() if n == 2 else kuhn_cube_mesh(n)
+        for _ in range(rounds):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        out.append(tri)
+        hanging = tri.copy()
+        for _ in range(3):
+            hanging.bisect_leaf(rng.choice(sorted(hanging.leaves)))
+        out.append(hanging)
+    shift = [Fraction(rng.randrange(-8, 9), 8) for _ in range(2)]
+
+    def moved(coords):
+        return [[Fraction(x) + s for x, s in zip(c, shift)] for c in coords]
+
+    square = moved(((0, 0), (1, 0), (1, 1), (0, 1)))
+    out.append(plain_mesh(square, [(0, 1, 2), (0, 1, 3)]))
+    # three overlapping triangles, the rightmost first, so the cell ids
+    # run against the x order of the sweep
+    row = moved([(2 * k + x, y) for k in (2, 1, 0) for x, y in ((0, 0), (4, 0), (2, 3))])
+    out.append(plain_mesh(row, [(0, 1, 2), (3, 4, 5), (6, 7, 8)]))
+    return out
+
+
+class TestConformityScansMatchReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_conforming(self, seed):
+        for tri in conformity_corpus(seed):
+            assert check_conforming(tri) == reference_check_conforming(tri)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_conforming_2d_exact(self, seed):
+        for tri in conformity_corpus(seed):
+            if tri.forest.pool.point(0).dim == 2:
+                got = check_conforming_2d_exact(tri)
+                assert got == reference_check_conforming_2d_exact(tri)
+
+    def test_corpus_has_both_verdicts(self):
+        found = [check_conforming_2d_exact(t) if t.forest.pool.point(0).dim == 2
+                 else check_conforming(t) for t in conformity_corpus(0)]
+        assert [bool(p) for p in found] == [False, True] * 3 + [True, True]
 
 
 class TestUniform:
