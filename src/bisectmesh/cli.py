@@ -135,7 +135,7 @@ def _cmd_sweep(args, fn, **kw):
 
 def _cmd_constants(args):
     tri, _, _ = _load(args.mesh)
-    consts = compute_constants(tri, args.depth or None)
+    consts = compute_constants(tri)
     print(f"n = {consts.n}")
     print(f"d = {consts.d}")
     if consts.D_squared is not None:
@@ -301,7 +301,10 @@ def main(argv=None) -> int:
     ])
     add("quasi-uniform", lambda a: _cmd_sweep(a, quasi_uniform_refine))
     add("constants", _cmd_constants, out=False, extra=[
-        lambda p: p.add_argument("--depth", type=_int_at_least(0), default=0),
+        lambda p: p.add_argument(
+            "--depth", type=_int_at_least(0), default=0,
+            help="accepted for compatibility; the exact census does not use it",
+        ),
     ])
     add("bdv-run", _cmd_bdv_run, extra=[
         lambda p: p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES),

@@ -32,19 +32,14 @@ def _exact_nth_root(value: Fraction, k: int) -> Optional[Fraction]:
             return None
         if x < 2:
             return x
-        try:
-            r = round(x ** (1.0 / k))
-        except OverflowError:
-            r = 1 << ((x.bit_length() + k - 1) // k)
-            while True:
-                nr = ((k - 1) * r + x // r ** (k - 1)) // k
-                if nr >= r:
-                    break
-                r = nr
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == x:
-                return cand
-        return None
+        # Integer Newton iteration from above ends at floor(x ** (1/k)).
+        r = 1 << ((x.bit_length() + k - 1) // k)
+        while True:
+            nr = ((k - 1) * r + x // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
+        return r if r**k == x else None
 
     num, den = iroot(value.numerator), iroot(value.denominator)
     if num is None or den is None:
@@ -66,7 +61,6 @@ class ShapeCensus:
 def shape_census(
     root: TaggedSimplex,
     pool,
-    settle_depth: Optional[int] = None,
     max_generations: int = 400,
     max_classes: int = 500_000,
 ) -> ShapeCensus:
@@ -75,20 +69,18 @@ def shape_census(
     A class is a T-array modulo translation after scaling by ``2**(h - h_root)``;
     bisection maps classes to classes and transposition doubles the scale, so
     the class set is finite and the walk stops when a full generation brings
-    nothing new (``settle_depth`` consecutive generations, default 1, which
-    is exact for this closure).
+    nothing new.  A child's values depend only on its class, so each class is
+    valued once, the first time the walk reaches it as a child; the root's
+    class is seen from the start but valued only if a descendant falls in it.
     """
     n = root.dim
-    settle = settle_depth if settle_depth is not None else 1
     pts = [pool.point(v) for v in root.vertex_ids]
-    c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
-    iso_scale_sq = Fraction(4) ** root.hyperlevel
-    best_iso = iso_scale_sq * diam_sq(pts)
-    best_v = Fraction(0)
+    best_ratio = Fraction(0)  # max over children of d_sq**n / vol**2
+    best_diam = diam_sq(pts)
     seen = {(root.type, translation_key(pts))}
+    valued = set()
     frontier = [(root.type, tuple(pts))]
     generations = 0
-    quiet = 0
     while frontier and generations < max_generations and len(seen) < max_classes:
         generations += 1
         next_frontier = []
@@ -100,28 +92,27 @@ def shape_census(
             for hor, ver in ((h1, v1), (h2, v2)):
                 child = hor + ver
                 child_t = len(hor) - 1
-                d_sq = max_sq_dist_from(new, child)
-                vol = simplex_volume(child)
-                value = c0**2 * d_sq**n / vol**2
-                if value > best_v:
-                    best_v = value
-                iso = iso_scale_sq * diam_sq(child)
-                if iso > best_iso:
-                    best_iso = iso
                 key = (child_t, translation_key(child))
+                if key in valued:
+                    continue
+                valued.add(key)
+                ratio = max_sq_dist_from(new, child) ** n / simplex_volume(child) ** 2
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                d = diam_sq(child)
+                if d > best_diam:
+                    best_diam = d
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append((child_t, child))
         frontier = next_frontier
-        quiet = quiet + 1 if not next_frontier else 0
-        if quiet >= settle:
-            break
+    c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
     return ShapeCensus(
         classes=len(seen),
         generations=generations,
         settled=not frontier,
-        max_v_pow_2n=best_v,
-        max_iso_sq=best_iso,
+        max_v_pow_2n=c0**2 * best_ratio,
+        max_iso_sq=Fraction(4) ** root.hyperlevel * best_diam,
     )
 
 
@@ -147,7 +138,7 @@ def compute_d_iso(tri: Triangulation) -> Fraction:
     return best
 
 
-def compute_D(tri: Triangulation, settle_depth: Optional[int] = None):
+def compute_D(tri: Triangulation):
     """Distance ceilings with enumeration certificates.
 
     Returns ``(v_pow_2n, iso_sq, census_list)`` where ``v_pow_2n`` is the
@@ -155,10 +146,7 @@ def compute_D(tri: Triangulation, settle_depth: Optional[int] = None):
     exact square of sup 2^hyperlevel diam.
     """
     forest = tri.forest
-    censuses = [
-        shape_census(forest.tarray(r), forest.pool, settle_depth)
-        for r in forest.roots
-    ]
+    censuses = [shape_census(forest.tarray(r), forest.pool) for r in forest.roots]
     return (
         max(c.max_v_pow_2n for c in censuses),
         max(c.max_iso_sq for c in censuses),
@@ -212,11 +200,11 @@ class Constants:
         return base**self.n
 
 
-def compute_constants(tri: Triangulation, settle_depth: Optional[int] = None) -> Constants:
+def compute_constants(tri: Triangulation) -> Constants:
     n = tri.forest.tarray(tri.forest.roots[0]).dim
     d = compute_d(tri)
     d_iso = compute_d_iso(tri)
-    v2n, iso_sq, censuses = compute_D(tri, settle_depth)
+    v2n, iso_sq, censuses = compute_D(tri)
     D = float(v2n) ** (1 / (2 * n))
     D_sq = _exact_nth_root(v2n, n)
     D_iso = math.sqrt(float(iso_sq))

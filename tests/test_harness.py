@@ -3,10 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
+from bisectmesh import harness
+from bisectmesh.exactgeom import (
+    Dyadic,
+    DyadicPoint,
+    diam_sq,
+    max_sq_dist_from,
+    simplex_volume,
+    translation_key,
+)
 from bisectmesh.harness import (
+    ShapeCensus,
     Trace,
+    _exact_nth_root,
     compute_constants,
     compute_d,
     c_iso,
@@ -20,9 +32,9 @@ from bisectmesh.harness import (
 )
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.refine import refine
-from bisectmesh.tarray import TaggedSimplex
+from bisectmesh.tarray import TaggedSimplex, bisect_points
 
-from conftest import kuhn_square, single_kuhn
+from conftest import kuhn_cube_cells, kuhn_cube_mesh, kuhn_square, single_kuhn
 
 
 def half_kuhn_mesh(n):
@@ -130,6 +142,174 @@ class TestDistanceCeilings:
                 pool.point(vnew), cur.vertices(pool)
             ) ** 2
             assert v_2n <= consts.D_pow_2n
+
+
+def reference_shape_census(root, pool, max_generations=400, max_classes=500_000):
+    """Reference census: values every child of every generation, also when
+    its class is already seen, with ``c0`` and the hyperlevel scale in each
+    child's value."""
+    n = root.dim
+    pts = [pool.point(v) for v in root.vertex_ids]
+    c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
+    iso_scale_sq = Fraction(4) ** root.hyperlevel
+    best_iso = iso_scale_sq * diam_sq(pts)
+    best_v = Fraction(0)
+    seen = {(root.type, translation_key(pts))}
+    frontier = [(root.type, tuple(pts))]
+    generations = 0
+    while frontier and generations < max_generations and len(seen) < max_classes:
+        generations += 1
+        next_frontier = []
+        for t, shape in frontier:
+            if t == 0:
+                shape = tuple(p.scale_pow2(1) for p in shape)
+                t = n
+            (h1, v1), (h2, v2), new = bisect_points(shape[: t + 1], shape[t + 1 :])
+            for hor, ver in ((h1, v1), (h2, v2)):
+                child = hor + ver
+                child_t = len(hor) - 1
+                d_sq = max_sq_dist_from(new, child)
+                vol = simplex_volume(child)
+                value = c0**2 * d_sq**n / vol**2
+                if value > best_v:
+                    best_v = value
+                iso = iso_scale_sq * diam_sq(child)
+                if iso > best_iso:
+                    best_iso = iso
+                key = (child_t, translation_key(child))
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append((child_t, child))
+        frontier = next_frontier
+    return ShapeCensus(
+        classes=len(seen),
+        generations=generations,
+        settled=not frontier,
+        max_v_pow_2n=best_v,
+        max_iso_sq=best_iso,
+    )
+
+
+def agk_cube(seed):
+    """The unit 3-cube tagged by ``agk_init`` from a seeded vertex partition
+    with seeded block orders."""
+    rng = random.Random(seed)
+    pool, cells = kuhn_cube_cells(3)
+    verts = sorted({v for c in cells for v in c})
+    rng.shuffle(verts)
+    k = rng.randrange(len(verts) + 1)
+    part = VertexPartition(
+        frozenset(verts[:k]), frozenset(verts[k:]), verts[:k], verts[k:]
+    )
+    return agk_init(pool, cells, part)
+
+
+def offset_square(seed):
+    """The Kuhn square translated by a seeded dyadic offset."""
+    rng = random.Random(seed)
+    pool = VertexPool()
+    offset = DyadicPoint(
+        [Dyadic(rng.randrange(-64, 65), rng.randrange(0, 12)) for _ in range(2)]
+    )
+    cells = [kuhn(perm, [1, 1], pool, offset=offset) for perm in ([1, 2], [2, 1])]
+    return Triangulation.from_cells(pool, cells)
+
+
+def skewed_cell():
+    pool = VertexPool()
+    ids = [pool.id_of(point(0, 0)), pool.id_of(point(4, 0)), pool.id_of(point(3, 2))]
+    return Triangulation.from_cells(pool, [TaggedSimplex(tuple(ids), ())])
+
+
+def uneven_pair():
+    """A unit right triangle and, sharing its hypotenuse, a larger obtuse
+    one: the roots differ in volume and shape, and the second root sets
+    the distance ceiling."""
+    pool = VertexPool()
+    a, b, c, d = (pool.id_of(point(*q)) for q in ((0, 0), (1, 0), (0, 1), (4, 0)))
+    cells = [TaggedSimplex((a, b, c), ()), TaggedSimplex((b, d, c), ())]
+    return Triangulation.from_cells(pool, cells)
+
+
+def refined_square_roots():
+    """The leaves of a graded Kuhn square as the roots of a new mesh, so
+    that roots of one mesh carry different levels."""
+    tri = kuhn_square()
+    rng = random.Random(4)
+    for _ in range(6):
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    forest = tri.forest
+    cells = [forest.tarray(leaf) for leaf in sorted(tri.leaves)]
+    return Triangulation.from_cells(forest.pool, cells)
+
+
+# Seeds 2-5 give agk cubes with type-0 roots (2, 3, 4) and hyperlevel-1
+# roots (4, 5), beside type-1/2/3 roots of hyperlevel 0.
+CENSUS_CORPUS = (
+    [(f"kuhn-{n}", lambda n=n: single_kuhn(n)) for n in (1, 2, 3, 4)]
+    + [(f"cube-{n}", lambda n=n: kuhn_cube_mesh(n)) for n in (2, 3)]
+    + [(f"agk-{s}", lambda s=s: agk_cube(s)) for s in (2, 3, 4, 5)]
+    + [("offset-square", lambda: offset_square(7)), ("skewed", skewed_cell)]
+    + [("uneven-pair", uneven_pair), ("graded-square", refined_square_roots)]
+)
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("name, make", CENSUS_CORPUS)
+    def test_census_and_constants_match_reference(self, name, make, monkeypatch):
+        tri = make()
+        forest = tri.forest
+        roots = [forest.tarray(r) for r in forest.roots]
+        refs = [reference_shape_census(root, forest.pool) for root in roots]
+        assert [shape_census(root, forest.pool) for root in roots] == refs
+        got = compute_constants(tri)
+        assert got.D_pow_2n == max(c.max_v_pow_2n for c in refs)
+        assert got.D_iso_squared == max(c.max_iso_sq for c in refs)
+        assert got.classes == sum(c.classes for c in refs)
+        monkeypatch.setattr(harness, "shape_census", reference_shape_census)
+        assert got == compute_constants(tri)
+
+    def test_agk_corpus_covers_type0_and_hyperlevel1_roots(self):
+        kinds = set()
+        for seed in (2, 3, 4, 5):
+            forest = agk_cube(seed).forest
+            kinds |= {
+                (forest.tarray(r).type == 0, forest.tarray(r).hyperlevel)
+                for r in forest.roots
+            }
+        assert (True, 0) in kinds and (False, 1) in kinds
+
+    @pytest.mark.parametrize(
+        "make, caps",
+        [
+            (lambda: single_kuhn(4), {"max_generations": 5}),
+            (lambda: single_kuhn(3), {"max_classes": 20}),
+            (lambda: agk_cube(4), {"max_generations": 3}),
+            (lambda: agk_cube(5), {"max_classes": 30}),
+        ],
+    )
+    def test_capped_certificates_match_reference(self, make, caps):
+        forest = make().forest
+        for r in forest.roots:
+            root = forest.tarray(r)
+            got = shape_census(root, forest.pool, **caps)
+            assert not got.settled
+            assert got == reference_shape_census(root, forest.pool, **caps)
+
+
+class TestExactNthRoot:
+    @given(st.integers(0, 10**40), st.integers(1, 4))
+    def test_recovers_exact_roots(self, q, k):
+        assert _exact_nth_root(Fraction(q**k), k) == q
+        if k >= 2 and q >= 1:
+            assert _exact_nth_root(Fraction(q**k + 1), k) is None
+
+    @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(2, 4))
+    def test_recovers_fraction_roots(self, p, q, k):
+        assert _exact_nth_root(Fraction(p, q) ** k, k) == Fraction(p, q)
+
+    def test_large_square_keeps_exact_d_squared(self):
+        assert _exact_nth_root(Fraction(3**80, 25), 2) == Fraction(3**40, 5)
 
 
 class TestConstants:
