@@ -7,7 +7,7 @@ harness that computes and checks the closure-estimate constants.
 """
 
 from .exactgeom import Dyadic, DyadicPoint, midpoint, point, simplex_volume
-from .tarray import Edge, TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
+from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
 from .forest import Forest, Triangulation, overlay, underlay, tower
 from .refine import RefinementError, check_conforming, refine, uniform_refine
 from .inittags import agk_init, initial_division, PointMarking, VertexPartition
@@ -19,7 +19,6 @@ __all__ = [
     "midpoint",
     "point",
     "simplex_volume",
-    "Edge",
     "TaggedSimplex",
     "VertexPool",
     "bisect",

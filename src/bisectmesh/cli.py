@@ -157,7 +157,11 @@ def _cmd_constants(args):
 def _cmd_bdv_run(args):
     tri, _, _ = _load(args.mesh)
     consts = compute_constants(tri)
-    trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
+    try:
+        trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
+    except RefinementError as exc:
+        print(f"refinement failed: {exc}", file=sys.stderr)
+        return EXIT_REFINE
     mode = args.mode or "sic"
     problems = verify_bdv(trace, consts, mode)
     bound = consts.C_sic if mode == "sic" else consts.C_iso

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactgeom import simplex_volume
-from .tarray import Edge, TaggedSimplex, VertexPool, bisect
+from .tarray import TaggedSimplex, VertexPool, bisect
 
 
 class Node:
@@ -107,7 +107,12 @@ class Forest:
 
 
 class Triangulation:
-    """A leaf set of the forest plus vertex/edge incidence indices."""
+    """A leaf set of the forest plus vertex/edge incidence indices.
+
+    An edge is the ``frozenset`` of its two vertex ids, as returned by
+    :meth:`TaggedSimplex.edges` and :func:`refinement_edge`; ``edge_index``
+    maps each leaf edge to its sharers.
+    """
 
     def __init__(self, forest: Forest, leaves: Iterable[int]):
         self.forest = forest
@@ -130,17 +135,17 @@ class Triangulation:
     def _index_leaf(self, nid: int):
         t = self.forest.tarray(nid)
         for e in t.edges():
-            self.edge_index.setdefault(e.ids, set()).add(nid)
+            self.edge_index.setdefault(e, set()).add(nid)
         for v in t.vertex_ids:
             self.vertex_index.setdefault(v, set()).add(nid)
 
     def _unindex_leaf(self, nid: int):
         t = self.forest.tarray(nid)
         for e in t.edges():
-            sharers = self.edge_index[e.ids]
+            sharers = self.edge_index[e]
             sharers.discard(nid)
             if not sharers:
-                del self.edge_index[e.ids]
+                del self.edge_index[e]
         for v in t.vertex_ids:
             sharers = self.vertex_index[v]
             sharers.discard(nid)
@@ -159,8 +164,8 @@ class Triangulation:
             self._index_leaf(c)
         return c1, c2
 
-    def edge_sharers(self, edge: Edge) -> set:
-        return set(self.edge_index.get(edge.ids, ()))
+    def edge_sharers(self, edge: frozenset) -> set:
+        return set(self.edge_index.get(edge, ()))
 
     def cells(self) -> list[TaggedSimplex]:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]

@@ -345,9 +345,9 @@ def run_sequence(
             if forest.volume(c1) + forest.volume(c2) != forest.volume(node_id):
                 raise SequenceError(f"round {rnd}: children do not partition cell {node_id}")
             edge = refinement_edge(forest.tarray(node_id))
-            if edge.ids in tri.edge_index:
+            if edge in tri.edge_index:
                 raise SequenceError(
-                    f"round {rnd}: bisected edge {set(edge.ids)} still carried "
+                    f"round {rnd}: bisected edge {set(edge)} still carried "
                     "by a leaf (hanging node)"
                 )
             leafbuf.extend((c1, c2))
@@ -448,9 +448,7 @@ def tower_patch_spotcheck(
     h0 = 2 + int(math.log2(n))
     rng = random.Random(seed)
     deep = [
-        leaf
-        for leaf in tri.leaves
-        if _effective_hyperlevel(forest.tarray(leaf)) >= h0 + 1
+        leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel >= h0 + 1
     ]
     rng.shuffle(deep)
     checked = 0
@@ -467,8 +465,7 @@ def tower_patch_spotcheck(
         tw = tower(tri, c1)
         layers: dict[int, list[int]] = {}
         for nid in tw:
-            t = forest.tarray(nid)
-            layers.setdefault(_effective_hyperlevel(t), []).append(nid)
+            layers.setdefault(forest.tarray(nid).edge_hyperlevel, []).append(nid)
         for j, nodes in sorted(layers.items()):
             if j < h0 + 1:
                 vacuous += 1
@@ -503,9 +500,3 @@ def tower_patch_spotcheck(
         "worst_diameter_ratio": worst_diameter_ratio,
         "failures": failures,
     }
-
-
-def _effective_hyperlevel(t: TaggedSimplex) -> int:
-    """Hyperlevel in the full-type convention (type-0 arrays count as their
-    transposed)."""
-    return t.hyperlevel + 1 if t.type == 0 else t.hyperlevel

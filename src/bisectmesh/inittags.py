@@ -239,13 +239,16 @@ def agk_init(
 
 
 def _cell_pairs(tri: Triangulation):
-    """Pairs of leaves sharing at least one vertex."""
+    """Pairs of leaves sharing at least one vertex, as ``(a, b, sa, sb,
+    shared)``: the node ids, their T-arrays and their common vertex ids."""
+    forest = tri.forest
     seen = set()
     for sharers in tri.vertex_index.values():
         for a, b in combinations(sorted(sharers), 2):
             if (a, b) not in seen:
                 seen.add((a, b))
-                yield a, b
+                sa, sb = forest.tarray(a), forest.tarray(b)
+                yield a, b, sa, sb, set(sa.vertex_ids) & set(sb.vertex_ids)
 
 
 def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:
@@ -267,15 +270,15 @@ def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:
     depth = depth if depth is not None else n + 1
     stage = tri.copy()
     for d in range(depth):
-        for edge_ids, sharers in stage.edge_index.items():
+        for edge, sharers in stage.edge_index.items():
             owners = {
                 leaf
                 for leaf in sharers
-                if refinement_edge(forest.tarray(leaf)).ids == edge_ids
+                if refinement_edge(forest.tarray(leaf)) == edge
             }
             if owners and owners != sharers:
                 problems.append(
-                    f"uniform refinement {d}: edge {set(edge_ids)} is the "
+                    f"uniform refinement {d}: edge {set(edge)} is the "
                     f"refinement edge of {len(owners)} of {len(sharers)} sharers"
                 )
                 return problems
@@ -292,12 +295,9 @@ def check_retaco(tri: Triangulation) -> list[str]:
     """Restricted T-arrays of intersecting cells must coincide up to the
     reflexion/transposition identification."""
     problems = []
-    forest = tri.forest
-    for a, b in _cell_pairs(tri):
-        sa, sb = forest.tarray(a), forest.tarray(b)
-        shared = set(sa.vertex_ids) & set(sb.vertex_ids)
-        ra = canonicalize(restrict(sa, shared, rule="legacy"))
-        rb = canonicalize(restrict(sb, shared, rule="legacy"))
+    for a, b, sa, sb, shared in _cell_pairs(tri):
+        ra = canonicalize(restrict(sa, shared))
+        rb = canonicalize(restrict(sb, shared))
         if ra != rb:
             problems.append(
                 f"cells {a} and {b}: restrictions to {sorted(shared)} differ "
@@ -328,11 +328,9 @@ def check_retahyco(tri: Triangulation) -> list[str]:
             h = t.hyperlevel + 1
             if vertex_h.setdefault(v, h) != h:
                 problems.append(f"vertex {v}: inconsistent hyperlevel assignment")
-    for a, b in _cell_pairs(tri):
-        sa, sb = forest.tarray(a), forest.tarray(b)
-        shared = set(sa.vertex_ids) & set(sb.vertex_ids)
-        ra = restrict(sa, shared, rule="hyper")
-        rb = restrict(sb, shared, rule="hyper")
+    for a, b, sa, sb, shared in _cell_pairs(tri):
+        ra = restrict(sa, shared)
+        rb = restrict(sb, shared)
         if ra.hyperlevel != rb.hyperlevel:
             problems.append(
                 f"cells {a} and {b}: restriction hyperlevels "
@@ -357,15 +355,12 @@ def check_pc(tri: Triangulation) -> list[str]:
     and is not checked.
     """
     problems = list(check_conforming(tri))
-    forest = tri.forest
-    for a, b in _cell_pairs(tri):
-        sa, sb = forest.tarray(a), forest.tarray(b)
-        shared = set(sa.vertex_ids) & set(sb.vertex_ids)
+    for a, b, sa, sb, shared in _cell_pairs(tri):
         ea, eb = refinement_edge(sa), refinement_edge(sb)
-        if ea.ids <= shared and eb.ids <= shared and ea.ids != eb.ids:
+        if ea <= shared and eb <= shared and ea != eb:
             problems.append(
-                f"cells {a} and {b}: refinement edges {set(ea.ids)} and "
-                f"{set(eb.ids)} both lie in the intersection but differ"
+                f"cells {a} and {b}: refinement edges {set(ea)} and "
+                f"{set(eb)} both lie in the intersection but differ"
             )
     return problems
 
@@ -378,13 +373,10 @@ def check_isocochange(tri: Triangulation) -> list[str]:
     simplices in sublattices), refined to the common width.
     """
     problems = []
-    forest = tri.forest
-    pool = forest.pool
-    for a, b in _cell_pairs(tri):
-        sa, sb = forest.tarray(a), forest.tarray(b)
-        shared = set(sa.vertex_ids) & set(sb.vertex_ids)
-        ra = restrict(sa, shared, rule="hyper")
-        rb = restrict(sb, shared, rule="hyper")
+    pool = tri.forest.pool
+    for a, b, sa, sb, shared in _cell_pairs(tri):
+        ra = restrict(sa, shared)
+        rb = restrict(sb, shared)
         alpha = max(ra.hyperlevel, rb.hyperlevel)
         la = lattice_of(ra, pool).refine(alpha)
         lb = lattice_of(rb, pool).refine(alpha)

@@ -55,6 +55,12 @@ def _dyadic_from_json(obj, path: str) -> Dyadic:
     return Dyadic(num, exp)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` load as bools, which Python counts
+    as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
     if not isinstance(obj, list) or len(obj) != dim:
         raise MeshFormatError(f"{path}: expected {dim} coordinates")
@@ -110,7 +116,7 @@ def mesh_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise MeshFormatError("top level: expected an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise MeshFormatError("dim: expected a positive integer")
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not vertices:
@@ -139,7 +145,7 @@ def mesh_from_dict(doc: dict):
             raise MeshFormatError(f"{path}.vertical: expected a list")
         for field, lst in (("horizontal", hor), ("vertical", ver)):
             for v in lst:
-                if not isinstance(v, int) or not 0 <= v < len(ids):
+                if not _is_int(v) or not 0 <= v < len(ids):
                     raise MeshFormatError(f"{path}.{field}: bad vertex id {v!r}")
         if len(hor) + len(ver) != dim + 1:
             raise MeshFormatError(f"{path}: need dim+1 = {dim + 1} vertices")
@@ -147,9 +153,9 @@ def mesh_from_dict(doc: dict):
             raise MeshFormatError(f"{path}: repeated vertex")
         level = c.get("level", 0)
         hyper = c.get("hyperlevel", 0)
-        if not isinstance(level, int) or level < 0:
+        if not _is_int(level) or level < 0:
             raise MeshFormatError(f"{path}.level: expected a non-negative integer")
-        if not isinstance(hyper, int) or hyper < 0:
+        if not _is_int(hyper) or hyper < 0:
             raise MeshFormatError(f"{path}.hyperlevel: expected a non-negative integer")
         cells.append(
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
@@ -184,7 +190,7 @@ def mesh_from_dict(doc: dict):
             if lst is None and key.startswith("order"):
                 continue
             if not isinstance(lst, list) or not all(
-                isinstance(v, int) and 0 <= v < len(ids) for v in lst
+                _is_int(v) and 0 <= v < len(ids) for v in lst
             ):
                 raise MeshFormatError(f"partition.{key}: expected a list of vertex ids")
         for key, block in (("order0", "v0"), ("order1", "v1")):

@@ -13,7 +13,7 @@ from operator import le
 from typing import Optional
 
 from .exactgeom import _cramer_contains, _det
-from .tarray import Edge, refinement_edge
+from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
 
@@ -82,7 +82,7 @@ def refine(
         incompatible = [
             u
             for u in sharers
-            if refinement_edge(forest.tarray(u)).ids != edge.ids
+            if refinement_edge(forest.tarray(u)) != edge
         ]
         if incompatible:
             # The sharer set changes under nested refinement, so only one
@@ -206,9 +206,10 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     for s in tri.leaves:
         cell = forest.tarray(s)
         boxes[s] = _box([rows[v] for v in cell.vertex_ids])
-        edges[s] = [
-            (e, rows[e.a], rows[e.b], _box([rows[e.a], rows[e.b]])) for e in cell.edges()
-        ]
+        edges[s] = []
+        for e in cell.edges():
+            pa, pb = (rows[v] for v in e)
+            edges[s].append((e, pa, pb, _box([pa, pb])))
     by_left = sorted(boxes, key=lambda s: boxes[s][0][0])
     pairs = []
     for i, s in enumerate(by_left):
@@ -221,11 +222,11 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     for s, t in pairs:
         for ea, pa, pb, box_a in edges[s]:
             for et, qa, qb, box_b in edges[t]:
-                if ea.a in (et.a, et.b) or ea.b in (et.a, et.b):
+                if not ea.isdisjoint(et):
                     continue  # a common endpoint is no proper crossing
                 if _boxes_meet(box_a, box_b) and _segments_cross(pa, pb, qa, qb):
                     problems.append(
-                        f"leaves {s} and {t}: edges {ea.ids} and {et.ids} "
+                        f"leaves {s} and {t}: edges {ea} and {et} "
                         "cross outside a common subsimplex"
                     )
     return problems
@@ -235,14 +236,14 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
     """Bisect every leaf exactly once; valid on meshes where every shared
     edge is the refinement edge of all or none of its sharers."""
     forest = tri.forest
-    ref_edges: dict[int, Edge] = {
+    ref_edges: dict[int, frozenset] = {
         leaf: refinement_edge(forest.tarray(leaf)) for leaf in tri.leaves
     }
     for leaf, edge in ref_edges.items():
         for sharer in tri.edge_sharers(edge):
-            if ref_edges[sharer].ids != edge.ids:
+            if ref_edges[sharer] != edge:
                 raise RefinementError(
-                    f"mismatched refinement edges on shared edge {set(edge.ids)}: "
+                    f"mismatched refinement edges on shared edge {set(edge)}: "
                     f"leaves {leaf} and {sharer}"
                 )
     for leaf in list(tri.leaves):
@@ -263,9 +264,7 @@ def hyperlevel_uniform_refine(
     forest = tri.forest
     for _ in range(guard_rounds):
         targets = [
-            leaf
-            for leaf in tri.leaves
-            if refinement_edge(forest.tarray(leaf)).hyperlevel <= j
+            leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel <= j
         ]
         if not targets:
             return tri
@@ -283,8 +282,6 @@ def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Tria
     in {n, ..., 2n-1} relative to the input and, excluding full type, all
     hyperlevels incremented by exactly one.
     """
-    from .tarray import restrict
-
     forest = tri.forest
     pool = forest.pool
     targets: set[frozenset] = set(tri.edge_index.keys())
@@ -294,7 +291,7 @@ def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Tria
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 for k in range(j + 1, len(ids)):
-                    sub = restrict(t, {ids[i], ids[j], ids[k]}, rule="legacy")
+                    sub = restrict(t, {ids[i], ids[j], ids[k]})
                     if sub.type == 1:
                         mid = pool.midpoint_id(sub.horizontal[0], sub.horizontal[1])
                         targets.add(frozenset((mid, sub.vertical[0])))
@@ -302,7 +299,7 @@ def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Tria
         work = [
             leaf
             for leaf in tri.leaves
-            if refinement_edge(forest.tarray(leaf)).ids in targets
+            if refinement_edge(forest.tarray(leaf)) in targets
         ]
         if not work:
             return tri

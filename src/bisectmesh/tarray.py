@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
@@ -51,25 +52,10 @@ class VertexPool:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Unordered pair of vertex ids, optionally carrying an edge hyperlevel."""
-
-    a: int
-    b: int
-    hyperlevel: Optional[int] = None
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("edge endpoints must be distinct")
-        if self.a > self.b:
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
-
-    @property
-    def ids(self) -> frozenset:
-        return frozenset((self.a, self.b))
+def _edge(a: int, b: int) -> frozenset:
+    """An edge: the frozenset of its two vertex ids, built low id first so
+    that its text depends on the pair alone, not on the order given."""
+    return frozenset((a, b) if a < b else (b, a))
 
 
 @dataclass(frozen=True)
@@ -104,13 +90,14 @@ class TaggedSimplex:
     def volume(self, pool: VertexPool) -> Fraction:
         return simplex_volume(self.vertices(pool))
 
-    def edges(self) -> list[Edge]:
-        ids = self.vertex_ids
-        return [
-            Edge(ids[i], ids[j])
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        ]
+    @property
+    def edge_hyperlevel(self) -> int:
+        """Hyperlevel of the refinement edge: that of the array in the
+        full-type convention (a type-0 array counts as its transposed)."""
+        return self.hyperlevel + 1 if self.type == 0 else self.hyperlevel
+
+    def edges(self) -> list[frozenset]:
+        return [_edge(a, b) for a, b in combinations(self.vertex_ids, 2)]
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:
@@ -159,17 +146,15 @@ def bisect(
     return child1, child2, new_id
 
 
-def refinement_edge(s: TaggedSimplex) -> Edge:
-    """Edge (p0, pk) that bisection splits; for type 0 that of the transposed.
-
-    The edge carries the hyperlevel of the (possibly implicitly transposed)
-    array.
+def refinement_edge(s: TaggedSimplex) -> frozenset:
+    """The edge that bisection splits: (p0, pk), for type 0 that of the
+    transposed array.  Its hyperlevel is :attr:`TaggedSimplex.edge_hyperlevel`.
     """
     if s.type >= 1:
-        return Edge(s.horizontal[0], s.horizontal[-1], hyperlevel=s.hyperlevel)
+        return _edge(s.horizontal[0], s.horizontal[-1])
     if s.dim == 0:
         raise ValueError("0-dimensional array has no refinement edge")
-    return Edge(s.horizontal[0], s.vertical[-1], hyperlevel=s.hyperlevel + 1)
+    return _edge(s.horizontal[0], s.vertical[-1])
 
 
 def reflect(s: TaggedSimplex) -> TaggedSimplex:
@@ -197,16 +182,12 @@ def canonicalize(s: TaggedSimplex) -> TaggedSimplex:
     return TaggedSimplex(chain[:1], chain[1:], 0, 0)
 
 
-def restrict(
-    s: TaggedSimplex, subset: Iterable[int], rule: str = "legacy"
-) -> TaggedSimplex:
+def restrict(s: TaggedSimplex, subset: Iterable[int]) -> TaggedSimplex:
     """Restrict a T-array to a subset of its vertices.
 
-    Remaining entries are pushed together preserving order.  Under
-    ``rule="hyper"`` a restriction without any horizontal vertex is
-    transposed (full type) and its hyperlevel incremented; under
-    ``rule="legacy"`` it becomes the untransposed column and the hyperlevel
-    is not touched.
+    Remaining entries are pushed together preserving order.  A restriction
+    without any horizontal vertex is transposed: its vertical vertices form
+    a full-type row and its hyperlevel is incremented.
     """
     subset = set(subset)
     if not subset:
@@ -216,15 +197,9 @@ def restrict(
         raise ValueError(f"vertices {sorted(extra)} not in the T-array")
     hor = tuple(v for v in s.horizontal if v in subset)
     ver = tuple(v for v in s.vertical if v in subset)
-    if rule == "legacy":
-        if hor:
-            return TaggedSimplex(hor, ver, 0, s.hyperlevel)
-        return TaggedSimplex(ver[:1], ver[1:], 0, s.hyperlevel)
-    if rule == "hyper":
-        if hor:
-            return TaggedSimplex(hor, ver, 0, s.hyperlevel)
-        return TaggedSimplex(ver, (), 0, s.hyperlevel + 1)
-    raise ValueError(f"unknown restriction rule {rule!r}")
+    if hor:
+        return TaggedSimplex(hor, ver, 0, s.hyperlevel)
+    return TaggedSimplex(ver, (), 0, s.hyperlevel + 1)
 
 
 def kuhn(

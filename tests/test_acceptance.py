@@ -287,7 +287,7 @@ def test_c09_gss_bound():
     _, s1, _ = bisect(s, pool)
     s2, _, _ = bisect(s1, pool)
     s3, _, _ = bisect(s2, pool)
-    assert refinement_edge(s3).ids == frozenset((c, d))
+    assert refinement_edge(s3) == frozenset((c, d))
     s4, _, _ = bisect(s3, pool)
     from bisectmesh.exactgeom import midpoint
 

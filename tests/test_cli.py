@@ -153,6 +153,29 @@ def test_refinement_failure_is_exit_3(tmp_path, capsys):
     assert main(["refine", "--mesh", str(src), "--cell", "0"]) == 3
 
 
+def test_bdv_run_refinement_failure_is_exit_3(tmp_path, capsys):
+    # Two full-type unit-cube simplices whose refinement edges 0-3 and 0-1
+    # both lie in their common face: the closure cannot terminate.
+    from bisectmesh import VertexPool, point
+
+    pool = VertexPool()
+    ids = [
+        pool.id_of(point(*p))
+        for p in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)]
+    ]
+    assert ids == [0, 1, 2, 3, 4]
+    tri = Triangulation.from_cells(
+        pool, [TaggedSimplex((0, 1, 2, 3), ()), TaggedSimplex((0, 4, 3, 1), ())]
+    )
+    src = tmp_path / "notrefineable.json"
+    write_mesh(src, tri)
+    assert main(["refine", "--mesh", str(src), "--cell", "0"]) == 3
+    capsys.readouterr()
+    assert main(["bdv-run", "--mesh", str(src), "-N", "5"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("refinement failed: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

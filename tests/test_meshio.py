@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -173,3 +174,36 @@ def test_valid_partition_orders_accepted():
     doc["partition"] = {"v0": [2], "v1": [0, 1, 3], "order0": [2], "order1": [3, 0, 1]}
     _, _, partition = mesh_from_dict(doc)
     assert partition.order1 == [3, 0, 1]
+
+
+def _unit_interval_doc():
+    return {
+        "dim": 1,
+        "vertices": [[["0", "0"]], [["1", "0"]]],
+        "cells": [{"horizontal": [0, 1], "vertical": [], "hyperlevel": 0}],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, edit",
+    [
+        ("dim", lambda doc: doc.update(dim=True)),
+        ("cells[0].horizontal", lambda doc: doc["cells"][0].update(horizontal=[False, True])),
+        ("cells[0].vertical", lambda doc: doc["cells"][0].update(horizontal=[0], vertical=[True])),
+        ("cells[0].level", lambda doc: doc["cells"][0].update(level=True)),
+        ("cells[0].hyperlevel", lambda doc: doc["cells"][0].update(hyperlevel=False)),
+        ("partition.v1", lambda doc: doc.update(partition={"v0": [0], "v1": [True]})),
+        (
+            "partition.order0",
+            lambda doc: doc.update(partition={"v0": [0], "v1": [1], "order0": [False]}),
+        ),
+    ],
+)
+def test_json_booleans_rejected_as_integers(tmp_path, capsys, path, edit):
+    doc = _unit_interval_doc()
+    mesh_from_dict(doc)
+    edit(doc)
+    with pytest.raises(MeshFormatError, match=re.escape(path)):
+        mesh_from_dict(doc)
+    assert _exit_code_of(tmp_path, doc, ["uniform"]) == 1
+    assert path in capsys.readouterr().err

@@ -23,7 +23,6 @@ from bisectmesh.inittags import (
     initial_division,
 )
 from bisectmesh.tarray import TaggedSimplex
-from bisectmesh.harness import _effective_hyperlevel
 
 from conftest import (
     find_hanging,
@@ -208,19 +207,19 @@ def reference_check_conforming_2d_exact(tri):
     leaves = sorted(tri.leaves)
     for i, s in enumerate(leaves):
         ts = forest.tarray(s)
-        s_edges = [(pool.point(e.a), pool.point(e.b), e) for e in ts.edges()]
+        s_edges = [(*map(pool.point, sorted(e)), e) for e in ts.edges()]
         for t in leaves[i + 1 :]:
             tt = forest.tarray(t)
             shared = set(ts.vertex_ids) & set(tt.vertex_ids)
             for pa, pb, ea in s_edges:
-                if ea.a in shared and ea.b in shared:
+                if ea <= shared:
                     continue
                 for et in tt.edges():
-                    if et.a in shared and et.b in shared:
+                    if et <= shared:
                         continue
-                    if cross(pa, pb, pool.point(et.a), pool.point(et.b)):
+                    if cross(pa, pb, *map(pool.point, sorted(et))):
                         problems.append(
-                            f"leaves {s} and {t}: edges {ea.ids} and {et.ids} "
+                            f"leaves {s} and {t}: edges {ea} and {et} "
                             "cross outside a common subsimplex"
                         )
     return problems
@@ -334,7 +333,7 @@ class TestHyperlevelUniform:
         tri = self.make_agk()
         hyperlevel_uniform_refine(tri, 1)
         assert all(
-            _effective_hyperlevel(tri.forest.tarray(x)) == 2 for x in tri.leaves
+            tri.forest.tarray(x).edge_hyperlevel == 2 for x in tri.leaves
         )
         assert check_conforming(tri) == []
 
@@ -435,7 +434,7 @@ class TestGss:
         for _ in range(8):
             nxt = []
             for s in frontier:
-                if refinement_edge(s).ids == target:
+                if refinement_edge(s) == target:
                     split_level = s.level + 1
                     break
                 for child in bisect(s, pool)[:2]:
