@@ -6,7 +6,7 @@ with their initial-condition verifiers, the 1D pile-game toy model, and a
 harness that computes and checks the closure-estimate constants.
 """
 
-from .exactgeom import Dyadic, DyadicPoint, midpoint, point, simplex_volume
+from .exactgeom import DyadicPoint, midpoint, point, simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
 from .forest import Forest, Triangulation, overlay, underlay, tower
 from .refine import RefinementError, check_conforming, refine, uniform_refine
@@ -14,7 +14,6 @@ from .inittags import agk_init, initial_division, PointMarking, VertexPartition
 from .harness import Constants, compute_constants, run_sequence, verify_bdv
 
 __all__ = [
-    "Dyadic",
     "DyadicPoint",
     "midpoint",
     "point",

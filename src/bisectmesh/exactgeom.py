@@ -2,8 +2,9 @@
 
 Every vertex produced by edge bisection is a dyadic midpoint, so coordinates
 are dyadic rationals (integer numerator over a power of two) and vertex
-equality is bit-exact.  A point is an integer vector over one shared power of
-two, and every predicate (volume, orientation, barycentric coordinates,
+equality is bit-exact.  The one exact value type, :class:`DyadicPoint`, is an
+integer vector over one shared power of two, built from ints and dyadic
+``Fraction``s; every predicate (volume, orientation, barycentric coordinates,
 squared distance) is integer arithmetic on such vectors: one fraction-free
 Bareiss determinant, one Gram/Cramer solve and, for full-dimensional
 containment, Cramer sign tests on the same determinant.  Results that leave
@@ -18,85 +19,19 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
-class Dyadic:
-    """An exact dyadic rational ``numerator / 2**exponent``.
-
-    Canonical form: the fraction is fully reduced, i.e. the numerator is odd
-    whenever the exponent is positive, and zero is stored as ``(0, 0)``.
-    """
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
-            num, exp = num << (-exp), 0
-        while exp > 0 and num % 2 == 0:
-            shift = min(exp, (num & -num).bit_length() - 1) if num else exp
-            num >>= shift
-            exp -= shift
-        if num == 0:
-            exp = 0
-        self.num = num
-        self.exp = exp
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) + (other.num << (e - other.exp)), e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic((self.num << (e - self.exp)) - (other.num << (e - other.exp)), e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
-
-    def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dyadic)
-            and self.num == other.num
-            and self.exp == other.exp
-        )
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return (self.num << other.exp) < (other.num << self.exp)
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return (self.num << other.exp) <= (other.num << self.exp)
-
-    def __hash__(self):
-        return hash((self.num, self.exp))
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-    def __str__(self):
-        return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
+def Dyadic(num: int, exp: int = 0) -> Fraction:
+    """``num / 2**exp`` as a Fraction; kept for the benchmark's input
+    builders, not called by the package."""
+    return Fraction(num, 1 << exp)
 
 
-def dyadic(value) -> Dyadic:
-    """Coerce an int, Fraction with power-of-two denominator, or Dyadic."""
-    if isinstance(value, Dyadic):
-        return value
-    if isinstance(value, int):
-        return Dyadic(value, 0)
-    if isinstance(value, Fraction):
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} is not a dyadic rational")
-        return Dyadic(value.numerator, den.bit_length() - 1)
-    raise TypeError(f"cannot interpret {value!r} as a dyadic rational")
+def _reduced(num: int, exp: int) -> tuple[int, int]:
+    """``num / 2**exp`` in lowest terms: an odd numerator over ``2**exp``,
+    or exponent 0 (zero is ``(0, 0)``)."""
+    if not num:
+        return 0, 0
+    shift = min((num & -num).bit_length() - 1, exp)
+    return num >> shift, exp - shift
 
 
 class DyadicPoint:
@@ -104,15 +39,26 @@ class DyadicPoint:
 
     Canonical form: the exponent is 0 or some numerator is odd, so equal
     points have equal ``(nums, exp)`` and every operation is integer-vector
-    arithmetic.  ``coords`` returns the coordinates as :class:`Dyadic`.
+    arithmetic.  Build one from ints and ``Fraction``s with power-of-two
+    denominators.
     """
 
     __slots__ = ("nums", "exp")
 
     def __init__(self, coords: Iterable):
-        ds = [dyadic(c) for c in coords]
-        self.exp = max((d.exp for d in ds), default=0)
-        self.nums = tuple(d.num << (self.exp - d.exp) for d in ds)
+        ratios = []
+        for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot interpret {c!r} as a dyadic rational")
+            num, den = c.as_integer_ratio()
+            if den & (den - 1):
+                raise ValueError(f"{c} is not a dyadic rational")
+            ratios.append((num, den))
+        # reduced fractions: the largest denominator is the common one, and
+        # its numerator is odd, so the point is canonical
+        den = max((d for _, d in ratios), default=1)
+        self.exp = den.bit_length() - 1
+        self.nums = tuple(num * (den // d) for num, d in ratios)
 
     @classmethod
     def _of(cls, nums, exp: int) -> "DyadicPoint":
@@ -130,10 +76,6 @@ class DyadicPoint:
         p.nums = tuple(nums)
         p.exp = exp
         return p
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(Dyadic(x, self.exp) for x in self.nums)
 
     @property
     def dim(self) -> int:
@@ -172,7 +114,11 @@ class DyadicPoint:
         return hash((self.nums, self.exp))
 
     def __repr__(self):
-        return "DyadicPoint(" + ", ".join(str(c) for c in self.coords) + ")"
+        parts = []
+        for x in self.nums:
+            num, exp = _reduced(x, self.exp)
+            parts.append(f"{num}/2^{exp}" if exp else str(num))
+        return "DyadicPoint(" + ", ".join(parts) + ")"
 
 
 def point(*coords) -> DyadicPoint:

@@ -66,13 +66,6 @@ class Forest:
     def parent(self, nid: int) -> Optional[int]:
         return self.nodes[nid].parent
 
-    def sibling(self, nid: int) -> Optional[int]:
-        p = self.nodes[nid].parent
-        if p is None:
-            return None
-        a, b = self.nodes[p].children
-        return b if nid == a else a
-
     def ancestors(self, nid: int) -> Iterable[int]:
         p = self.nodes[nid].parent
         while p is not None:

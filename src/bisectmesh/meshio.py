@@ -10,18 +10,21 @@ Schema::
      "partition": {"v0": [...], "v1": [...],
                    "order0": [...]?, "order1": [...]?}?}
 
-Dyadics serialise as decimal-string pairs in canonical form (odd or zero
-numerator); non-canonical encodings are rejected with the JSON path in the
-message.
+A coordinate ``num / 2**exp`` serialises as a pair of decimal strings in
+lowest terms (odd numerator, or exponent 0; zero is ``["0","0"]``).  Number
+text (coordinates and ``marking`` type keys) is canonical: ``0`` or ASCII
+digits without a leading zero, with an optional ``-``.  Non-canonical
+encodings are rejected with the JSON path in the message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Optional
 
-from .exactgeom import Dyadic, DyadicPoint
+from .exactgeom import DyadicPoint, _reduced, orientation
 from .tarray import TaggedSimplex, VertexPool
 from .forest import Triangulation
 from .inittags import PointMarking, VertexPartition
@@ -31,28 +34,38 @@ class MeshFormatError(ValueError):
     pass
 
 
-def _dyadic_to_json(d: Dyadic) -> list:
-    return [str(d.num), str(d.exp)]
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _dyadic_from_json(obj, path: str) -> Dyadic:
+def _point_to_json(p: DyadicPoint) -> list:
+    return [[str(num), str(exp)] for num, exp in (_reduced(x, p.exp) for x in p.nums)]
+
+
+def _int_from_text(text: str, path: str) -> int:
+    if not _INT_TEXT.fullmatch(text):
+        raise MeshFormatError(f"{path}: non-canonical integer text")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise MeshFormatError(f"{path}: {exc}") from exc
+
+
+def _dyadic_from_json(obj, path: str) -> tuple[int, int]:
+    """The canonical ``(num, exp)`` of one ``["num","exp"]`` pair."""
     if (
         not isinstance(obj, list)
         or len(obj) != 2
         or not all(isinstance(x, str) for x in obj)
     ):
         raise MeshFormatError(f"{path}: expected a [\"num\",\"exp\"] string pair")
-    try:
-        num, exp = int(obj[0]), int(obj[1])
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}: non-integer dyadic component") from exc
+    num, exp = _int_from_text(obj[0], path), _int_from_text(obj[1], path)
     if exp < 0:
         raise MeshFormatError(f"{path}: negative exponent")
     if num == 0 and exp != 0:
         raise MeshFormatError(f"{path}: zero must be encoded as [\"0\",\"0\"]")
     if num % 2 == 0 and num != 0 and exp != 0:
         raise MeshFormatError(f"{path}: non-canonical dyadic (even numerator)")
-    return Dyadic(num, exp)
+    return num, exp
 
 
 def _is_int(x) -> bool:
@@ -64,9 +77,9 @@ def _is_int(x) -> bool:
 def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
     if not isinstance(obj, list) or len(obj) != dim:
         raise MeshFormatError(f"{path}: expected {dim} coordinates")
-    return DyadicPoint(
-        _dyadic_from_json(c, f"{path}[{i}]") for i, c in enumerate(obj)
-    )
+    pairs = [_dyadic_from_json(c, f"{path}[{i}]") for i, c in enumerate(obj)]
+    exp = max(e for _, e in pairs)
+    return DyadicPoint._of([num << (exp - e) for num, e in pairs], exp)
 
 
 def mesh_to_dict(
@@ -80,9 +93,7 @@ def mesh_to_dict(
     remap = {v: i for i, v in enumerate(used)}
     doc = {
         "dim": cells[0].dim,
-        "vertices": [
-            [_dyadic_to_json(c) for c in pool.point(v).coords] for v in used
-        ],
+        "vertices": [_point_to_json(pool.point(v)) for v in used],
         "cells": [
             {
                 "horizontal": [remap[v] for v in c.horizontal],
@@ -95,7 +106,7 @@ def mesh_to_dict(
     }
     if marking is not None:
         doc["marking"] = {
-            str(m): [[_dyadic_to_json(c) for c in p.coords] for p in pts]
+            str(m): [_point_to_json(p) for p in pts]
             for m, pts in marking.points_by_type.items()
         }
     if partition is not None:
@@ -162,7 +173,7 @@ def mesh_from_dict(doc: dict):
         )
     tri = Triangulation.from_cells(pool, cells)
     for i, root in enumerate(tri.forest.roots):
-        if tri.forest.volume(root) == 0:
+        if orientation(tri.forest.tarray(root).vertices(pool)) == 0:
             raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
     marking = None
     if "marking" in doc:
@@ -170,10 +181,7 @@ def mesh_from_dict(doc: dict):
         if not isinstance(doc["marking"], dict):
             raise MeshFormatError("marking: expected an object")
         for key, pts in doc["marking"].items():
-            try:
-                m = int(key)
-            except ValueError as exc:
-                raise MeshFormatError(f"marking.{key}: non-integer type") from exc
+            m = _int_from_text(key, f"marking.{key}")
             if not isinstance(pts, list):
                 raise MeshFormatError(f"marking.{key}: expected a list of points")
             marking.points_by_type[m] = [

@@ -16,7 +16,6 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
-    Dyadic,
     DyadicPoint,
     midpoint,
     simplex_volume,
@@ -220,10 +219,9 @@ def kuhn(
         offset = DyadicPoint([0] * n)
     pts = [offset]
     for j in range(n):
-        coords = list(pts[-1].coords)
-        axis = permutation[j] - 1
-        coords[axis] = coords[axis] + Dyadic(signs[j])
-        pts.append(DyadicPoint(coords))
+        step = [0] * n
+        step[permutation[j] - 1] = signs[j]
+        pts.append(pts[-1] + DyadicPoint(step))
     return TaggedSimplex(
         tuple(pool.id_of(p) for p in pts), (), level=0, hyperlevel=hyperlevel
     )

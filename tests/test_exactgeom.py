@@ -8,11 +8,9 @@ from bisectmesh.exactgeom import (
     _cramer_contains,
     _det,
     _rows,
-    Dyadic,
     DyadicPoint,
     barycentric,
     diam_sq,
-    dyadic,
     max_sq_dist_from,
     midpoint,
     orientation,
@@ -23,36 +21,92 @@ from bisectmesh.exactgeom import (
 )
 
 
-dyadics = st.builds(Dyadic, st.integers(-500, 500), st.integers(0, 8))
+def dyadic_fractions(lo, hi, max_exp):
+    """Fractions ``n / 2**e`` with ``lo <= n <= hi`` and ``0 <= e <= max_exp``."""
+    return st.builds(
+        lambda n, e: Fraction(n, 1 << e), st.integers(lo, hi), st.integers(0, max_exp)
+    )
+
+
+coordinates = st.lists(dyadic_fractions(-500, 500, 8), min_size=1, max_size=4)
+
+
+def repr_oracle(fracs):
+    """The repr rule: each coordinate in lowest terms as ``n`` or ``n/2^e``."""
+    parts = []
+    for f in fracs:
+        e = f.denominator.bit_length() - 1
+        parts.append(f"{f.numerator}/2^{e}" if e else str(f.numerator))
+    return "DyadicPoint(" + ", ".join(parts) + ")"
 
 
 class TestDyadic:
+    """Dyadic-rational coordinates: points built from ints and Fractions."""
+
     def test_canonical_form(self):
-        assert Dyadic(4, 2) == Dyadic(1, 0)
-        assert Dyadic(6, 1) == Dyadic(3, 0)
-        assert Dyadic(0, 7) == Dyadic(0, 0)
-        assert Dyadic(-8, 3) == Dyadic(-1, 0)
+        p = DyadicPoint([Fraction(4, 4), Fraction(6, 2), Fraction(0, 128), Fraction(-8, 8)])
+        assert (p.nums, p.exp) == ((1, 3, 0, -1), 0)
+        p = DyadicPoint([Fraction(3, 8), Fraction(1, 2), 5])
+        assert (p.nums, p.exp) == ((3, 4, 40), 3)
+        assert DyadicPoint._of([4, 6], 2) == DyadicPoint._of([2, 3], 1)
+        assert DyadicPoint._of([0, 0], 7) == DyadicPoint([0, 0])
 
-    @given(dyadics)
-    def test_canonicalisation_fixed_point(self, d):
-        again = Dyadic(d.num, d.exp)
-        assert (again.num, again.exp) == (d.num, d.exp)
+    @given(coordinates)
+    def test_canonicalisation_fixed_point(self, fracs):
+        p = DyadicPoint(fracs)
+        assert p.exp == 0 or any(x % 2 for x in p.nums)
+        again = DyadicPoint._of(p.nums, p.exp)
+        assert (again.nums, again.exp) == (p.nums, p.exp)
 
-    @given(dyadics, dyadics)
+    @given(coordinates)
+    def test_fractions_round_trip(self, fracs):
+        assert DyadicPoint(fracs).as_fractions() == tuple(fracs)
+
+    @given(coordinates)
+    def test_repr_matches_oracle(self, fracs):
+        assert repr(DyadicPoint(fracs)) == repr_oracle(fracs)
+
+    def test_repr_examples(self):
+        assert repr(point(0, Fraction(-3, 8), 4)) == "DyadicPoint(0, -3/2^3, 4)"
+        assert repr(point(Fraction(1, 2), 2).half()) == "DyadicPoint(1/2^2, 1)"
+
+    @given(coordinates, coordinates)
     def test_field_ops_match_fractions(self, a, b):
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-        assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-        assert a.half().as_fraction() == a.as_fraction() / 2
-
-    @given(dyadics, dyadics)
-    def test_ordering(self, a, b):
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
+        a, b = a[: len(b)], b[: len(a)]
+        p, q = DyadicPoint(a), DyadicPoint(b)
+        assert (p + q).as_fractions() == tuple(x + y for x, y in zip(a, b))
+        assert (p - q).as_fractions() == tuple(x - y for x, y in zip(a, b))
+        assert p.half().as_fractions() == tuple(x / 2 for x in a)
+        assert p.scale_pow2(3).as_fractions() == tuple(x * 8 for x in a)
 
     def test_dyadic_coercion(self):
-        assert dyadic(Fraction(3, 8)) == Dyadic(3, 3)
+        assert DyadicPoint([Fraction(3, 8)]) == DyadicPoint._of([3], 3)
         with pytest.raises(ValueError):
-            dyadic(Fraction(1, 3))
+            DyadicPoint([Fraction(1, 3)])
+        with pytest.raises(TypeError):
+            DyadicPoint([0.5])
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-50, 50), st.integers(3, 64)).filter(
+                lambda f: f.denominator & (f.denominator - 1)
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        coordinates,
+    )
+    def test_non_dyadic_fraction_raises_value_error(self, bad, good):
+        with pytest.raises(ValueError):
+            DyadicPoint(good + bad)
+
+    @given(
+        st.one_of(st.floats(allow_nan=False), st.text(max_size=3), st.none()),
+        coordinates,
+    )
+    def test_other_types_raise_type_error(self, bad, good):
+        with pytest.raises(TypeError):
+            DyadicPoint([*good, bad])
 
 
 class TestMidpoint:
@@ -148,7 +202,7 @@ class TestDistances:
         wc = 16 - wa - wb
         sample_fr = [
             sum(
-                Fraction(w, 16) * v.coords[d].as_fraction()
+                Fraction(w, 16) * v.as_fractions()[d]
                 for w, v in zip((wa, wb, wc), verts)
             )
             for d in range(2)
@@ -159,18 +213,18 @@ class TestDistances:
 
 # --- the integer kernel against a Fraction oracle ------------------------------
 
-small_dyadics = st.builds(Dyadic, st.integers(-6, 6), st.integers(0, 3))
+small_fractions = dyadic_fractions(-6, 6, 3)
 
 
 def points(n):
-    return st.lists(small_dyadics, min_size=n, max_size=n).map(DyadicPoint)
+    return st.lists(small_fractions, min_size=n, max_size=n).map(DyadicPoint)
 
 
 class TestPointKernel:
     @given(st.integers(1, 4).flatmap(points))
     def test_coords_round_trip(self, p):
-        assert DyadicPoint(p.coords) == p
-        assert repr(DyadicPoint(p.coords)) == repr(p)
+        assert DyadicPoint(p.as_fractions()) == p
+        assert repr(DyadicPoint(p.as_fractions())) == repr(p)
 
     @given(st.integers(1, 4).flatmap(points), st.integers(1, 5))
     def test_equal_points_from_other_exponents_hash_alike(self, p, k):

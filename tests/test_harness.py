@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh import harness
 from bisectmesh.exactgeom import (
-    Dyadic,
     DyadicPoint,
     diam_sq,
     max_sq_dist_from,
@@ -209,7 +208,7 @@ def offset_square(seed):
     rng = random.Random(seed)
     pool = VertexPool()
     offset = DyadicPoint(
-        [Dyadic(rng.randrange(-64, 65), rng.randrange(0, 12)) for _ in range(2)]
+        [Fraction(rng.randrange(-64, 65), 1 << rng.randrange(0, 12)) for _ in range(2)]
     )
     cells = [kuhn(perm, [1, 1], pool, offset=offset) for perm in ([1, 2], [2, 1])]
     return Triangulation.from_cells(pool, cells)

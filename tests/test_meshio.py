@@ -1,10 +1,14 @@
+import hashlib
 import json
 import random
 import re
+import time
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from bisectmesh import Triangulation, VertexPool, point
+from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh.inittags import PointMarking, VertexPartition
 from bisectmesh.meshio import (
     MeshFormatError,
@@ -145,6 +149,88 @@ def _exit_code_of(tmp_path, doc, argv):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(doc))
     return main([*argv, "--mesh", str(path)])
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        *(("num", t) for t in ("00", "-0", "+0", " 0", "0\n", "0_0", "\u0660")),
+        *(("exp", t) for t in ("01", "+1", "1_0")),
+    ],
+)
+def test_noncanonical_number_text_rejected(tmp_path, capsys, field, text):
+    """Each text is one that ``int()`` accepts for the value the vertex
+    (0, 1) already has, or for an odd numerator's exponent."""
+    doc = _unit_square_doc()
+    mesh_from_dict(doc)
+    axis, pair = (0, [text, "0"]) if field == "num" else (1, ["1", text])
+    doc["vertices"][3][axis] = pair
+    path = f"vertices[3][{axis}]"
+    with pytest.raises(MeshFormatError, match=re.escape(path) + ": non-canonical"):
+        mesh_from_dict(doc)
+    assert _exit_code_of(tmp_path, doc, ["uniform"]) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_noncanonical_marking_type_rejected(tmp_path, capsys):
+    """``"02"`` would name type 2 again and silently replace its points."""
+    doc = _unit_square_doc()
+    doc["marking"] = {"2": [[["1", "1"], ["1", "1"]]], "02": [[["1", "2"], ["1", "2"]]]}
+    with pytest.raises(MeshFormatError, match=re.escape("marking.02: non-canonical")):
+        mesh_from_dict(doc)
+    assert _exit_code_of(tmp_path, doc, ["init-division"]) == 1
+    assert "marking.02" in capsys.readouterr().err
+
+
+def test_huge_exponent_loads_fast():
+    """The zero-volume check is a sign test: no Fraction of a
+    million-bit determinant is reduced."""
+    doc = _unit_square_doc()
+    doc["vertices"][2] = [["1", "0"], ["1", "1000000"]]
+    start = time.perf_counter()
+    tri, _, _ = mesh_from_dict(doc)
+    assert time.perf_counter() - start < 0.5
+    assert len(tri.leaves) == 2
+
+
+def golden_mesh():
+    """A Kuhn 3-cube shifted by a dyadic offset, refined to about 300
+    leaves, with a marking and a partition."""
+    pool = VertexPool()
+    offset = point(Fraction(-37, 8), Fraction(5, 1024), 3)
+    cells = [kuhn(list(p), [1, 1, 1], pool, offset=offset) for p in permutations((1, 2, 3))]
+    tri = Triangulation.from_cells(pool, cells)
+    rng = random.Random(7)
+    while len(tri.leaves) < 300:
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    verts = sorted(tri.vertex_index)
+    marking = PointMarking(
+        {
+            2: [pool.point(v) for v in verts[::37]],
+            3: [point(Fraction(-3, 2), 0, Fraction(7, 4096)), point(-5, 1, 0)],
+        }
+    )
+    partition = VertexPartition(
+        frozenset(verts[::2]), frozenset(verts[1::2]), verts[::2][::-1], None
+    )
+    return tri, marking, partition
+
+
+def test_golden_json_text(tmp_path):
+    """Pins the serialised bytes and the digest of a written corpus mesh."""
+    tri, marking, partition = golden_mesh()
+    path = tmp_path / "mesh.json"
+    write_mesh(path, tri, marking, partition)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "0ca238bae06fe099b2e7e981789d7e0cd748ecc56b08757e37a8a100be688760"
+    )
+    assert mesh_hash(tri) == "5658d3490f84b689"
+    tri2, marking2, partition2 = read_mesh(path)
+    assert mesh_hash(tri2) == mesh_hash(tri)
+    assert marking2.points_by_type == marking.points_by_type
+    write_mesh(tmp_path / "again.json", tri2, marking2, partition2)
+    assert (tmp_path / "again.json").read_bytes() == data
 
 
 def test_zero_volume_cell_rejected(tmp_path, capsys):

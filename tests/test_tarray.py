@@ -293,10 +293,7 @@ class TestLattice:
         lat = lattice_of(s, pool)
         assert lat.width_exp == 0
         assert lat.origin == point(0, 0)
-        assert [v.coords for v in lat.basis] == [
-            point(1, 0).coords,
-            point(0, 1).coords,
-        ]
+        assert list(lat.basis) == [point(1, 0), point(0, 1)]
 
     def test_preserved_by_bisect_halved_by_transpose(self):
         pool = VertexPool()
