@@ -46,6 +46,15 @@ def _load(path):
         raise SystemExit(EXIT_INVALID)
 
 
+def _load_constants(path):
+    tri, _, _ = _load(path)
+    try:
+        return tri, compute_constants(tri)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+
+
 def _save(args, tri):
     if args.out:
         write_mesh(args.out, tri)
@@ -134,8 +143,7 @@ def _cmd_sweep(args, fn, **kw):
 
 
 def _cmd_constants(args):
-    tri, _, _ = _load(args.mesh)
-    consts = compute_constants(tri)
+    _, consts = _load_constants(args.mesh)
     print(f"n = {consts.n}")
     print(f"d = {consts.d}")
     if consts.D_squared is not None:
@@ -155,8 +163,7 @@ def _cmd_constants(args):
 
 
 def _cmd_bdv_run(args):
-    tri, _, _ = _load(args.mesh)
-    consts = compute_constants(tri)
+    tri, consts = _load_constants(args.mesh)
     try:
         trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
     except RefinementError as exc:

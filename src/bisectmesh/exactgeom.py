@@ -282,28 +282,19 @@ def sq_dist(a: DyadicPoint, b: DyadicPoint) -> Fraction:
     return Fraction(_dot(row, row), 1 << (2 * e))
 
 
-def max_sq_dist_from(pt: DyadicPoint, simplex: Sequence[DyadicPoint]) -> Fraction:
-    """Max squared distance from ``pt`` to a simplex; attained at a vertex."""
-    rows, e = _rows(simplex, pt)
-    return Fraction(max(_dot(r, r) for r in rows), 1 << (2 * e))
-
-
-def translation_key(pts: Sequence[DyadicPoint]) -> DyadicPoint:
-    """The offsets ``pts[1:] - pts[0]`` as one canonical flattened vector:
-    two point tuples of one dimension and length get equal keys exactly
-    when one is a translate of the other."""
-    rows, e = _rows(pts[1:], pts[0])
-    return DyadicPoint._of([x for r in rows for x in r], e)
-
-
-def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
-    """Exact squared diameter: the largest squared distance between two of
-    the points (0 for fewer than two)."""
-    rows, e = _rows(pts)
+def _max_gap_sq(rows: list) -> int:
+    """Largest squared distance between two of the integer rows (or 0)."""
     best = 0
     for i, u in enumerate(rows):
         for v in rows[i + 1 :]:
             d = sum((x - y) * (x - y) for x, y in zip(u, v))
             if d > best:
                 best = d
-    return Fraction(best, 1 << (2 * e))
+    return best
+
+
+def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
+    """Exact squared diameter: the largest squared distance between two of
+    the points (0 for fewer than two)."""
+    rows, e = _rows(pts)
+    return Fraction(_max_gap_sq(rows), 1 << (2 * e))

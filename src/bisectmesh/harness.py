@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactgeom import diam_sq, max_sq_dist_from, simplex_volume, translation_key
-from .tarray import TaggedSimplex, bisect_points
+from .exactgeom import DyadicPoint, _det, _max_gap_sq, _rows, diam_sq, simplex_volume
+from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
+from .meshio import mesh_hash
 from .refine import RefineRecord, refine
 
 
@@ -72,85 +73,69 @@ def shape_census(
     nothing new.  A child's values depend only on its class, so each class is
     valued once, the first time the walk reaches it as a child; the root's
     class is seen from the start but valued only if a descendant falls in it.
+
+    The walk carries only class keys ``(type, offsets)``, the offsets of
+    vertices 1..n from vertex 0 as one canonical vector over a power of two.
+    Transposition doubles a key.  Bisection doubles its rows (exponent + 1),
+    so the new vertex, the midpoint of vertex 0 (the origin) and vertex t, is
+    the undoubled row t; the first child is rebased at its first vertex.
+    Values read the same rows: ``dist**(2n) / vol**2 == (n!)**2 * far**n /
+    det**2``, with ``far`` the largest squared distance from the new vertex.
     """
     n = root.dim
     pts = [pool.point(v) for v in root.vertex_ids]
-    best_ratio = Fraction(0)  # max over children of d_sq**n / vol**2
+    m = len(pts[0].nums)
+    origin = [0] * m
+    best_ratio = Fraction(0)  # max over children of far**n / det**2
     best_diam = diam_sq(pts)
-    seen = {(root.type, translation_key(pts))}
+    rows, e = _rows(pts[1:], pts[0])
+    root_key = (root.type, DyadicPoint._of([x for r in rows for x in r], e))
+    seen = {root_key}
     valued = set()
-    frontier = [(root.type, tuple(pts))]
+    frontier = [root_key]
     generations = 0
     while frontier and generations < max_generations and len(seen) < max_classes:
         generations += 1
         next_frontier = []
-        for t, shape in frontier:
+        for t, offsets in frontier:
             if t == 0:
-                shape = tuple(p.scale_pow2(1) for p in shape)
-                t = n
-            (h1, v1), (h2, v2), new = bisect_points(shape[: t + 1], shape[t + 1 :])
-            for hor, ver in ((h1, v1), (h2, v2)):
-                child = hor + ver
-                child_t = len(hor) - 1
-                key = (child_t, translation_key(child))
+                t, offsets = n, offsets.scale_pow2(1)
+            rows = [offsets.nums[i : i + m] for i in range(0, n * m, m)]
+            doubled = [[x << 1 for x in r] for r in rows]
+            tail = [rows[t - 1], *doubled[t:]]
+            for child in (
+                [[x - y for x, y in zip(r, doubled[0])] for r in doubled[1:t] + tail],
+                doubled[: t - 1] + tail,
+            ):
+                flat = [x for r in child for x in r]
+                key = (t - 1, DyadicPoint._of(flat, offsets.exp + 1))
                 if key in valued:
                     continue
                 valued.add(key)
-                ratio = max_sq_dist_from(new, child) ** n / simplex_volume(child) ** 2
+                key_rows = [key[1].nums[i : i + m] for i in range(0, n * m, m)]
+                new = key_rows[t - 1]
+                far = max(
+                    sum((x - y) * (x - y) for x, y in zip(r, new))
+                    for r in (origin, *key_rows)
+                )
+                ratio = Fraction(far**n, _det(key_rows) ** 2)
                 if ratio > best_ratio:
                     best_ratio = ratio
-                d = diam_sq(child)
-                if d > best_diam:
-                    best_diam = d
+                diam = Fraction(_max_gap_sq([origin, *key_rows]), 1 << (2 * key[1].exp))
+                if diam > best_diam:
+                    best_diam = diam
                 if key not in seen:
                     seen.add(key)
-                    next_frontier.append((child_t, child))
+                    next_frontier.append(key)
         frontier = next_frontier
-    c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
+    # 2^level |root|, times the n! that the ratios leave out
+    c0 = Fraction(2) ** root.level * simplex_volume(pts) * math.factorial(n)
     return ShapeCensus(
         classes=len(seen),
         generations=generations,
         settled=not frontier,
         max_v_pow_2n=c0**2 * best_ratio,
         max_iso_sq=Fraction(4) ** root.hyperlevel * best_diam,
-    )
-
-
-def compute_d(tri: Triangulation) -> Fraction:
-    """Volume floor: min over initial cells of 2^level |S| (exact)."""
-    forest = tri.forest
-    return min(
-        Fraction(2) ** forest.tarray(r).level * forest.volume(r)
-        for r in forest.roots
-    )
-
-
-def compute_d_iso(tri: Triangulation) -> Fraction:
-    """Hyperlevel volume floor: min over cells of 2^(n h + n - t) |S|; the
-    exponent is invariant under both bisection and transposition."""
-    forest = tri.forest
-    best = None
-    for r in forest.roots:
-        t = forest.tarray(r)
-        n = t.dim
-        value = Fraction(2) ** (n * t.hyperlevel + n - t.type) * forest.volume(r)
-        best = value if best is None else min(best, value)
-    return best
-
-
-def compute_D(tri: Triangulation):
-    """Distance ceilings with enumeration certificates.
-
-    Returns ``(v_pow_2n, iso_sq, census_list)`` where ``v_pow_2n`` is the
-    exact 2n-th power of sup 2^(level/n) dist(new vertex) and ``iso_sq`` the
-    exact square of sup 2^hyperlevel diam.
-    """
-    forest = tri.forest
-    censuses = [shape_census(forest.tarray(r), forest.pool) for r in forest.roots]
-    return (
-        max(c.max_v_pow_2n for c in censuses),
-        max(c.max_iso_sq for c in censuses),
-        censuses,
     )
 
 
@@ -200,16 +185,50 @@ class Constants:
         return base**self.n
 
 
+def _require_float(what: str, value, cells: list) -> None:
+    """Raise ValueError naming ``cells`` unless ``value`` is a finite nonzero float."""
+    try:
+        ok = 0 < abs(float(value)) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        where = " and ".join(f"cells[{i}]" for i in sorted(set(cells)))
+        raise ValueError(f"{where}: {what} is outside the float range")
+
+
 def compute_constants(tri: Triangulation) -> Constants:
-    n = tri.forest.tarray(tri.forest.roots[0]).dim
-    d = compute_d(tri)
-    d_iso = compute_d_iso(tri)
-    v2n, iso_sq, censuses = compute_D(tri)
+    """Exact floors and ceilings of ``tri`` and the float constants built from
+    them.  Raises ValueError naming the initial cell that attains a floor or
+    ceiling (the two behind a constant) when it leaves the float range."""
+    forest = tri.forest
+    roots = [forest.tarray(r) for r in forest.roots]
+    n = roots[0].dim
+    # 2^level |S| is invariant under bisection and 2^(n h + n - t) |S| also
+    # under transposition: their minima over the initial cells are d, d_iso
+    vols = [forest.volume(r) for r in forest.roots]
+    floors = [Fraction(2) ** t.level * v for t, v in zip(roots, vols)]
+    iso_floors = [
+        Fraction(2) ** (n * t.hyperlevel + n - t.type) * v for t, v in zip(roots, vols)
+    ]
+    censuses = [shape_census(t, forest.pool) for t in roots]
+    cells = range(len(roots))
+    d_at = min(cells, key=floors.__getitem__)
+    d_iso_at = min(cells, key=iso_floors.__getitem__)
+    v_at = max(cells, key=lambda i: censuses[i].max_v_pow_2n)
+    iso_at = max(cells, key=lambda i: censuses[i].max_iso_sq)
+    d, d_iso = floors[d_at], iso_floors[d_iso_at]
+    v2n, iso_sq = censuses[v_at].max_v_pow_2n, censuses[iso_at].max_iso_sq
+    _require_float("volume floor d", d, [d_at])
+    _require_float("volume floor d_iso", d_iso, [d_iso_at])
+    _require_float("distance ceiling D^(2n)", v2n, [v_at])
+    _require_float("distance ceiling D_iso^2", iso_sq, [iso_at])
     D = float(v2n) ** (1 / (2 * n))
     D_sq = _exact_nth_root(v2n, n)
     D_iso = math.sqrt(float(iso_sq))
     C = c_sic(d, D, n)
     Ci, factor = c_iso(d_iso, D_iso, n)
+    _require_float("C_sic", C, [d_at, v_at])
+    _require_float("C_iso", Ci, [d_iso_at, iso_at])
     return Constants(
         n=n,
         d=d,
@@ -287,7 +306,6 @@ def run_sequence(
     strategy: str,
     n_rounds: int,
     seed: Optional[int] = None,
-    full_check_every: int = 0,
 ) -> Trace:
     """Drive N single-marking refinement rounds, asserting the counting
     identity, exact volume conservation, and conformity after every round.
@@ -300,9 +318,6 @@ def run_sequence(
     new cells), ``quasitower-adversary`` (alternating deep and shallow
     picks); :data:`STRATEGIES` lists them.
     """
-    from .meshio import mesh_hash
-    from .tarray import refinement_edge
-
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
@@ -360,8 +375,6 @@ def run_sequence(
         trace.rows.append(
             (rnd, marked, rec.cells_added, cells_total, nonroot, rec.max_jump(forest))
         )
-        if full_check_every and rnd % full_check_every == 0:
-            _full_invariants(tri, initial_volume, bisections)
     _full_invariants(tri, initial_volume, bisections)
     return trace
 

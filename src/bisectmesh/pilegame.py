@@ -144,12 +144,11 @@ def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
             yield child
 
 
-def play(strategy: str, n_rounds: int, seed: int | None = None,
-         basement_halfwidth: int = 2**20) -> PileTrace:
+def play(strategy: str, n_rounds: int, seed: int | None = None) -> PileTrace:
     """Run an N-round pile game and record the per-round trace."""
     if n_rounds < 1:
         raise ValueError("need at least one round")
-    pile = Pile(-basement_halfwidth, basement_halfwidth)
+    pile = Pile()
     trace = PileTrace(strategy, seed)
     if strategy == "tower":
         moves = _tower_moves(pile, n_rounds)

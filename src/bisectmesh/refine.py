@@ -251,9 +251,11 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
     return tri
 
 
-def hyperlevel_uniform_refine(
-    tri: Triangulation, j: int, guard_rounds: int = 10_000
-) -> Triangulation:
+# sweep rounds before the hyperlevel-uniform and quasi-uniform sweeps give up
+_GUARD_ROUNDS = 10_000
+
+
+def hyperlevel_uniform_refine(tri: Triangulation, j: int) -> Triangulation:
     """Bisect every leaf whose refinement edge has hyperlevel <= j, until
     none remains.
 
@@ -262,7 +264,7 @@ def hyperlevel_uniform_refine(
     convention: stored type-0 cells of hyperlevel j are the same thing).
     """
     forest = tri.forest
-    for _ in range(guard_rounds):
+    for _ in range(_GUARD_ROUNDS):
         targets = [
             leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel <= j
         ]
@@ -274,7 +276,7 @@ def hyperlevel_uniform_refine(
     raise RefinementError("hyperlevel-uniform sweep did not settle")
 
 
-def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Triangulation:
+def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
     """One quasi-uniform sweep: bisect every input edge and every arising
     (midpoint, vertical-vertex) edge of a restricted type-1 triangle.
 
@@ -295,7 +297,7 @@ def quasi_uniform_refine(tri: Triangulation, guard_rounds: int = 10_000) -> Tria
                     if sub.type == 1:
                         mid = pool.midpoint_id(sub.horizontal[0], sub.horizontal[1])
                         targets.add(frozenset((mid, sub.vertical[0])))
-    for _ in range(guard_rounds):
+    for _ in range(_GUARD_ROUNDS):
         work = [
             leaf
             for leaf in tri.leaves

@@ -108,19 +108,6 @@ def transpose(s: TaggedSimplex) -> TaggedSimplex:
     )
 
 
-def bisect_points(
-    horizontal: Sequence, vertical: Sequence
-) -> tuple[tuple, tuple, object]:
-    """Children of a T-array given as raw point sequences (type >= 1).
-
-    Returns ``((h1, v1), (h2, v2), new_vertex)``.  The first child keeps the
-    tail of the horizontal row, the second the head.
-    """
-    new = midpoint(horizontal[0], horizontal[-1])
-    v = (new, *vertical)
-    return (tuple(horizontal[1:]), v), (tuple(horizontal[:-1]), v), new
-
-
 def bisect(
     s: TaggedSimplex, pool: VertexPool
 ) -> tuple[TaggedSimplex, TaggedSimplex, int]:

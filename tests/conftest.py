@@ -1,11 +1,13 @@
 """Shared mesh factories and independent test oracles."""
 
+import random
 from itertools import permutations
 
 import pytest
 
 from bisectmesh import VertexPool, Triangulation, point, kuhn
 from bisectmesh.exactgeom import barycentric
+from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.tarray import TaggedSimplex
 
 
@@ -33,6 +35,20 @@ def kuhn_cube_cells(n, pool=None):
 def kuhn_cube_mesh(n):
     pool, cells = kuhn_cube_cells(n)
     return Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells])
+
+
+def agk_cube(seed):
+    """The unit 3-cube tagged by ``agk_init`` from a seeded vertex partition
+    with seeded block orders."""
+    rng = random.Random(seed)
+    pool, cells = kuhn_cube_cells(3)
+    verts = sorted({v for c in cells for v in c})
+    rng.shuffle(verts)
+    k = rng.randrange(len(verts) + 1)
+    part = VertexPartition(
+        frozenset(verts[:k]), frozenset(verts[k:]), verts[:k], verts[k:]
+    )
+    return agk_init(pool, cells, part)
 
 
 def single_kuhn(n):

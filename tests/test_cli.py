@@ -8,7 +8,13 @@ from bisectmesh.cli import main
 from bisectmesh.forest import overlay
 from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
 
-from conftest import kuhn_cube_mesh, kuhn_square, tripled_triangle_pair
+from conftest import (
+    agk_cube,
+    kuhn_cube_mesh,
+    kuhn_square,
+    single_kuhn,
+    tripled_triangle_pair,
+)
 from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
 from bisectmesh.inittags import VertexPartition
 from bisectmesh.tarray import TaggedSimplex
@@ -285,3 +291,140 @@ def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):
         argv = ["overlay", "--mesh", str(first), "--mesh2", str(second)]
         assert main(argv) == 1
         assert "not refinements of one common initial mesh" in capsys.readouterr().err
+
+
+# `constants` stdout of Kuhn simplices and agk-tagged cubes, pinned as text.
+CONSTANTS_GOLDEN = {
+    "kuhn-2": (
+        "n = 2\n"
+        "d = 1/2\n"
+        "D = 1 (D^2 = 1)\n"
+        "C_sic <= 36.6210876741722\n"
+        "d_iso = 1/2\n"
+        "D_iso = 1.4142135623731 (D_iso^2 = 2)\n"
+        "C_iso <= 17548.4589477418\n"
+        "bound: #T_N <= 64 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 17 shape classes in 6 generations, settled = True\n"
+    ),
+    "kuhn-3": (
+        "n = 3\n"
+        "d = 1/6\n"
+        "D = 1.41421356237309 (D^2 = 2)\n"
+        "C_sic <= 4048.18634340362\n"
+        "d_iso = 1/6\n"
+        "D_iso = 1.73205080756888 (D_iso^2 = 3)\n"
+        "C_iso <= 5850591.22927389\n"
+        "bound: #T_N <= 512 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 145 shape classes in 11 generations, settled = True\n"
+    ),
+    "kuhn-4": (
+        "n = 4\n"
+        "d = 1/24\n"
+        "D = 1.73205080756888 (D^2 = 3)\n"
+        "C_sic <= 831713.299289971\n"
+        "d_iso = 1/24\n"
+        "D_iso = 2 (D_iso^2 = 4)\n"
+        "C_iso <= 40418939808.1134\n"
+        "bound: #T_N <= 65536 #T_0 + C_iso N (h0 = 4)\n"
+        "certificate: 1537 shape classes in 16 generations, settled = True\n"
+    ),
+    "agk-2": (
+        "n = 3\n"
+        "d = 1/6\n"
+        "D = 2.3811015779523 (D^(2n) = 729/4)\n"
+        "C_sic <= 19321.8751007605\n"
+        "d_iso = 1/3\n"
+        "D_iso = 3.74165738677394 (D_iso^2 = 14)\n"
+        "C_iso <= 29490350.3139026\n"
+        "bound: #T_N <= 512 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 864 shape classes in 11 generations, settled = True\n"
+    ),
+    "agk-3": (
+        "n = 3\n"
+        "d = 1/6\n"
+        "D = 2.44948974278318 (D^2 = 6)\n"
+        "C_sic <= 21034.9932758446\n"
+        "d_iso = 4/3\n"
+        "D_iso = 4.89897948556636 (D_iso^2 = 24)\n"
+        "C_iso <= 16547970.9286804\n"
+        "bound: #T_N <= 512 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 864 shape classes in 11 generations, settled = True\n"
+    ),
+    "agk-4": (
+        "n = 3\n"
+        "d = 1/6\n"
+        "D = 3 (D^2 = 9)\n"
+        "C_sic <= 38643.7502015209\n"
+        "d_iso = 4/3\n"
+        "D_iso = 6 (D_iso^2 = 36)\n"
+        "C_iso <= 30400563.7902577\n"
+        "bound: #T_N <= 512 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 868 shape classes in 11 generations, settled = True\n"
+    ),
+    "agk-5": (
+        "n = 3\n"
+        "d = 1/6\n"
+        "D = 3 (D^2 = 9)\n"
+        "C_sic <= 38643.7502015209\n"
+        "d_iso = 4/3\n"
+        "D_iso = 6 (D_iso^2 = 36)\n"
+        "C_iso <= 30400563.7902577\n"
+        "bound: #T_N <= 512 #T_0 + C_iso N (h0 = 3)\n"
+        "certificate: 870 shape classes in 11 generations, settled = True\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS_GOLDEN))
+def test_constants_golden(name, tmp_path, capsys):
+    kind, arg = name.split("-")
+    tri = single_kuhn(int(arg)) if kind == "kuhn" else agk_cube(int(arg))
+    path = tmp_path / "mesh.json"
+    write_mesh(path, tri)
+    assert main(["constants", "--mesh", str(path)]) == 0
+    assert capsys.readouterr().out == CONSTANTS_GOLDEN[name]
+
+
+def flat_square(tmp_path, exp):
+    """The unit square with its vertex (1, 1) moved to (1, 2**-exp): the
+    cell (0, 1, 2) has volume 2**-(exp + 1)."""
+    doc = {
+        "dim": 2,
+        "vertices": [
+            [["0", "0"], ["0", "0"]],
+            [["1", "0"], ["0", "0"]],
+            [["1", "0"], ["1", str(exp)]],
+            [["0", "0"], ["1", "0"]],
+        ],
+        "cells": [
+            {"horizontal": [0, 1, 2], "vertical": [], "hyperlevel": 0},
+            {"horizontal": [0, 3, 2], "vertical": [], "hyperlevel": 0},
+        ],
+    }
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["constants"], ["bdv-run", "--mode", "sic"], ["bdv-run", "--mode", "iso"]],
+    ids=["constants", "bdv-run-sic", "bdv-run-iso"],
+)
+@pytest.mark.parametrize(
+    "exp, message",
+    [
+        # the volume floor underflows to 0.0
+        (10_000, "cells[0]: volume floor d is outside the float range"),
+        # d and D are floats, C_sic = D^2 V_2 / (2 (1 - 2^(-1/2))^2 d) is not
+        (1_020, "cells[0] and cells[1]: C_sic is outside the float range"),
+        # C_sic is a float, C_iso = (D_iso^2 / d_iso) 3 2^7 (...) is not
+        (1_015, "cells[0] and cells[1]: C_iso is outside the float range"),
+    ],
+    ids=["floor", "c-sic", "c-iso"],
+)
+def test_constants_outside_float_range_exit_1(argv, exp, message, tmp_path, capsys):
+    assert main([*argv, "--mesh", flat_square(tmp_path, exp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

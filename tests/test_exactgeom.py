@@ -11,13 +11,11 @@ from bisectmesh.exactgeom import (
     DyadicPoint,
     barycentric,
     diam_sq,
-    max_sq_dist_from,
     midpoint,
     orientation,
     point,
     simplex_volume,
     sq_dist,
-    translation_key,
 )
 
 
@@ -181,7 +179,7 @@ class TestDistances:
     def test_max_from_circumcentre(self):
         tri = [point(0, 0), point(1, 0), point(1, 1)]
         half = point(Fraction(1, 2), Fraction(1, 2))
-        assert max_sq_dist_from(half, tri) == Fraction(1, 2)
+        assert max(sq_dist(half, v) for v in tri) == Fraction(1, 2)
 
     @given(
         st.lists(st.integers(0, 16), min_size=6, max_size=6),
@@ -190,14 +188,15 @@ class TestDistances:
     )
     def test_max_attained_at_vertex(self, coords, wa, wb):
         """Brute-force oracle: the distance from any interior sample point to
-        a fixed target never beats the best vertex."""
+        a fixed target never beats the best vertex, so the shape census may
+        take the largest distance to a simplex over its vertices."""
         verts = [
             DyadicPoint(coords[0:2]),
             DyadicPoint(coords[2:4]),
             DyadicPoint(coords[4:6]),
         ]
         target = point(coords[1], coords[4])
-        best_vertex = max_sq_dist_from(target, verts)
+        best_vertex = max(sq_dist(target, v) for v in verts)
         # dyadic convex samples with weights (wa, wb, 16 - wa - wb) / 16
         wc = 16 - wa - wb
         sample_fr = [
@@ -334,23 +333,7 @@ class TestKernelOracle:
 
         pairs = [frac_sq(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
         assert diam_sq(pts) == max(pairs, default=0)
-        if pts:
-            assert max_sq_dist_from(pts[0], pts) == max(frac_sq(pts[0], b) for b in pts)
-
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda n: st.tuples(st.lists(points(n), min_size=1, max_size=4), points(n))
-        ),
-        st.integers(0, 3),
-    )
-    def test_translation_key(self, case, k):
-        pts, shift = case
-        moved = [p + shift for p in pts]
-        assert translation_key(moved) == translation_key(pts)
-        assert hash(translation_key(moved)) == hash(translation_key(pts))
-        stretched = [p.scale_pow2(k) for p in pts]
-        same_shape = all(p - pts[0] == q - stretched[0] for p, q in zip(pts, stretched))
-        assert (translation_key(stretched) == translation_key(pts)) == same_shape
+        assert [sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]] == pairs
 
 
 @st.composite

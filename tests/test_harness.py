@@ -3,23 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh import harness
-from bisectmesh.exactgeom import (
-    DyadicPoint,
-    diam_sq,
-    max_sq_dist_from,
-    simplex_volume,
-    translation_key,
-)
+from bisectmesh.exactgeom import DyadicPoint, diam_sq, midpoint, simplex_volume, sq_dist
 from bisectmesh.harness import (
     ShapeCensus,
     Trace,
     _exact_nth_root,
     compute_constants,
-    compute_d,
     c_iso,
     c_sic,
     run_sequence,
@@ -31,9 +24,9 @@ from bisectmesh.harness import (
 )
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.refine import refine
-from bisectmesh.tarray import TaggedSimplex, bisect_points
+from bisectmesh.tarray import TaggedSimplex
 
-from conftest import kuhn_cube_cells, kuhn_cube_mesh, kuhn_square, single_kuhn
+from conftest import agk_cube, kuhn_cube_mesh, kuhn_square, single_kuhn
 
 
 def half_kuhn_mesh(n):
@@ -46,9 +39,9 @@ def half_kuhn_mesh(n):
 
 class TestVolumeFloors:
     def test_d_examples(self):
-        assert compute_d(single_kuhn(2)) == Fraction(1, 2)
-        assert compute_d(single_kuhn(3)) == Fraction(1, 6)
-        assert compute_d(single_kuhn(4)) == Fraction(1, 24)
+        assert compute_constants(single_kuhn(2)).d == Fraction(1, 2)
+        assert compute_constants(single_kuhn(3)).d == Fraction(1, 6)
+        assert compute_constants(single_kuhn(4)).d == Fraction(1, 24)
 
     def test_d_scales_with_mesh(self):
         pool = VertexPool()
@@ -58,15 +51,15 @@ class TestVolumeFloors:
             pool.id_of(point(3, 3)),
         ]
         tri = Triangulation.from_cells(pool, [TaggedSimplex(tuple(ids), ())])
-        assert compute_d(tri) == Fraction(9, 2)  # 3^n times the unit value
+        assert compute_constants(tri).d == Fraction(9, 2)  # 3^n times the unit value
 
     def test_d_invariant_under_refinement(self):
         tri = kuhn_square()
-        d0 = compute_d(tri)
+        d0 = compute_constants(tri).d
         rng = random.Random(1)
         for _ in range(10):
             refine(tri, rng.choice(sorted(tri.leaves)))
-        assert compute_d(tri) == d0
+        assert compute_constants(tri).d == d0
 
     def test_d_iso_invariant_along_tree(self):
         pool = VertexPool()
@@ -135,25 +128,28 @@ class TestDistanceCeilings:
         for _ in range(12):
             c1, c2, vnew = bisect(cur, pool)
             cur = c1 if rng.random() < 0.5 else c2
-            from bisectmesh.exactgeom import max_sq_dist_from
-
-            v_2n = (Fraction(2) ** (2 * cur.level)) * max_sq_dist_from(
-                pool.point(vnew), cur.vertices(pool)
-            ) ** 2
+            far = max(sq_dist(pool.point(vnew), p) for p in cur.vertices(pool))
+            v_2n = (Fraction(2) ** (2 * cur.level)) * far**2
             assert v_2n <= consts.D_pow_2n
 
 
+def _frac_sq(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a.as_fractions(), b.as_fractions()))
+
+
 def reference_shape_census(root, pool, max_generations=400, max_classes=500_000):
-    """Reference census: values every child of every generation, also when
-    its class is already seen, with ``c0`` and the hyperlevel scale in each
-    child's value."""
+    """Reference census on points: values every child of every generation,
+    also when its class is already seen, with ``c0`` and the hyperlevel
+    scale in each child's value.  Shapes are point tuples, bisected by
+    midpoints and keyed by their offsets from the first point; distances
+    are Fraction sums."""
     n = root.dim
     pts = [pool.point(v) for v in root.vertex_ids]
     c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
     iso_scale_sq = Fraction(4) ** root.hyperlevel
     best_iso = iso_scale_sq * diam_sq(pts)
     best_v = Fraction(0)
-    seen = {(root.type, translation_key(pts))}
+    seen = {(root.type, tuple(p - pts[0] for p in pts[1:]))}
     frontier = [(root.type, tuple(pts))]
     generations = 0
     while frontier and generations < max_generations and len(seen) < max_classes:
@@ -163,22 +159,23 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
             if t == 0:
                 shape = tuple(p.scale_pow2(1) for p in shape)
                 t = n
-            (h1, v1), (h2, v2), new = bisect_points(shape[: t + 1], shape[t + 1 :])
-            for hor, ver in ((h1, v1), (h2, v2)):
-                child = hor + ver
-                child_t = len(hor) - 1
-                d_sq = max_sq_dist_from(new, child)
+            new = midpoint(shape[0], shape[t])
+            rest = (new, *shape[t + 1 :])
+            for child in (shape[1 : t + 1] + rest, shape[:t] + rest):
+                d_sq = max(_frac_sq(new, p) for p in child)
                 vol = simplex_volume(child)
                 value = c0**2 * d_sq**n / vol**2
                 if value > best_v:
                     best_v = value
-                iso = iso_scale_sq * diam_sq(child)
+                iso = iso_scale_sq * max(
+                    _frac_sq(a, b) for i, a in enumerate(child) for b in child[i + 1 :]
+                )
                 if iso > best_iso:
                     best_iso = iso
-                key = (child_t, translation_key(child))
+                key = (t - 1, tuple(p - child[0] for p in child[1:]))
                 if key not in seen:
                     seen.add(key)
-                    next_frontier.append((child_t, child))
+                    next_frontier.append((t - 1, child))
         frontier = next_frontier
     return ShapeCensus(
         classes=len(seen),
@@ -187,20 +184,6 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
         max_v_pow_2n=best_v,
         max_iso_sq=best_iso,
     )
-
-
-def agk_cube(seed):
-    """The unit 3-cube tagged by ``agk_init`` from a seeded vertex partition
-    with seeded block orders."""
-    rng = random.Random(seed)
-    pool, cells = kuhn_cube_cells(3)
-    verts = sorted({v for c in cells for v in c})
-    rng.shuffle(verts)
-    k = rng.randrange(len(verts) + 1)
-    part = VertexPartition(
-        frozenset(verts[:k]), frozenset(verts[k:]), verts[:k], verts[k:]
-    )
-    return agk_init(pool, cells, part)
 
 
 def offset_square(seed):
@@ -294,6 +277,71 @@ class TestCensusOracle:
             got = shape_census(root, forest.pool, **caps)
             assert not got.settled
             assert got == reference_shape_census(root, forest.pool, **caps)
+
+
+KEYED_ROOTS = [(f"kuhn-{n}", lambda n=n: single_kuhn(n)) for n in (2, 3, 4)] + [
+    (f"agk-{s}", lambda s=s: agk_cube(s)) for s in (2, 3, 4, 5)
+]
+_root_censuses = {}
+
+
+def _keyed_root(name, index):
+    """Root ``index`` (modulo the root count) of a ``KEYED_ROOTS`` mesh and
+    its census, computed once per root."""
+    if (name, index) not in _root_censuses:
+        forest = dict(KEYED_ROOTS)[name]().forest
+        r = forest.roots[index % len(forest.roots)]
+        root = forest.tarray(r)
+        census = shape_census(root, forest.pool)
+        _root_censuses[name, index] = (root, forest.pool, census)
+    return _root_censuses[name, index]
+
+
+def _moved(root, pool, k, shift):
+    """``root`` with every vertex scaled by ``2**k`` and then translated by
+    ``shift``, in a pool of its own."""
+    moved_pool = VertexPool()
+    ids = [moved_pool.id_of(pool.point(v).scale_pow2(k) + shift) for v in root.vertex_ids]
+    h = len(root.horizontal)
+    return (
+        TaggedSimplex(tuple(ids[:h]), tuple(ids[h:]), root.level, root.hyperlevel),
+        moved_pool,
+    )
+
+
+class TestCensusKey:
+    """The census keys a class by its offsets over a power of two: a
+    translate of a root has the same census, a stretched root the same
+    classes with every value scaled."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([name for name, _ in KEYED_ROOTS]),
+        st.integers(0, 5),
+        st.lists(
+            st.builds(
+                lambda num, e: Fraction(num, 1 << e),
+                st.integers(-(2**12), 2**12),
+                st.integers(0, 12),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+        st.integers(1, 3),
+    )
+    def test_translation_leaves_census_equal(self, name, index, offset, k):
+        root, pool, base = _keyed_root(name, index)
+        n = root.dim
+        shift = DyadicPoint(offset[:n])
+        assert shape_census(*_moved(root, pool, 0, shift)) == base
+        stretched = shape_census(*_moved(root, pool, k, shift))
+        assert (stretched.classes, stretched.generations, stretched.settled) == (
+            base.classes,
+            base.generations,
+            base.settled,
+        )
+        assert stretched.max_iso_sq == 4**k * base.max_iso_sq
+        assert stretched.max_v_pow_2n == 4 ** (k * n) * base.max_v_pow_2n
 
 
 class TestExactNthRoot:
