@@ -106,7 +106,7 @@ _CHECKS = {
 def _cmd_check(args):
     tri, _, _ = _load(args.mesh)
     checker = _CHECKS[args.what]
-    problems = checker(tri, args.depth) if args.what == "sic" and args.depth else checker(tri)
+    problems = checker(tri, args.depth) if args.what == "sic" else checker(tri)
     if problems:
         for p in problems:
             print(p)
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     add("agk-init", _cmd_agk_init)
     p = add("check", _cmd_check, out=False, extra=[
         lambda p: p.add_argument("what", choices=sorted(_CHECKS)),
-        lambda p: p.add_argument("--depth", type=_int_at_least(0), default=0),
+        lambda p: p.add_argument("--depth", type=_int_at_least(1)),
     ])
     add("refine", _cmd_refine, extra=[
         lambda p: p.add_argument("--cell", type=int, required=True),

@@ -12,19 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactgeom import simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect
 
 
 class Node:
-    __slots__ = ("tarray", "parent", "children", "v_new", "root", "index")
+    __slots__ = ("tarray", "parent", "children", "v_new", "index")
 
-    def __init__(self, tarray, parent, v_new, root, index):
+    def __init__(self, tarray, parent, v_new, index):
         self.tarray: TaggedSimplex = tarray
         self.parent: Optional[int] = parent
         self.children: Optional[tuple[int, int]] = None
         self.v_new: Optional[int] = v_new  # vertex created by the bisection
-        self.root: int = root  # id of the tree's root node
         self.index = index
 
 
@@ -32,18 +30,18 @@ class Forest:
     """Arena of tagged-simplex nodes with parent/child links.
 
     Roots are the initial cells.  ``ensure_children`` memoises bisection, so
-    every admissible simplex is represented by at most one node.
+    every admissible simplex is represented by at most one node.  It holds
+    no geometry: volumes come from :meth:`TaggedSimplex.volume`.
     """
 
     def __init__(self, pool: VertexPool):
         self.pool = pool
         self.nodes: list[Node] = []
         self.roots: list[int] = []
-        self._volumes: dict[int, Fraction] = {}
 
     def add_root(self, tarray: TaggedSimplex) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(tarray, None, None, nid, nid))
+        self.nodes.append(Node(tarray, None, None, nid))
         self.roots.append(nid)
         return nid
 
@@ -57,20 +55,14 @@ class Forest:
             return node.children
         c1, c2, v_new = bisect(node.tarray, self.pool)
         i1 = len(self.nodes)
-        self.nodes.append(Node(c1, nid, v_new, node.root, i1))
+        self.nodes.append(Node(c1, nid, v_new, i1))
         i2 = len(self.nodes)
-        self.nodes.append(Node(c2, nid, v_new, node.root, i2))
+        self.nodes.append(Node(c2, nid, v_new, i2))
         node.children = (i1, i2)
         return node.children
 
     def parent(self, nid: int) -> Optional[int]:
         return self.nodes[nid].parent
-
-    def ancestors(self, nid: int) -> Iterable[int]:
-        p = self.nodes[nid].parent
-        while p is not None:
-            yield p
-            p = self.nodes[p].parent
 
     def forest_of(self, leaves: Iterable[int]) -> frozenset:
         """fo(P): the leaves together with all their ancestors and all roots."""
@@ -90,13 +82,6 @@ class Forest:
             if ch is None or ch[0] not in node_set:
                 out.add(nid)
         return out
-
-    def volume(self, nid: int) -> Fraction:
-        vol = self._volumes.get(nid)
-        if vol is None:
-            vol = simplex_volume(self.nodes[nid].tarray.vertices(self.pool))
-            self._volumes[nid] = vol
-        return vol
 
 
 class Triangulation:
@@ -164,7 +149,7 @@ class Triangulation:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]
 
     def total_volume(self) -> Fraction:
-        return sum((self.forest.volume(nid) for nid in self.leaves), Fraction(0))
+        return sum((t.volume(self.forest.pool) for t in self.cells()), Fraction(0))
 
     def node_set(self) -> frozenset:
         return self.forest.forest_of(self.leaves)
@@ -250,15 +235,9 @@ def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:
         closed.add(nid)
         node = forest.nodes[nid]
         if node.v_new is not None:
-            for other in by_v_new[node.v_new]:
-                if other not in closed:
-                    stack.append(other)
-        if node.parent is not None:
-            pa = forest.nodes[node.parent]
-            if pa.v_new is not None:
-                for other in by_v_new[pa.v_new]:
-                    if other not in closed:
-                        stack.append(other)
+            stack.extend(by_v_new[node.v_new])
+        if node.parent is not None and forest.nodes[node.parent].v_new is not None:
+            stack.extend(by_v_new[forest.nodes[node.parent].v_new])
     return frozenset(closed)
 
 
@@ -274,11 +253,7 @@ def verify_forest_characterisation(tri: Triangulation) -> list[str]:
     forest = tri.forest
     nodes = tri.node_set()
     problems = []
-    v_set = {
-        forest.nodes[nid].v_new
-        for nid in nodes
-        if forest.nodes[nid].v_new is not None
-    }
+    v_set = {forest.nodes[nid].v_new for nid in nodes} - {None}
     for node in forest.nodes:
         if node.v_new is None:
             continue

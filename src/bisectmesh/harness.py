@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exactgeom import DyadicPoint, _det, _max_gap_sq, _rows, diam_sq, simplex_volume
+from .exactgeom import (
+    DyadicPoint, _det, _max_gap_sq, _rows, diam_sq, midpoint, simplex_volume
+)
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
 from .meshio import mesh_hash
@@ -205,7 +207,7 @@ def compute_constants(tri: Triangulation) -> Constants:
     n = roots[0].dim
     # 2^level |S| is invariant under bisection and 2^(n h + n - t) |S| also
     # under transposition: their minima over the initial cells are d, d_iso
-    vols = [forest.volume(r) for r in forest.roots]
+    vols = [t.volume(forest.pool) for t in roots]
     floors = [Fraction(2) ** t.level * v for t, v in zip(roots, vols)]
     iso_floors = [
         Fraction(2) ** (n * t.hyperlevel + n - t.type) * v for t, v in zip(roots, vols)
@@ -273,7 +275,7 @@ class Trace:
     def max_jump(self) -> int:
         return max((r[5] for r in self.rows), default=0)
 
-    def csv_lines(self, bound_per_round: float = 0.0) -> list[str]:
+    def csv_lines(self, bound_per_round: float) -> list[str]:
         lines = ["round,marked_cell,cells_added,cells_total,forest_nonroot,bound,ratio"]
         for rnd, cell, added, total, nonroot, _ in self.rows:
             bound = bound_per_round * rnd
@@ -289,7 +291,7 @@ STRATEGIES = ("random-leaf", "max-level-leaf", "staircase-adversary", "quasitowe
 
 
 class SequenceError(AssertionError):
-    """An invariant (counting identity, volume conservation) broke mid-run."""
+    """An invariant (counting identity, bisection, conformity) broke mid-run."""
 
 
 def _pick_random(rng, leafbuf, leaves):
@@ -308,7 +310,17 @@ def run_sequence(
     seed: Optional[int] = None,
 ) -> Trace:
     """Drive N single-marking refinement rounds, asserting the counting
-    identity, exact volume conservation, and conformity after every round.
+    identity, the bisection rule, and conformity after every round.
+
+    Each bisection of a parent with vertex-id set ``P`` and refinement edge
+    ``{a, b}`` must create a vertex ``m`` outside ``P`` at the exact midpoint
+    of ``a`` and ``b``, and children with vertex-id sets exactly ``P - a + m``
+    and ``P - b + m``.  For a non-degenerate parent this implies volume
+    conservation: the hyperplane through ``m`` and ``P - {a, b}`` cuts the
+    parent into the two children, and moving ``a`` (or ``b``) to ``m`` halves
+    its height over the opposite facet.  Unlike a volume sum, it rejects an
+    off-centre point on the edge, a duplicated half, and a correct bisection
+    of another edge.  The total volume is still checked at the end.
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,
@@ -321,12 +333,10 @@ def run_sequence(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
-    pool = forest.pool
     n = forest.tarray(forest.roots[0]).dim
     rng = random.Random(seed)
     trace = Trace(mesh_hash(tri), strategy, seed, n, len(tri.leaves))
     leafbuf = list(tri.leaves)
-    initial_cells = len(tri.leaves)
     initial_volume = tri.total_volume()
     bisections = 0
     last_created: list[int] = []
@@ -355,10 +365,12 @@ def run_sequence(
         rec = RefineRecord()
         refine(tri, marked, record=rec)
         last_created = []
+        # bisections first: a broken one can leave a hanging node behind
+        for node_id, _ in rec.bisections:
+            if not _bisects(forest, node_id):
+                raise SequenceError(f"round {rnd}: children do not partition cell {node_id}")
         for node_id, _ in rec.bisections:
             c1, c2 = forest.nodes[node_id].children
-            if forest.volume(c1) + forest.volume(c2) != forest.volume(node_id):
-                raise SequenceError(f"round {rnd}: children do not partition cell {node_id}")
             edge = refinement_edge(forest.tarray(node_id))
             if edge in tri.edge_index:
                 raise SequenceError(
@@ -370,13 +382,28 @@ def run_sequence(
         bisections += rec.cells_added
         cells_total = len(tri.leaves)
         nonroot = 2 * bisections
-        if cells_total - initial_cells != bisections:
+        if cells_total - trace.initial_cells != bisections:
             raise SequenceError(f"round {rnd}: counting identity broken")
         trace.rows.append(
             (rnd, marked, rec.cells_added, cells_total, nonroot, rec.max_jump(forest))
         )
     _full_invariants(tri, initial_volume, bisections)
     return trace
+
+
+def _bisects(forest, node_id: int) -> bool:
+    """True iff the node's children obey the bisection rule; see run_sequence."""
+    node = forest.nodes[node_id]
+    m = forest.nodes[node.children[0]].v_new
+    p = set(node.tarray.vertex_ids)
+    a, b = refinement_edge(node.tarray)
+    kids = {frozenset(forest.tarray(c).vertex_ids) for c in node.children}
+    pts = forest.pool.points
+    return (
+        m not in p
+        and kids == {frozenset(p - {a} | {m}), frozenset(p - {b} | {m})}
+        and pts[m] == midpoint(pts[a], pts[b])
+    )
 
 
 def _full_invariants(tri: Triangulation, initial_volume: Fraction, bisections: int):

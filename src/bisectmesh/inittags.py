@@ -256,9 +256,12 @@ def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:
 
     Verifies regularity and equal types, then re-checks refinement-edge
     consistency on successive uniform refinements up to ``depth`` (default
-    n+1).  The depth-limited edge test stands in for the reference-coordinate
-    clause; see the README for the heuristic character of the default.
+    n+1, at least 1).  The depth-limited edge test stands in for the
+    reference-coordinate clause; see the README for the heuristic character
+    of the default.
     """
+    if depth is not None and depth < 1:
+        raise ValueError(f"check_sic depth must be at least 1, got {depth}")
     problems = list(check_conforming(tri))
     forest = tri.forest
     types = {forest.tarray(leaf).type for leaf in tri.leaves}

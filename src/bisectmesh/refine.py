@@ -9,6 +9,7 @@ coarsest conforming refinement strictly finer than the marked cell.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import combinations
 from operator import le
 from typing import Optional
 
@@ -50,21 +51,20 @@ class RefineRecord:
 def refine(
     tri: Triangulation,
     target: int,
-    guard: Optional[int] = None,
     record: Optional[RefineRecord] = None,
 ) -> Triangulation:
     """Refine ``tri`` in place so it becomes strictly finer than the leaf
     ``target``; returns ``tri``.
 
-    The guard bounds the closure work in this round (default
-    ``64 * dim * #cells`` loop steps) and turns a non-refineable tagging
-    into a :class:`RefinementError` instead of divergence.
+    A guard bounds the closure work in this round (``64 * dim * #cells``
+    loop steps) and turns a non-refineable tagging into a
+    :class:`RefinementError` instead of divergence.
     """
     if target not in tri.leaves:
         raise ValueError(f"node {target} is not a leaf")
     forest = tri.forest
     dim = forest.tarray(target).dim
-    budget = guard if guard is not None else 64 * dim * len(tri.leaves)
+    budget = 64 * dim * len(tri.leaves)
     origin: dict[int, int] = {}
     stack = [target]
     while stack:
@@ -255,6 +255,18 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
 _GUARD_ROUNDS = 10_000
 
 
+def _sweep(tri: Triangulation, wanted, failure: str) -> Triangulation:
+    """Bisect the leaves whose T-array ``wanted`` accepts until none is left."""
+    for _ in range(_GUARD_ROUNDS):
+        work = [leaf for leaf in tri.leaves if wanted(tri.forest.tarray(leaf))]
+        if not work:
+            return tri
+        for leaf in work:
+            if leaf in tri.leaves:
+                tri.bisect_leaf(leaf)
+    raise RefinementError(failure)
+
+
 def hyperlevel_uniform_refine(tri: Triangulation, j: int) -> Triangulation:
     """Bisect every leaf whose refinement edge has hyperlevel <= j, until
     none remains.
@@ -263,17 +275,9 @@ def hyperlevel_uniform_refine(tri: Triangulation, j: int) -> Triangulation:
     every cell at hyperlevel j+1 and full type (in the transposition
     convention: stored type-0 cells of hyperlevel j are the same thing).
     """
-    forest = tri.forest
-    for _ in range(_GUARD_ROUNDS):
-        targets = [
-            leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel <= j
-        ]
-        if not targets:
-            return tri
-        for leaf in targets:
-            if leaf in tri.leaves:
-                tri.bisect_leaf(leaf)
-    raise RefinementError("hyperlevel-uniform sweep did not settle")
+    return _sweep(
+        tri, lambda t: t.edge_hyperlevel <= j, "hyperlevel-uniform sweep did not settle"
+    )
 
 
 def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
@@ -289,26 +293,13 @@ def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
     targets: set[frozenset] = set(tri.edge_index.keys())
     for leaf in tri.leaves:
         t = forest.tarray(leaf)
-        ids = t.vertex_ids
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                for k in range(j + 1, len(ids)):
-                    sub = restrict(t, {ids[i], ids[j], ids[k]})
-                    if sub.type == 1:
-                        mid = pool.midpoint_id(sub.horizontal[0], sub.horizontal[1])
-                        targets.add(frozenset((mid, sub.vertical[0])))
-    for _ in range(_GUARD_ROUNDS):
-        work = [
-            leaf
-            for leaf in tri.leaves
-            if refinement_edge(forest.tarray(leaf)) in targets
-        ]
-        if not work:
-            return tri
-        for leaf in work:
-            if leaf in tri.leaves:
-                tri.bisect_leaf(leaf)
-    raise RefinementError(
+        for triple in combinations(t.vertex_ids, 3):
+            sub = restrict(t, set(triple))
+            if sub.type == 1:
+                mid = pool.midpoint_id(sub.horizontal[0], sub.horizontal[1])
+                targets.add(frozenset((mid, sub.vertical[0])))
+    return _sweep(
+        tri, lambda t: refinement_edge(t) in targets,
         "quasi-uniform sweep did not settle; input lacks restricted "
-        "T-array coincidence"
+        "T-array coincidence",
     )

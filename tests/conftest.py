@@ -22,6 +22,17 @@ def kuhn_square():
     return Triangulation.from_cells(pool, cells)
 
 
+def one_sided_square():
+    """Unit square split along the diagonal {1, 2} into the T-arrays
+    (1 2|0) and (1 3|2): the diagonal is the refinement edge of the first
+    triangle only, so the mesh breaks the strong initial conditions."""
+    pool = VertexPool()
+    ids = [pool.id_of(point(*q)) for q in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+    assert ids == [0, 1, 2, 3]
+    cells = [TaggedSimplex((1, 2), (0,)), TaggedSimplex((1, 3), (2,))]
+    return Triangulation.from_cells(pool, cells)
+
+
 def kuhn_cube_cells(n, pool=None):
     """The n! full-type simplices triangulating the unit n-cube."""
     pool = pool or VertexPool()

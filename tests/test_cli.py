@@ -12,6 +12,7 @@ from conftest import (
     agk_cube,
     kuhn_cube_mesh,
     kuhn_square,
+    one_sided_square,
     single_kuhn,
     tripled_triangle_pair,
 )
@@ -196,6 +197,18 @@ def test_bdv_run_refinement_failure_is_exit_3(tmp_path, capsys):
 def test_out_of_contract_options_exit_1(square_path, argv, capsys):
     assert main([*argv, "--mesh", square_path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_sic_depth_0_exit_1(tmp_path, capsys):
+    """Depth 0 checks no edge, so it must be refused, not read as the
+    default or passed: the mesh fails at every depth from 1."""
+    path = tmp_path / "one_sided.json"
+    write_mesh(path, one_sided_square())
+    assert main(["check", "sic", "--mesh", str(path), "--depth", "0"]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    for depth in ([], ["--depth", "1"]):
+        assert main(["check", "sic", "--mesh", str(path), *depth]) == 2
+        assert "FAIL sic" in capsys.readouterr().out
 
 
 def test_pile_game_zero_rounds_exit_1(capsys):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
-from bisectmesh import harness
+from bisectmesh import forest as forest_mod, harness, tarray
 from bisectmesh.exactgeom import DyadicPoint, diam_sq, midpoint, simplex_volume, sq_dist
 from bisectmesh.harness import (
+    SequenceError,
     ShapeCensus,
     Trace,
     _exact_nth_root,
@@ -24,7 +25,7 @@ from bisectmesh.harness import (
 )
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.refine import refine
-from bisectmesh.tarray import TaggedSimplex
+from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 from conftest import agk_cube, kuhn_cube_mesh, kuhn_square, single_kuhn
 
@@ -469,6 +470,55 @@ class TestRunSequence:
         )
         report = verify_bdv(forged, consts, "sic")
         assert report and "round 5" in report[0]
+
+
+def _corrupted_bisect(kind, s, pool):
+    """A broken bisection of ``s``: children and new vertex as ``bisect``
+    returns them."""
+    c1, c2, m = tarray.bisect(s, pool)
+    edge = refinement_edge(s)
+    if kind == "duplicated-half":
+        return c1, c1, m
+    if kind == "other-edge":
+        c, d = sorted(next(e for e in s.edges() if e != edge))
+        rest = tuple(v for v in s.vertex_ids if v not in (c, d))
+        return tarray.bisect(TaggedSimplex((c, d), rest, s.level, s.hyperlevel), pool)
+    if kind == "quarter-point":
+        bad = pool.midpoint_id(min(edge), m)
+    else:  # off-edge: halfway from the midpoint to a vertex off the edge
+        bad = pool.midpoint_id(m, next(v for v in s.vertex_ids if v not in edge))
+
+    def moved(t):
+        h, v = ([bad if x == m else x for x in p] for p in (t.horizontal, t.vertical))
+        return TaggedSimplex(tuple(h), tuple(v), t.level, t.hyperlevel)
+
+    return moved(c1), moved(c2), bad
+
+
+class TestCorruptedBisection:
+    """``run_sequence`` rejects a bisection that breaks the rule, including
+    the ones whose children's volumes still sum to the parent's."""
+
+    @pytest.mark.parametrize("call", [1, 10])
+    @pytest.mark.parametrize(
+        "mesh", [kuhn_square, lambda: kuhn_cube_mesh(3)], ids=["square", "cube"]
+    )
+    @pytest.mark.parametrize(
+        "kind", ["off-edge", "quarter-point", "duplicated-half", "other-edge"]
+    )
+    def test_raises(self, kind, mesh, call, monkeypatch):
+        calls = []
+
+        def bisect(s, pool):
+            calls.append(s)
+            if len(calls) == call:
+                return _corrupted_bisect(kind, s, pool)
+            return tarray.bisect(s, pool)
+
+        monkeypatch.setattr(forest_mod, "bisect", bisect)
+        with pytest.raises(SequenceError, match="children do not partition cell"):
+            run_sequence(mesh(), "random-leaf", 20, seed=0)
+        assert len(calls) >= call
 
 
 class TestTowerPatchSpotcheck:

@@ -22,7 +22,13 @@ from bisectmesh.inittags import (
 from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex
 
-from conftest import kuhn_cube_cells, kuhn_square, tripled_tet, tripled_triangle_pair
+from conftest import (
+    kuhn_cube_cells,
+    kuhn_square,
+    one_sided_square,
+    tripled_tet,
+    tripled_triangle_pair,
+)
 
 
 class TestInitialDivision:
@@ -193,6 +199,15 @@ class TestCheckSic:
             pool, [TaggedSimplex(c, ()) for c in cells]
         )
         assert check_sic(tri) == []
+
+    def test_depth_below_one_rejected(self):
+        """Depth 0 would skip every edge-consistency stage and pass a mesh
+        whose shared edge is the refinement edge of one sharer only."""
+        tri = one_sided_square()
+        assert check_sic(tri, 1) != []
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                check_sic(tri, depth)
 
 
 class TestCheckRetaco:

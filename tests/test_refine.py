@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -114,7 +115,7 @@ class TestRefine:
         t2 = TaggedSimplex((a, c), (b, e))  # E_ref (a, c) in face abc
         tri = Triangulation.from_cells(pool, [t1, t2])
         with pytest.raises(RefinementError):
-            refine(tri, min(tri.leaves), guard=500)
+            refine(tri, min(tri.leaves))
 
     def test_requires_leaf(self, square):
         refine(square, min(square.leaves))
@@ -401,6 +402,16 @@ class TestQuasiUniform:
                 node = square.forest.parent(node)
             assert node is not None
             assert square.forest.tarray(leaf).level > inputs[node]
+
+
+def test_sweeps_give_up_after_guard_rounds(monkeypatch):
+    """Both sweeps take more than one round on the Kuhn square, so with a
+    one-round budget each raises its own message."""
+    monkeypatch.setattr(importlib.import_module("bisectmesh.refine"), "_GUARD_ROUNDS", 1)
+    with pytest.raises(RefinementError, match="^hyperlevel-uniform sweep did not settle$"):
+        hyperlevel_uniform_refine(kuhn_square(), 1)
+    with pytest.raises(RefinementError, match="^quasi-uniform sweep did not settle; input"):
+        quasi_uniform_refine(kuhn_square())
 
 
 class TestGss:
