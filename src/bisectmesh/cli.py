@@ -104,6 +104,9 @@ _CHECKS = {
 
 
 def _cmd_check(args):
+    if args.depth is not None and args.what != "sic":
+        print(f"error: --depth applies to check sic only, not {args.what}", file=sys.stderr)
+        return EXIT_INVALID
     tri, _, _ = _load(args.mesh)
     checker = _CHECKS[args.what]
     problems = checker(tri, args.depth) if args.what == "sic" else checker(tri)
@@ -311,12 +314,7 @@ def main(argv=None) -> int:
         lambda p: p.add_argument("--depth", type=_int_at_least(0), required=True),
     ])
     add("quasi-uniform", lambda a: _cmd_sweep(a, quasi_uniform_refine))
-    add("constants", _cmd_constants, out=False, extra=[
-        lambda p: p.add_argument(
-            "--depth", type=_int_at_least(0), default=0,
-            help="accepted for compatibility; the exact census does not use it",
-        ),
-    ])
+    add("constants", _cmd_constants, out=False)
     add("bdv-run", _cmd_bdv_run, extra=[
         lambda p: p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES),
         lambda p: p.add_argument("--rounds", "-N", type=_int_at_least(1), default=50),

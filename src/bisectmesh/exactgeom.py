@@ -5,11 +5,12 @@ are dyadic rationals (integer numerator over a power of two) and vertex
 equality is bit-exact.  The one exact value type, :class:`DyadicPoint`, is an
 integer vector over one shared power of two, built from ints and dyadic
 ``Fraction``s; every predicate (volume, orientation, barycentric coordinates,
-squared distance) is integer arithmetic on such vectors: one fraction-free
-Bareiss determinant, one Gram/Cramer solve and, for full-dimensional
-containment, Cramer sign tests on the same determinant.  Results that leave
-the dyadics (volumes, barycentric coordinates) are returned as
-``fractions.Fraction``; floats appear only in reporting.
+squared distance) is integer arithmetic on such vectors.  One fraction-free
+Bareiss elimination serves every linear-algebra question: determinants, the
+solve of a vector in the span of k rows (off-span and dependence tests
+included) and, through the signs of that solve, containment in a simplex.
+Results that leave the dyadics (volumes, barycentric coordinates) are
+returned as ``fractions.Fraction``; floats appear only in reporting.
 """
 
 from __future__ import annotations
@@ -147,85 +148,74 @@ def _rows(pts: Sequence[DyadicPoint], origin: Optional[DyadicPoint] = None):
     return [[x - y for x, y in zip(p.at_exp(e), o)] for p in pts], e
 
 
-def _det(rows: list) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination; 1 for the empty matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+def _eliminate(m: list, k: int) -> tuple[int, int]:
+    """Fraction-free Bareiss elimination, in place, over the first ``k``
+    columns of the integer rows ``m``, with row pivoting.
+
+    Returns ``(sign, pivot)``: the sign of the row swaps and the last pivot,
+    or pivot 0 when the first ``k`` columns have rank below ``k``.  Row
+    ``i < k`` then holds, from column ``i`` on, the order-``i + 1`` minors on
+    the pivot rows; a row ``i >= k`` holds, from column ``k`` on, the
+    order-``k + 1`` minors bordering the leading ones.  Entries left of the
+    diagonal are stale, not zeroed.
+    """
+    sign = prev = 1
+    rows = len(m)
+    for c in range(k):
+        piv = m[c][c] if c < rows else 0
+        if not piv:
+            for i in range(c + 1, rows):
+                if m[i][c]:
+                    m[c], m[i] = m[i], m[c]
                     sign = -sign
+                    piv = m[c][c]
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                return sign, 0
+        top = m[c]
+        for i in range(c + 1, rows):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+        prev = piv
+    return sign, prev
+
+
+def _det(rows: list) -> int:
+    """Determinant of a square integer matrix; 1 for the empty matrix."""
+    sign, piv = _eliminate([list(r) for r in rows], len(rows))
+    return sign * piv
 
 
 def _dot(u: list, v: list) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _gram(basis: list) -> list:
-    """Gram matrix of integer rows; its determinant is positive iff the rows
-    are independent."""
-    return [[_dot(u, v) for v in basis] for u in basis]
-
-
-def _gram_solve(basis: list, target: list):
+def _solve(basis: list, target: list):
     """Exact coordinates of the integer vector ``target`` in the independent
-    integer rows ``basis``, by Cramer's rule on the Gram system.
+    integer rows ``basis``, by elimination on ``[basis^T | target]``.
 
     Returns ``(nums, den)`` with ``den > 0`` and
     ``sum(nums[i] * basis[i]) == den * target``, or None when ``target`` is
-    off the span.  Raises ValueError when the rows are dependent.
+    off the span.  Raises ValueError when the rows are dependent.  ``den`` is
+    the leading minor and back substitution is fraction-free: by Cramer's
+    rule every ``nums[i]`` is an integer, so each division is exact.
     """
-    gram = _gram(basis)
-    rhs = [_dot(u, target) for u in basis]
-    den = _det(gram)
-    if den == 0:
+    k = len(basis)
+    m = [list(r) for r in zip(*basis, target)]
+    _, den = _eliminate(m, k)
+    if not den:
         raise ValueError("dependent basis vectors (degenerate simplex)")
-    nums = [
-        _det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)])
-        for i in range(len(basis))
-    ]
-    for d, t in enumerate(target):
-        if sum(c * u[d] for c, u in zip(nums, basis)) != den * t:
-            return None
+    if any(row[k] for row in m[k:]):
+        return None
+    nums = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        nums[i] = (den * row[k] - _dot(row[i + 1 : k], nums[i + 1 :])) // row[i]
+    if den < 0:
+        return [-x for x in nums], -den
     return nums, den
-
-
-def _cramer_contains(edges: list, det: int, offset: list) -> bool:
-    """True iff the integer vector ``offset`` lies in the closed simplex
-    spanned from the origin by the n square integer rows ``edges``, where
-    ``det == _det(edges)``.
-
-    By Cramer's rule the i-th barycentric coordinate is ``num_i / det``,
-    ``num_i`` being the determinant of ``edges`` with row i replaced by
-    ``offset``; the scan stops at the first numerator whose sign opposes
-    ``det`` and ends with ``det - sum(num_i)``, the origin's numerator.
-    Raises ValueError when ``det`` is 0 (degenerate simplex).
-    """
-    if det == 0:
-        raise ValueError("dependent basis vectors (degenerate simplex)")
-    neg = det < 0
-    rest = det
-    for i in range(len(edges)):
-        num = _det(edges[:i] + [offset] + edges[i + 1 :])
-        if num and (num < 0) != neg:
-            return False
-        rest -= num
-    return not rest or (rest < 0) == neg
 
 
 # --- predicates ---------------------------------------------------------------
@@ -266,7 +256,7 @@ def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
     """
     rows, _ = _rows([*simplex[1:], pt], simplex[0])
     target = rows.pop()
-    sol = _gram_solve(rows, target)
+    sol = _solve(rows, target)
     if sol is None:
         return None
     nums, den = sol

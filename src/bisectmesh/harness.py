@@ -21,7 +21,6 @@ from .exactgeom import (
 )
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
-from .meshio import mesh_hash
 from .refine import RefineRecord, refine
 
 
@@ -255,10 +254,6 @@ def compute_constants(tri: Triangulation) -> Constants:
 
 @dataclass
 class Trace:
-    mesh_hash: str
-    strategy: str
-    seed: Optional[int]
-    n: int
     initial_cells: int
     rows: list = field(default_factory=list)
     # row: (round, marked_cell, cells_added, cells_total, forest_nonroot, jump)
@@ -333,9 +328,8 @@ def run_sequence(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
-    n = forest.tarray(forest.roots[0]).dim
     rng = random.Random(seed)
-    trace = Trace(mesh_hash(tri), strategy, seed, n, len(tri.leaves))
+    trace = Trace(len(tri.leaves))
     leafbuf = list(tri.leaves)
     initial_volume = tri.total_volume()
     bisections = 0

@@ -36,6 +36,11 @@ class MeshFormatError(ValueError):
 
 _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
+# Largest accepted cell level and hyperlevel.  The constants build 2**level
+# and 4**hyperlevel exactly, so an unbounded value would stall them; the
+# engine's own runs stay below level 300.
+_MAX_LEVEL = 1 << 20
+
 
 def _point_to_json(p: DyadicPoint) -> list:
     return [[str(num), str(exp)] for num, exp in (_reduced(x, p.exp) for x in p.nums)]
@@ -164,10 +169,11 @@ def mesh_from_dict(doc: dict):
             raise MeshFormatError(f"{path}: repeated vertex")
         level = c.get("level", 0)
         hyper = c.get("hyperlevel", 0)
-        if not _is_int(level) or level < 0:
-            raise MeshFormatError(f"{path}.level: expected a non-negative integer")
-        if not _is_int(hyper) or hyper < 0:
-            raise MeshFormatError(f"{path}.hyperlevel: expected a non-negative integer")
+        for field, value in (("level", level), ("hyperlevel", hyper)):
+            if not _is_int(value) or value < 0:
+                raise MeshFormatError(f"{path}.{field}: expected a non-negative integer")
+            if value > _MAX_LEVEL:
+                raise MeshFormatError(f"{path}.{field}: {value} is above the limit {_MAX_LEVEL}")
         cells.append(
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )

@@ -13,7 +13,7 @@ from itertools import combinations
 from operator import le
 from typing import Optional
 
-from .exactgeom import _cramer_contains, _det
+from .exactgeom import _det, _solve
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -130,8 +130,9 @@ def check_conforming(tri: Triangulation) -> list[str]:
     Cost: one sort of the V leaf vertices by first coordinate, then per
     leaf a binary search for the vertices in the x-range of its bounding
     box, a box test on the other coordinates, and for each remaining
-    candidate an early-exit Cramer sign test (at most n determinants of
-    order n, the leaf's own determinant computed once).  That is
+    candidate one elimination that solves for its barycentric coordinates
+    (the leaf's edge rows built once, at its first candidate; a degenerate
+    leaf raises ValueError only when a vertex reaches it).  That is
     O(V log V + L log V + K) box work for L leaves and K vertices in
     x-ranges, against the O(V L) of testing every vertex in every leaf.
     Problems are listed by vertex in ``tri.vertex_index`` order, then by
@@ -159,8 +160,8 @@ def check_conforming(tri: Triangulation) -> list[str]:
                 continue
             if edges is None:
                 edges = [[x - y for x, y in zip(r, p0)] for r in others]
-                det = _det(edges)
-            if _cramer_contains(edges, det, [x - y for x, y in zip(rows[vid], p0)]):
+            nums, den = _solve(edges, [x - y for x, y in zip(rows[vid], p0)])
+            if min(nums) >= 0 and sum(nums) <= den:
                 hits.append((rank[vid], pos, vid, leaf))
     hits.sort()
     return [

@@ -19,10 +19,9 @@ from .exactgeom import (
     DyadicPoint,
     midpoint,
     simplex_volume,
-    _det,
-    _gram,
-    _gram_solve,
+    _eliminate,
     _rows,
+    _solve,
 )
 
 
@@ -241,7 +240,7 @@ class ChebyshevLattice:
         ValueError when the basis is dependent."""
         rows, _ = _rows([*self.basis, vector])
         target = rows.pop()
-        sol = _gram_solve(rows, target)
+        sol = _solve(rows, target)
         if sol is None:
             return None
         nums, den = sol
@@ -301,6 +300,7 @@ def lattice_of(s: TaggedSimplex, pool: VertexPool) -> ChebyshevLattice:
             half_diag = half_diag + e.half()
         new_edge = (pts[j + 1] - half_diag).scale_pow2(1)
         edges.append(new_edge)
-    if _det(_gram(_rows(edges)[0])) == 0:
+    rows, _ = _rows(edges)
+    if not _eliminate([list(col) for col in zip(*rows)], len(rows))[1]:
         raise ValueError("degenerate T-array has no lattice")
     return ChebyshevLattice(origin, edges, s.hyperlevel)

@@ -199,6 +199,21 @@ def test_out_of_contract_options_exit_1(square_path, argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--depth", "3"], "unrecognized arguments: --depth 3"),
+        (["check", "conforming", "--depth", "7"], "--depth applies to check sic only"),
+        (["check", "pc", "--depth", "2"], "--depth applies to check sic only"),
+    ],
+)
+def test_depth_outside_check_sic_exit_1(square_path, argv, message, capsys):
+    """``--depth`` changes only ``check sic``; elsewhere it is refused, not
+    silently ignored."""
+    assert main([*argv, "--mesh", square_path]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_check_sic_depth_0_exit_1(tmp_path, capsys):
     """Depth 0 checks no edge, so it must be refused, not read as the
     default or passed: the mesh fails at every depth from 1."""

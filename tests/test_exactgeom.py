@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bisectmesh.exactgeom import (
-    _cramer_contains,
     _det,
     _rows,
+    _solve,
     DyadicPoint,
     barycentric,
     diam_sq,
@@ -261,12 +261,10 @@ def _frac_det(rows):
     return det
 
 
-def _oracle_barycentric(pt, simplex):
-    """Cramer's rule over Fractions on the Gram system; "degenerate" for a
-    dependent simplex."""
-    p0 = simplex[0].as_fractions()
-    basis = [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
-    t = [x - y for x, y in zip(pt.as_fractions(), p0)]
+def _oracle_solve(basis, t):
+    """Cramer's rule over Fractions on the Gram system: the coefficients of
+    ``t`` in the rows ``basis``, None off their span, "degenerate" for
+    dependent rows."""
     dot = lambda u, v: sum(x * y for x, y in zip(u, v))
     gram = [[dot(u, v) for v in basis] for u in basis]
     rhs = [dot(u, t) for u in basis]
@@ -277,8 +275,20 @@ def _oracle_barycentric(pt, simplex):
         _frac_det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)]) / den
         for i in range(len(basis))
     ]
-    if [sum(c * u[d] for c, u in zip(sol, basis)) for d in range(len(t))] != t:
+    if [sum(c * u[d] for c, u in zip(sol, basis)) for d in range(len(t))] != list(t):
         return None
+    return sol
+
+
+def _oracle_barycentric(pt, simplex):
+    """Barycentric coordinates by :func:`_oracle_solve`; "degenerate" for a
+    dependent simplex."""
+    p0 = simplex[0].as_fractions()
+    basis = [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
+    t = [x - y for x, y in zip(pt.as_fractions(), p0)]
+    sol = _oracle_solve(basis, t)
+    if sol is None or sol == "degenerate":
+        return sol
     coords = [1 - sum(sol), *sol]
     return coords if all(c >= 0 for c in coords) else None
 
@@ -362,17 +372,66 @@ def placed_point(draw):
 
 
 @given(placed_point())
-def test_cramer_contains_matches_barycentric(case):
+def test_containment_sign_test_matches_oracle(case):
+    """``check_conforming``'s test: a vertex lies in a closed n-simplex iff
+    the solve of its offset in the edge rows has ``nums >= 0`` and
+    ``sum(nums) <= den``."""
     simplex, pt = case
     rows, _ = _rows([*simplex[1:], pt], simplex[0])
     offset = rows.pop()
-    det = _det(rows)
-    if det == 0:
-        for call in (
-            lambda: _cramer_contains(rows, det, offset),
-            lambda: barycentric(pt, simplex),
-        ):
-            with pytest.raises(ValueError):
-                call()
+    want = _oracle_barycentric(pt, simplex)
+    if want == "degenerate":
+        with pytest.raises(ValueError):
+            _solve(rows, offset)
     else:
-        assert _cramer_contains(rows, det, offset) == (barycentric(pt, simplex) is not None)
+        nums, den = _solve(rows, offset)
+        assert (min(nums) >= 0 and sum(nums) <= den) == (want is not None)
+
+
+@st.composite
+def basis_and_target(draw):
+    """k <= n + 1 integer rows in n-space, n <= 4, and a target drawn in
+    their span, anywhere, or against rows made dependent on purpose."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n + 1))
+    entries = st.integers(-6, 6) | st.integers(-(1 << 70), 1 << 70)
+    basis = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["span", "anywhere", "dependent"]))
+    if kind == "dependent" and k >= 1:
+        ws = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        basis[-1] = [sum(w * u[d] for w, u in zip(ws, basis)) for d in range(n)]
+    if kind == "span":
+        ws = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+        target = [sum(w * u[d] for w, u in zip(ws, basis)) for d in range(n)]
+    else:
+        target = draw(st.lists(entries, min_size=n, max_size=n))
+    return basis, target
+
+
+@given(basis_and_target())
+def test_solve_matches_gram_oracle(case):
+    basis, target = case
+    want = _oracle_solve(basis, target)
+    if want == "degenerate":
+        with pytest.raises(ValueError):
+            _solve(basis, target)
+    elif want is None:
+        assert _solve(basis, target) is None
+    else:
+        nums, den = _solve(basis, target)
+        assert den > 0
+        assert [sum(c * u[d] for c, u in zip(nums, basis)) for d in range(len(target))] == [
+            den * t for t in target
+        ]
+        assert [Fraction(c, den) for c in nums] == want
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+))
+def test_det_matches_fraction_elimination(rows):
+    assert _det(rows) == _frac_det(rows)

@@ -461,9 +461,7 @@ class TestRunSequence:
         tri = kuhn_square()
         consts = compute_constants(tri)
         trace = run_sequence(tri, "random-leaf", 10, seed=3)
-        forged = Trace(
-            trace.mesh_hash, trace.strategy, trace.seed, trace.n, trace.initial_cells
-        )
+        forged = Trace(trace.initial_cells)
         forged.rows = [list(r) for r in trace.rows]
         forged.rows[4] = tuple(
             [5, 0, 10**6, trace.initial_cells + 10**6, 2 * 10**6, 1]

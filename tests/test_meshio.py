@@ -193,6 +193,33 @@ def test_huge_exponent_loads_fast():
     assert len(tri.leaves) == 2
 
 
+def _triangle_doc(**cell):
+    return {
+        "dim": 2,
+        "vertices": [
+            [["0", "0"], ["0", "0"]],
+            [["1", "0"], ["0", "0"]],
+            [["1", "0"], ["1", "0"]],
+        ],
+        "cells": [{"horizontal": [0, 1, 2], "vertical": [], **cell}],
+    }
+
+
+@pytest.mark.parametrize("field", ["level", "hyperlevel"])
+def test_huge_level_rejected_fast(tmp_path, capsys, field):
+    """The constants build 2**level and 4**hyperlevel exactly, so a level
+    of 10**9 would stall ``constants`` and ``bdv-run`` before any range
+    check; the loader refuses levels above 2**20."""
+    for argv in (["constants"], ["bdv-run", "-N", "1"]):
+        start = time.perf_counter()
+        assert _exit_code_of(tmp_path, _triangle_doc(**{field: 10**9}), argv) == 1
+        assert time.perf_counter() - start < 1
+        assert f"cells[0].{field}: " in capsys.readouterr().err
+    mesh_from_dict(_triangle_doc(**{field: 1 << 20}))
+    with pytest.raises(MeshFormatError, match=re.escape(f"cells[0].{field}: ")):
+        mesh_from_dict(_triangle_doc(**{field: (1 << 20) + 1}))
+
+
 def golden_mesh():
     """A Kuhn 3-cube shifted by a dyadic offset, refined to about 300
     leaves, with a marking and a partition."""

@@ -170,7 +170,7 @@ class TestCheckConforming:
 
 def reference_check_conforming(tri):
     """All-pairs hanging-node scan: every leaf vertex against every leaf's
-    bounding box, then the Gram/Cramer ``barycentric``."""
+    bounding box, then the exact ``barycentric``."""
     forest = tri.forest
     pool = forest.pool
     problems = []
