@@ -13,10 +13,8 @@ from .exactgeom import barycentric
 from .forest import Triangulation, overlay as overlay_tris
 from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
-    MarkingError,
     VertexPartition,
     agk_init,
-    barycentre_marking,
     check_isocochange,
     check_pc,
     check_retaco,
@@ -24,7 +22,7 @@ from .inittags import (
     check_sic,
     initial_division,
 )
-from .meshio import MeshFormatError, read_mesh, write_mesh
+from .meshio import read_mesh, write_mesh
 from .pilegame import play
 from .refine import (
     RefinementError,
@@ -38,23 +36,6 @@ from .refine import (
 EXIT_OK, EXIT_INVALID, EXIT_VERIFY, EXIT_REFINE = 0, 1, 2, 3
 
 
-def _load(path):
-    try:
-        return read_mesh(path)
-    except (MeshFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
-def _load_constants(path):
-    tri, _, _ = _load(path)
-    try:
-        return tri, compute_constants(tri)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
-
-
 def _save(args, tri):
     if args.out:
         write_mesh(args.out, tri)
@@ -63,33 +44,30 @@ def _save(args, tri):
         print(f"result: {len(tri.leaves)} cells (no --out given, not saved)")
 
 
+def _emit_csv(args, lines):
+    """Write CSV ``lines`` to ``--out``, or print them."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        print(f"wrote {args.out}")
+    else:
+        print("\n".join(lines))
+
+
 def _cmd_init_division(args):
-    tri, marking, _ = _load(args.mesh)
-    pool = tri.forest.pool
+    tri, marking, _ = read_mesh(args.mesh)
     cells = [t.vertex_ids for t in tri.cells()]
-    try:
-        marking = marking or barycentre_marking(pool, cells)
-        out = initial_division(pool, cells, marking)
-    except MarkingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    _save(args, out)
+    _save(args, initial_division(tri.forest.pool, cells, marking))
     return EXIT_OK
 
 
 def _cmd_agk_init(args):
-    tri, _, partition = _load(args.mesh)
-    pool = tri.forest.pool
+    tri, _, partition = read_mesh(args.mesh)
     cells = [t.vertex_ids for t in tri.cells()]
     if partition is None:
         vertices = frozenset(v for c in cells for v in c)
         partition = VertexPartition(v0=frozenset(), v1=vertices)
-    try:
-        out = agk_init(pool, cells, partition)
-    except MarkingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    _save(args, out)
+    _save(args, agk_init(tri.forest.pool, cells, partition))
     return EXIT_OK
 
 
@@ -105,9 +83,8 @@ _CHECKS = {
 
 def _cmd_check(args):
     if args.depth is not None and args.what != "sic":
-        print(f"error: --depth applies to check sic only, not {args.what}", file=sys.stderr)
-        return EXIT_INVALID
-    tri, _, _ = _load(args.mesh)
+        raise ValueError(f"--depth applies to check sic only, not {args.what}")
+    tri, _, _ = read_mesh(args.mesh)
     checker = _CHECKS[args.what]
     problems = checker(tri, args.depth) if args.what == "sic" else checker(tri)
     if problems:
@@ -120,33 +97,24 @@ def _cmd_check(args):
 
 
 def _cmd_refine(args):
-    tri, _, _ = _load(args.mesh)
+    tri, _, _ = read_mesh(args.mesh)
     leaves = sorted(tri.leaves)
     if not 0 <= args.cell < len(leaves):
-        print(f"error: cell index {args.cell} out of range", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        refine(tri, leaves[args.cell])
-    except RefinementError as exc:
-        print(f"refinement failed: {exc}", file=sys.stderr)
-        return EXIT_REFINE
+        raise ValueError(f"cell index {args.cell} out of range")
+    refine(tri, leaves[args.cell])
     _save(args, tri)
     return EXIT_OK
 
 
 def _cmd_sweep(args, fn, **kw):
-    tri, _, _ = _load(args.mesh)
-    try:
-        fn(tri, **kw)
-    except RefinementError as exc:
-        print(f"refinement failed: {exc}", file=sys.stderr)
-        return EXIT_REFINE
+    tri, _, _ = read_mesh(args.mesh)
+    fn(tri, **kw)
     _save(args, tri)
     return EXIT_OK
 
 
 def _cmd_constants(args):
-    _, consts = _load_constants(args.mesh)
+    consts = compute_constants(read_mesh(args.mesh)[0])
     print(f"n = {consts.n}")
     print(f"d = {consts.d}")
     if consts.D_squared is not None:
@@ -166,22 +134,13 @@ def _cmd_constants(args):
 
 
 def _cmd_bdv_run(args):
-    tri, consts = _load_constants(args.mesh)
-    try:
-        trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
-    except RefinementError as exc:
-        print(f"refinement failed: {exc}", file=sys.stderr)
-        return EXIT_REFINE
+    tri, _, _ = read_mesh(args.mesh)
+    consts = compute_constants(tri)
+    trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
     mode = args.mode or "sic"
     problems = verify_bdv(trace, consts, mode)
     bound = consts.C_sic if mode == "sic" else consts.C_iso
-    lines = trace.csv_lines(bound)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print("\n".join(lines))
+    _emit_csv(args, trace.csv_lines(bound))
     grown = trace.final_cells - trace.initial_cells
     print(
         f"# strategy={args.strategy} rounds={trace.rounds} grown={grown} "
@@ -197,13 +156,7 @@ def _cmd_bdv_run(args):
 
 def _cmd_pile_game(args):
     trace = play(args.strategy, args.rounds, args.seed)
-    lines = trace.csv_lines()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print("\n".join(lines))
+    _emit_csv(args, trace.csv_lines())
     total = trace.total_added
     print(f"# total added {total} <= 4N = {4 * args.rounds}: {total <= 4 * args.rounds}")
     return EXIT_OK if total <= 4 * args.rounds else EXIT_VERIFY
@@ -247,8 +200,8 @@ def _embed_refinement(base: Triangulation, other: Triangulation):
 
 
 def _cmd_overlay(args):
-    tri_a, _, _ = _load(args.mesh)
-    tri_b, _, _ = _load(args.mesh2)
+    tri_a, _, _ = read_mesh(args.mesh)
+    tri_b, _, _ = read_mesh(args.mesh2)
     # A loaded mesh's cells are the roots of its forest, so only the finer
     # mesh embeds into the coarser one: try both orders.
     mapped = _embed_refinement(tri_a, tri_b)
@@ -256,11 +209,7 @@ def _cmd_overlay(args):
         tri_a, tri_b = tri_b, tri_a
         mapped = _embed_refinement(tri_a, tri_b)
     if mapped is None:
-        print(
-            "error: meshes are not refinements of one common initial mesh",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+        raise ValueError("meshes are not refinements of one common initial mesh")
     other = Triangulation(tri_a.forest, mapped)
     out = overlay_tris(tri_a, other)
     _save(args, out)
@@ -335,10 +284,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_INVALID
+    # The one place that turns a failure into an exit code.  Anything else,
+    # such as a SequenceError (an AssertionError), stays a traceback.
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except RefinementError as exc:
+        print(f"refinement failed: {exc}", file=sys.stderr)
+        return EXIT_REFINE
+    except (ValueError, OSError) as exc:
+        # MeshFormatError, MarkingError and compute_constants' float-range
+        # error are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .exactgeom import (
 )
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
-from .refine import RefineRecord, refine
+from .refine import max_jump, refine
 
 
 def unit_ball_volume(m: int) -> float:
@@ -356,14 +356,13 @@ def run_sequence(
 
     for rnd in range(1, n_rounds + 1):
         marked = pick()
-        rec = RefineRecord()
-        refine(tri, marked, record=rec)
+        log = refine(tri, marked)
         last_created = []
         # bisections first: a broken one can leave a hanging node behind
-        for node_id, _ in rec.bisections:
+        for node_id, _ in log:
             if not _bisects(forest, node_id):
                 raise SequenceError(f"round {rnd}: children do not partition cell {node_id}")
-        for node_id, _ in rec.bisections:
+        for node_id, _ in log:
             c1, c2 = forest.nodes[node_id].children
             edge = refinement_edge(forest.tarray(node_id))
             if edge in tri.edge_index:
@@ -373,13 +372,13 @@ def run_sequence(
                 )
             leafbuf.extend((c1, c2))
             last_created.extend((c1, c2))
-        bisections += rec.cells_added
+        bisections += len(log)
         cells_total = len(tri.leaves)
         nonroot = 2 * bisections
         if cells_total - trace.initial_cells != bisections:
             raise SequenceError(f"round {rnd}: counting identity broken")
         trace.rows.append(
-            (rnd, marked, rec.cells_added, cells_total, nonroot, rec.max_jump(forest))
+            (rnd, marked, len(log), cells_total, nonroot, max_jump(forest, log))
         )
     _full_invariants(tri, initial_volume, bisections)
     return trace

@@ -41,6 +41,12 @@ _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 # engine's own runs stay below level 300.
 _MAX_LEVEL = 1 << 20
 
+# Largest accepted coordinate exponent.  Loading brings a point's
+# coordinates to one exponent and the checks bring every vertex to one, so
+# an unbounded exponent would build integers of that many bits; the
+# engine's own meshes stay near exponent 118 (adapt-deep, level 235).
+_MAX_EXP = 1 << 16
+
 
 def _point_to_json(p: DyadicPoint) -> list:
     return [[str(num), str(exp)] for num, exp in (_reduced(x, p.exp) for x in p.nums)]
@@ -66,6 +72,8 @@ def _dyadic_from_json(obj, path: str) -> tuple[int, int]:
     num, exp = _int_from_text(obj[0], path), _int_from_text(obj[1], path)
     if exp < 0:
         raise MeshFormatError(f"{path}: negative exponent")
+    if exp > _MAX_EXP:
+        raise MeshFormatError(f"{path}: exponent {exp} is above the limit {_MAX_EXP}")
     if num == 0 and exp != 0:
         raise MeshFormatError(f"{path}: zero must be encoded as [\"0\",\"0\"]")
     if num % 2 == 0 and num != 0 and exp != 0:
@@ -231,10 +239,12 @@ def write_mesh(path, tri: Triangulation, marking=None, partition=None):
 
 
 def read_mesh(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the digit limit of int()
+        # are ValueErrors; deep nesting exhausts the decoder's recursion
+        except (ValueError, RecursionError) as exc:
             raise MeshFormatError(f"malformed JSON: {exc}") from exc
     return mesh_from_dict(doc)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
-from typing import Optional
 
 from .exactgeom import _det, _solve
 from .tarray import refinement_edge, restrict
@@ -23,42 +22,15 @@ class RefinementError(RuntimeError):
     (a pairwise-compatibility violation on a hand-made tagging)."""
 
 
-class RefineRecord:
-    """Bisection log of one refinement round, for bound measurements.
-
-    ``bisections`` holds ``(node_id, origin_leaf_id)`` pairs where the origin
-    is the leaf of the round's input triangulation whose subtree the
-    bisection happened in.
-    """
-
-    def __init__(self):
-        self.bisections: list[tuple[int, int]] = []
-
-    @property
-    def cells_added(self) -> int:
-        return len(self.bisections)
-
-    def max_jump(self, forest) -> int:
-        """Largest level increase any input leaf suffered this round."""
-        best = 0
-        for node_id, origin in self.bisections:
-            jump = forest.tarray(node_id).level + 1 - forest.tarray(origin).level
-            if jump > best:
-                best = jump
-        return best
-
-
-def refine(
-    tri: Triangulation,
-    target: int,
-    record: Optional[RefineRecord] = None,
-) -> Triangulation:
+def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
     """Refine ``tri`` in place so it becomes strictly finer than the leaf
-    ``target``; returns ``tri``.
+    ``target``; returns the bisection log.
 
-    A guard bounds the closure work in this round (``64 * dim * #cells``
-    loop steps) and turns a non-refineable tagging into a
-    :class:`RefinementError` instead of divergence.
+    The log holds ``(node_id, origin_leaf_id)`` pairs in bisection order,
+    where the origin is the leaf of the input triangulation whose subtree
+    the bisection happened in.  A guard bounds the closure work in this
+    round (``64 * dim * #cells`` loop steps) and turns a non-refineable
+    tagging into a :class:`RefinementError` instead of divergence.
     """
     if target not in tri.leaves:
         raise ValueError(f"node {target} is not a leaf")
@@ -66,6 +38,7 @@ def refine(
     dim = forest.tarray(target).dim
     budget = 64 * dim * len(tri.leaves)
     origin: dict[int, int] = {}
+    bisections: list[tuple[int, int]] = []
     stack = [target]
     while stack:
         if budget == 0:
@@ -95,10 +68,21 @@ def refine(
             src = origin.get(u, u)
             c1, c2 = tri.bisect_leaf(u)
             origin[c1] = origin[c2] = src
-            if record is not None:
-                record.bisections.append((u, src))
+            bisections.append((u, src))
         stack.pop()
-    return tri
+    return bisections
+
+
+def max_jump(forest, bisections: list[tuple[int, int]]) -> int:
+    """Largest level increase any input leaf suffered in one :func:`refine`
+    round, from the bisection log it returned."""
+    return max(
+        (
+            forest.tarray(node_id).level + 1 - forest.tarray(origin).level
+            for node_id, origin in bisections
+        ),
+        default=0,
+    )
 
 
 def _vertex_rows(tri: Triangulation) -> dict:

@@ -21,9 +21,9 @@ from bisectmesh.inittags import (
 )
 from bisectmesh.pilegame import Pile, _tower_moves, play
 from bisectmesh.refine import (
-    RefineRecord,
     check_conforming,
     check_conforming_2d_exact,
+    max_jump,
     quasi_uniform_refine,
     refine,
 )
@@ -272,9 +272,8 @@ def test_c09_gss_bound():
         for _ in range(seqs):
             tri = kuhn_square() if n == 2 else kuhn_cube_mesh(n)
             for _ in range(rounds):
-                rec = RefineRecord()
-                refine(tri, rng.choice(sorted(tri.leaves)), record=rec)
-                worst[n] = max(worst[n], rec.max_jump(tri.forest))
+                log = refine(tri, rng.choice(sorted(tri.leaves)))
+                worst[n] = max(worst[n], max_jump(tri.forest, log))
     bounded = all(worst[n] <= 2 * n for n in worst)
 
     # the four-bisection chain: terminal array frozen from the bisection rule

@@ -1,6 +1,8 @@
 import json
 import random
+import time
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -456,3 +458,55 @@ def test_constants_outside_float_range_exit_1(argv, exp, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_exponent_above_limit_exit_1_fast(tmp_path, capsys):
+    """An exponent of 10**8 would make every vertex a 10**8-bit integer
+    row; the loader refuses it before any shift."""
+    path = flat_square(tmp_path, 10**8)
+    for argv in (["check", "conforming"], ["constants"], ["bdv-run"]):
+        start = time.perf_counter()
+        assert main([*argv, "--mesh", path]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: vertices[2][1]: exponent ")
+
+
+def _untagged_path(tmp_path):
+    pool, cells, _ = tripled_triangle_pair()
+    path = tmp_path / "untagged.json"
+    write_mesh(path, Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["refine", "--mesh", "SQUARE", "--cell", "0"],
+        ["uniform", "--mesh", "SQUARE"],
+        ["hyper-uniform", "--mesh", "SQUARE", "--depth", "1"],
+        ["quasi-uniform", "--mesh", "SQUARE"],
+        ["init-division", "--mesh", "UNTAGGED"],
+        ["agk-init", "--mesh", "UNTAGGED"],
+        ["overlay", "--mesh", "SQUARE", "--mesh2", "SQUARE"],
+        ["bdv-run", "--mesh", "SQUARE", "-N", "3"],
+        ["pile-game", "-N", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_in_missing_directory_exit_1(argv, square_path, tmp_path, capsys):
+    paths = {"SQUARE": square_path, "UNTAGGED": _untagged_path(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_constants_too_long_to_print_exit_1(tmp_path, capsys):
+    """The unit square with vertex (1, 0) moved to (1, 2**-16384) is valid,
+    but its exact volume floor d has a denominator past the interpreter's
+    4300-digit limit for printing."""
+    path = Path(flat_square(tmp_path, 0))
+    doc = json.loads(path.read_text())
+    doc["vertices"][1] = [["1", "0"], ["1", "16384"]]
+    path.write_text(json.dumps(doc))
+    assert main(["constants", "--mesh", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

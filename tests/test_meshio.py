@@ -183,14 +183,28 @@ def test_noncanonical_marking_type_rejected(tmp_path, capsys):
 
 
 def test_huge_exponent_loads_fast():
-    """The zero-volume check is a sign test: no Fraction of a
-    million-bit determinant is reduced."""
+    """The zero-volume check is a sign test: no Fraction of a determinant
+    at the largest accepted exponent, 2**16, is reduced."""
     doc = _unit_square_doc()
-    doc["vertices"][2] = [["1", "0"], ["1", "1000000"]]
+    doc["vertices"][2] = [["1", "0"], ["1", str(1 << 16)]]
     start = time.perf_counter()
     tri, _, _ = mesh_from_dict(doc)
     assert time.perf_counter() - start < 0.5
     assert len(tri.leaves) == 2
+
+
+@pytest.mark.parametrize("exp", [(1 << 16) + 1, 10**6])
+def test_exponent_above_limit_rejected(exp):
+    """Loading shifts numerators to a point's largest exponent, so the
+    limit is checked on each pair before any shift."""
+    doc = _unit_square_doc()
+    doc["vertices"][2] = [["1", "0"], ["1", str(exp)]]
+    with pytest.raises(MeshFormatError, match=re.escape(f"vertices[2][1]: exponent {exp}")):
+        mesh_from_dict(doc)
+    doc = _unit_square_doc()
+    doc["marking"] = {"2": [[["1", "1"], ["1", str(exp)]]]}
+    with pytest.raises(MeshFormatError, match=re.escape(f"marking.2[0][1]: exponent {exp}")):
+        mesh_from_dict(doc)
 
 
 def _triangle_doc(**cell):
@@ -320,3 +334,23 @@ def test_json_booleans_rejected_as_integers(tmp_path, capsys, path, edit):
         mesh_from_dict(doc)
     assert _exit_code_of(tmp_path, doc, ["uniform"]) == 1
     assert path in capsys.readouterr().err
+
+
+UNREADABLE = {
+    "non-utf-8": b'{"dim": 2, "vertices": ["\xff"]}',
+    "deep-nesting": b"[" * 200_000,
+    "digit-limit": b'{"dim": 1' + b"0" * 4999 + b', "vertices": [], "cells": []}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_file_is_malformed_json(tmp_path, capsys, kind):
+    """The decoder's own failures are format errors like any other."""
+    from bisectmesh.cli import main
+
+    path = tmp_path / "mesh.json"
+    path.write_bytes(UNREADABLE[kind])
+    with pytest.raises(MeshFormatError, match="^malformed JSON: "):
+        read_mesh(path)
+    assert main(["check", "conforming", "--mesh", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed JSON")

@@ -9,10 +9,10 @@ from bisectmesh.exactgeom import barycentric, orientation
 from bisectmesh.forest import verify_forest_characterisation
 from bisectmesh.refine import (
     RefinementError,
-    RefineRecord,
     check_conforming,
     check_conforming_2d_exact,
     hyperlevel_uniform_refine,
+    max_jump,
     quasi_uniform_refine,
     refine,
     uniform_refine,
@@ -416,18 +416,16 @@ def test_sweeps_give_up_after_guard_rounds(monkeypatch):
 
 class TestGss:
     def test_compatible_patch_jump_one(self, square):
-        rec = RefineRecord()
-        refine(square, min(square.leaves), record=rec)
-        assert rec.max_jump(square.forest) == 1
+        log = refine(square, min(square.leaves))
+        assert max_jump(square.forest, log) == 1
 
     def test_staircase_jump_stays_at_two(self):
         tri = staircase_mesh(10)
         deep = max(
             tri.leaves, key=lambda nid: (tri.forest.tarray(nid).level, -nid)
         )
-        rec = RefineRecord()
-        refine(tri, deep, record=rec)
-        assert rec.max_jump(tri.forest) <= 4  # 2n
+        log = refine(tri, deep)
+        assert max_jump(tri.forest, log) <= 4  # 2n
 
     def test_chain_of_four_in_3d(self):
         """Bisecting the vertical edge (c, d) of (a b; c; d), as a neighbour
@@ -462,7 +460,6 @@ class TestGss:
             tri = kuhn_square() if n == 2 else kuhn_cube_mesh(n)
             worst = 0
             for _ in range(rounds):
-                rec = RefineRecord()
-                refine(tri, rng.choice(sorted(tri.leaves)), record=rec)
-                worst = max(worst, rec.max_jump(tri.forest))
+                log = refine(tri, rng.choice(sorted(tri.leaves)))
+                worst = max(worst, max_jump(tri.forest, log))
             assert worst <= 2 * n
