@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from fractions import Fraction
 
-from .exactgeom import barycentric
+from .exactgeom import barycentric, decimal_text
 from .forest import Triangulation, overlay as overlay_tris
 from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
@@ -113,23 +115,31 @@ def _cmd_sweep(args, fn, **kw):
     return EXIT_OK
 
 
+def _exact(q: Fraction) -> str:
+    """``str(q)``, of any length."""
+    num = decimal_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{decimal_text(q.denominator)}"
+
+
 def _cmd_constants(args):
     consts = compute_constants(read_mesh(args.mesh)[0])
-    print(f"n = {consts.n}")
-    print(f"d = {consts.d}")
     if consts.D_squared is not None:
-        print(f"D = {consts.D:.15g} (D^2 = {consts.D_squared})")
+        ceiling = f"D = {consts.D:.15g} (D^2 = {_exact(consts.D_squared)})"
     else:
-        print(f"D = {consts.D:.15g} (D^(2n) = {consts.D_pow_2n})")
-    print(f"C_sic <= {consts.C_sic:.15g}")
-    print(f"d_iso = {consts.d_iso}")
-    print(f"D_iso = {consts.D_iso:.15g} (D_iso^2 = {consts.D_iso_squared})")
-    print(f"C_iso <= {consts.C_iso:.15g}")
-    print(f"bound: #T_N <= {consts.first_summand_factor} #T_0 + C_iso N (h0 = {consts.h0})")
-    print(
+        ceiling = f"D = {consts.D:.15g} (D^(2n) = {_exact(consts.D_pow_2n)})"
+    # the whole report is formatted before its first line is printed
+    print("\n".join([
+        f"n = {consts.n}",
+        f"d = {_exact(consts.d)}",
+        ceiling,
+        f"C_sic <= {consts.C_sic:.15g}",
+        f"d_iso = {_exact(consts.d_iso)}",
+        f"D_iso = {consts.D_iso:.15g} (D_iso^2 = {_exact(consts.D_iso_squared)})",
+        f"C_iso <= {consts.C_iso:.15g}",
+        f"bound: #T_N <= {consts.first_summand_factor} #T_0 + C_iso N (h0 = {consts.h0})",
         f"certificate: {consts.classes} shape classes in {consts.generations} "
-        f"generations, settled = {consts.settled}"
-    )
+        f"generations, settled = {consts.settled}",
+    ]))
     return EXIT_OK if consts.settled else EXIT_VERIFY
 
 
@@ -216,6 +226,18 @@ def _cmd_overlay(args):
     return EXIT_OK
 
 
+def _check_out(path: str):
+    """Raise ValueError naming ``--out`` when ``path`` is a directory or its
+    directory is missing or not writable; checked before any work is done."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: directory {folder} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"--out {path}: directory {folder} is not writable")
+
+
 def _int_at_least(lo: int):
     """argparse type for an integer option with lower bound ``lo``."""
 
@@ -287,6 +309,8 @@ def main(argv=None) -> int:
     # The one place that turns a failure into an exit code.  Anything else,
     # such as a SequenceError (an AssertionError), stays a traceback.
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except RefinementError as exc:
         print(f"refinement failed: {exc}", file=sys.stderr)

@@ -10,12 +10,14 @@ Bareiss elimination serves every linear-algebra question: determinants, the
 solve of a vector in the span of k rows (off-span and dependence tests
 included) and, through the signs of that solve, containment in a simplex.
 Results that leave the dyadics (volumes, barycentric coordinates) are
-returned as ``fractions.Fraction``; floats appear only in reporting.
+returned as ``fractions.Fraction``; floats appear only in reporting, and
+:func:`decimal_text` prints exact integers of any length.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -233,11 +235,27 @@ def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
 
     A degenerate simplex yields volume 0; that is a valid return value.
     """
-    n = len(vertices) - 1
-    if n == 0:
-        return Fraction(0)
-    rows, e = _edge_rows(vertices)
-    return Fraction(abs(_det(rows)), (1 << (n * e)) * math.factorial(n))
+    return volume_sum([vertices])
+
+
+def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
+    """Exact total volume of n-simplices, each given by its n+1 vertices
+    (0 for none, and for 0-simplices).
+
+    One integer sum: every ``|det|`` is shifted to the largest exponent met
+    so far (the sum is shifted up when a larger one arrives), and the one
+    division comes at the end.
+    """
+    total = top = n = 0
+    for vertices in simplices:
+        n = len(vertices) - 1
+        rows, e = _edge_rows(vertices)
+        e *= n
+        if e > top:
+            total <<= e - top
+            top = e
+        total += abs(_det(rows)) << (top - e)
+    return Fraction(total, (1 << top) * math.factorial(n)) if n else Fraction(0)
 
 
 def orientation(vertices: Sequence[DyadicPoint]) -> int:
@@ -288,3 +306,28 @@ def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
     the points (0 for fewer than two)."""
     rows, e = _rows(pts)
     return Fraction(_max_gap_sq(rows), 1 << (2 * e))
+
+
+# --- printing -----------------------------------------------------------------
+
+
+def decimal_text(x: int) -> str:
+    """``str(x)`` for an integer of any length.
+
+    Below the interpreter's digit limit for ``str`` this is ``str(x)``.
+    Past it, divide and conquer (Brent and Zimmermann, *Modern Computer
+    Arithmetic*, 2010, section 1.7): ``divmod`` by ``10**k``, with k about
+    half the digits, splits ``x`` into a high part and a low part that is
+    zero-padded to k digits, until every part is below the limit.  The
+    process-wide limit itself is left alone.
+    """
+    # 0 means no limit; interpreters without the limit have no getter
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # b bits make at most b log10(2) + 1 < b / 3 + 1 digits
+    if not limit or x.bit_length() <= 3 * limit:
+        return str(x)
+    if x < 0:
+        return "-" + decimal_text(-x)
+    k = x.bit_length() * 3 // 20  # about half of the b log10(2) digits
+    high, low = divmod(x, 10**k)
+    return decimal_text(high) + decimal_text(low).zfill(k)

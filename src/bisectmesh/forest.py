@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .tarray import TaggedSimplex, VertexPool, bisect
+from .tarray import TaggedSimplex, VertexPool, bisect, total_volume
 
 
 class Node:
@@ -31,7 +31,8 @@ class Forest:
 
     Roots are the initial cells.  ``ensure_children`` memoises bisection, so
     every admissible simplex is represented by at most one node.  It holds
-    no geometry: volumes come from :meth:`TaggedSimplex.volume`.
+    no geometry: volumes come from :mod:`tarray` (:meth:`TaggedSimplex.volume`
+    and :func:`~bisectmesh.tarray.total_volume`).
     """
 
     def __init__(self, pool: VertexPool):
@@ -149,7 +150,8 @@ class Triangulation:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]
 
     def total_volume(self) -> Fraction:
-        return sum((t.volume(self.forest.pool) for t in self.cells()), Fraction(0))
+        forest = self.forest
+        return total_volume((forest.tarray(nid) for nid in self.leaves), forest.pool)
 
     def node_set(self) -> frozenset:
         return self.forest.forest_of(self.leaves)

@@ -10,6 +10,7 @@ so a reported violation is never a rounding artefact.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -298,6 +299,53 @@ def _pick_random(rng, leafbuf, leaves):
         leafbuf.pop()
 
 
+class _LevelQueue:
+    """The live leaves in buckets by level, each a min-heap of node ids: a
+    bucket queue (Dial, CACM 12, 1969) for the deepest and the shallowest
+    leaf, lowest id first.
+
+    Deletion is lazy: an id that is no longer in ``leaves`` is dropped when
+    it reaches the top of its heap.  Every child is pushed, and bisection
+    replaces a leaf by two leaves one level deeper, so the lowest and the
+    highest occupied levels never go down: ``lo`` and ``hi`` only move up,
+    and the bucket at ``hi`` always holds a live leaf.
+    """
+
+    def __init__(self, forest, leaves: set):
+        self.forest = forest
+        self.leaves = leaves
+        self.buckets: dict[int, list[int]] = {}
+        for nid in leaves:
+            self.buckets.setdefault(forest.tarray(nid).level, []).append(nid)
+        for heap in self.buckets.values():
+            heapq.heapify(heap)
+        self.lo = min(self.buckets)
+        self.hi = max(self.buckets)
+
+    def push(self, nid: int):
+        level = self.forest.tarray(nid).level
+        heapq.heappush(self.buckets.setdefault(level, []), nid)
+        if level > self.hi:
+            self.hi = level
+
+    def _first(self, level: int) -> Optional[int]:
+        """The lowest live id of the level, or None."""
+        heap = self.buckets.get(level)
+        while heap and heap[0] not in self.leaves:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def shallowest(self) -> int:
+        """The leaf minimising ``(level, nid)``."""
+        while (nid := self._first(self.lo)) is None:
+            self.lo += 1
+        return nid
+
+    def deepest(self) -> int:
+        """The leaf maximising ``(level, -nid)``."""
+        return self._first(self.hi)
+
+
 def run_sequence(
     tri: Triangulation,
     strategy: str,
@@ -315,22 +363,39 @@ def run_sequence(
     parent into the two children, and moving ``a`` (or ``b``) to ``m`` halves
     its height over the opposite facet.  Unlike a volume sum, it rejects an
     off-centre point on the edge, a duplicated half, and a correct bisection
-    of another edge.  The total volume is still checked at the end.
+    of another edge.
+
+    The total volume is still checked at the end, as one integer sum of
+    the leaves' determinants at the largest exponent (see
+    :func:`~bisectmesh.exactgeom.volume_sum`).
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,
     and a midpoint hangs exactly when its bisected edge still occurs in the
-    edge index.  Strategies: ``random-leaf``, ``max-level-leaf``,
-    ``staircase-adversary`` (lowest-level neighbour of the previous round's
-    new cells), ``quasitower-adversary`` (alternating deep and shallow
-    picks); :data:`STRATEGIES` lists them.
+    edge index.  Strategies: ``random-leaf``, ``max-level-leaf`` (deepest
+    leaf), ``staircase-adversary`` (lowest-level neighbour of the previous
+    round's new cells; the lowest-level leaf when there are none),
+    ``quasitower-adversary`` (deepest leaf, and the lowest-level leaf every
+    fourth round); :data:`STRATEGIES` lists them.  Ties go to the lowest
+    node id, and this order is part of the CSV contract.
+
+    A round costs its own bisections and checks, plus O(log) for the pick:
+    the deep and shallow picks read a :class:`_LevelQueue` kept up to date
+    from the bisection log, ``random-leaf`` a list of the leaves it has
+    seen, and the staircase pick scans only the previous round's
+    neighbours.  No pick scans the mesh.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
     rng = random.Random(seed)
     trace = Trace(len(tri.leaves))
-    leafbuf = list(tri.leaves)
+    if strategy == "random-leaf":
+        leafbuf = list(tri.leaves)
+        born = leafbuf.append
+    else:
+        queue = _LevelQueue(forest, tri.leaves)
+        born = queue.push
     initial_volume = tri.total_volume()
     bisections = 0
     last_created: list[int] = []
@@ -339,7 +404,7 @@ def run_sequence(
         if strategy == "random-leaf":
             return _pick_random(rng, leafbuf, tri.leaves)
         if strategy == "max-level-leaf":
-            return max(tri.leaves, key=lambda nid: (forest.tarray(nid).level, -nid))
+            return queue.deepest()
         if strategy == "staircase-adversary":
             cand = set()
             for nid in last_created:
@@ -347,12 +412,12 @@ def run_sequence(
                     cand.update(tri.vertex_index.get(v, ()))
             cand &= tri.leaves
             if not cand:
-                cand = tri.leaves
+                return queue.shallowest()
             return min(cand, key=lambda nid: (forest.tarray(nid).level, nid))
         # quasitower-adversary
         if trace.rounds % 4 == 3:
-            return min(tri.leaves, key=lambda nid: (forest.tarray(nid).level, nid))
-        return max(tri.leaves, key=lambda nid: (forest.tarray(nid).level, -nid))
+            return queue.shallowest()
+        return queue.deepest()
 
     for rnd in range(1, n_rounds + 1):
         marked = pick()
@@ -370,7 +435,8 @@ def run_sequence(
                     f"round {rnd}: bisected edge {set(edge)} still carried "
                     "by a leaf (hanging node)"
                 )
-            leafbuf.extend((c1, c2))
+            born(c1)
+            born(c2)
             last_created.extend((c1, c2))
         bisections += len(log)
         cells_total = len(tri.leaves)
@@ -407,31 +473,28 @@ def _full_invariants(tri: Triangulation, initial_volume: Fraction, bisections: i
         raise SequenceError(f"counting identity violated: {a}, {b}, {c}, {bisections}")
 
 
-def upper_bound_int(constant: float, k: int) -> int:
-    """ceil(constant * k) with the product rounded upwards, so an exact count
-    comparing <= against it can never be falsely flagged."""
-    safe = Fraction(constant) * (1 + Fraction(1, 10**9)) * k
-    return math.ceil(safe)
-
-
 def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:
     """Check the closure estimate for every prefix of the trace.
 
     ``sic``: #T_k - #T_0 <= C_sic k.  ``iso``: #T_k - #T_0 <=
     (factor - 1) #T_0 + C_iso k.  Returns violations (empty = pass).
+
+    The constant C is rounded up once, to the exact ``C (1 + 10**-9)``, and
+    each round's bound is the integer ``ceil(C (1 + 10**-9) k)``, so an
+    exact count comparing <= against it can never be falsely flagged.
     """
+    if mode == "sic":
+        constant, first = constants.C_sic, 0
+    elif mode == "iso":
+        constant = constants.C_iso
+        first = (constants.first_summand_factor - 1) * trace.initial_cells
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    num, den = (Fraction(constant) * (1 + Fraction(1, 10**9))).as_integer_ratio()
     problems = []
     for rnd, _, _, total, _, _ in trace.rows:
         grown = total - trace.initial_cells
-        if mode == "sic":
-            bound = upper_bound_int(constants.C_sic, rnd)
-        elif mode == "iso":
-            bound = (
-                (constants.first_summand_factor - 1) * trace.initial_cells
-                + upper_bound_int(constants.C_iso, rnd)
-            )
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        bound = first - (-num * rnd // den)  # first + ceil(num rnd / den)
         if grown > bound:
             problems.append(
                 f"round {rnd}: {grown} cells added exceeds bound {bound}"

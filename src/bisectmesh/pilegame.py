@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .exactgeom import decimal_text
+
 
 Brick = tuple[int, int]  # (level, index)
 
@@ -99,9 +101,11 @@ class PileTrace:
         return self.rounds[-1][4] if self.rounds else 0
 
     def csv_lines(self) -> list[str]:
+        """The trace as CSV; a tower's index gains a bit per round, so it is
+        printed with :func:`decimal_text`, which has no length limit."""
         lines = ["round,chosen_level,chosen_index,added,cumulative,bound_4N"]
         for r, lvl, idx, added, cum in self.rounds:
-            lines.append(f"{r},{lvl},{idx},{added},{cum},{4 * r}")
+            lines.append(f"{r},{lvl},{decimal_text(idx)},{added},{cum},{4 * r}")
         return lines
 
 

@@ -19,6 +19,7 @@ from .exactgeom import (
     DyadicPoint,
     midpoint,
     simplex_volume,
+    volume_sum,
     _eliminate,
     _rows,
     _solve,
@@ -96,6 +97,11 @@ class TaggedSimplex:
 
     def edges(self) -> list[frozenset]:
         return [_edge(a, b) for a, b in combinations(self.vertex_ids, 2)]
+
+
+def total_volume(cells: Iterable[TaggedSimplex], pool: VertexPool) -> Fraction:
+    """Exact total volume of the cells, as one integer sum (:func:`volume_sum`)."""
+    return volume_sum(c.vertices(pool) for c in cells)
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:

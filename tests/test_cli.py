@@ -1,11 +1,13 @@
 import json
 import random
 import time
+from decimal import Decimal
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+from bisectmesh import cli
 from bisectmesh.cli import main
 from bisectmesh.forest import overlay
 from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
@@ -493,20 +495,42 @@ def _untagged_path(tmp_path):
     ],
     ids=lambda argv: argv[0],
 )
-def test_out_in_missing_directory_exit_1(argv, square_path, tmp_path, capsys):
+def test_out_in_missing_directory_exit_1(argv, square_path, tmp_path, capsys, monkeypatch):
+    """The output path is checked before any work: neither the refinement
+    run nor the pile game is reached."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sequence", unreachable)
+    monkeypatch.setattr(cli, "play", unreachable)
     paths = {"SQUARE": square_path, "UNTAGGED": _untagged_path(tmp_path)}
     argv = [paths.get(a, a) for a in argv]
-    assert main([*argv, "--out", str(tmp_path / "missing" / "x")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out = str(tmp_path / "missing" / "x")
+    assert main([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: directory ")
+    assert "does not exist" in err
 
 
-def test_constants_too_long_to_print_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["bdv-run", "--mesh", "SQUARE"], ["pile-game"]])
+def test_out_is_directory_exit_1(argv, square_path, tmp_path, capsys):
+    argv = [square_path if a == "SQUARE" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
+
+
+def test_constants_longer_than_str_limit_exit_0(tmp_path, capsys):
     """The unit square with vertex (1, 0) moved to (1, 2**-16384) is valid,
-    but its exact volume floor d has a denominator past the interpreter's
-    4300-digit limit for printing."""
+    and its exact volume floor d = (2**16384 - 1) / 2**16385 has a
+    denominator past the interpreter's 4300-digit limit for ``str``; it is
+    printed in full, checked against ``decimal``, which has no limit."""
     path = Path(flat_square(tmp_path, 0))
     doc = json.loads(path.read_text())
     doc["vertices"][1] = [["1", "0"], ["1", "16384"]]
     path.write_text(json.dumps(doc))
-    assert main(["constants", "--mesh", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["constants", "--mesh", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    num, den = (Decimal(x) for x in (2**16384 - 1, 2**16385))
+    assert out[:2] == ["n = 2", f"d = {num}/{den}"]
+    assert len(out) == 9 and out[-1].endswith("settled = True")

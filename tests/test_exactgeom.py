@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,14 @@ from bisectmesh.exactgeom import (
     _solve,
     DyadicPoint,
     barycentric,
+    decimal_text,
     diam_sq,
     midpoint,
     orientation,
     point,
     simplex_volume,
     sq_dist,
+    volume_sum,
 )
 
 
@@ -144,6 +148,53 @@ class TestVolume:
         verts = [point(0, 0), point(2, 1), point(1, 3)]
         moved = [p + point(7, -4) for p in verts]
         assert simplex_volume(verts) == simplex_volume(moved)
+
+
+class TestVolumeSum:
+    def test_mixed_exponents(self):
+        """Leaves over 2**0, 2**3 and 2**-1 grids, summed at one exponent."""
+        e = Fraction(1, 8)
+        simplices = [
+            [point(0, 0), point(1, 0), point(0, 1)],
+            [point(0, 0), point(e, 0), point(e, 3 * e)],
+            [point(1, 1), point(5, 1), point(Fraction(5, 2), Fraction(7, 2))],
+        ]
+        want = sum((simplex_volume(s) for s in simplices), Fraction(0))
+        assert want == Fraction(1, 2) + Fraction(3, 128) + 5
+        assert volume_sum(simplices) == want
+        assert volume_sum(simplices[::-1]) == want
+
+    def test_degenerate_and_empty(self):
+        assert volume_sum([[point(0, 0), point(1, 1), point(2, 2)]]) == 0
+        assert volume_sum([]) == 0
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            volume_sum([[point(0, 0), point(1, 0), point(0, 1, 0)]])
+
+
+class TestDecimalText:
+    """``decimal_text`` must print what ``str`` prints, at any length;
+    ``Decimal`` prints integers with no digit limit, so it is the oracle."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, -1, 10**4299, 10**4300, 10**6000 + 7, -(10**9000) + 1, 2**16385,
+         -(3**20000), 10**20000 - 1],
+        ids=lambda x: f"{'-' if x < 0 else ''}{x.bit_length()}-bit",
+    )
+    def test_examples(self, x):
+        assert decimal_text(x) == str(Decimal(x))
+
+    def test_random_lengths(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            x = rng.getrandbits(rng.randrange(1, 70_000)) * rng.choice((1, -1))
+            assert decimal_text(x) == str(Decimal(x))
+
+    def test_short_is_str(self):
+        for x in (0, -5, 2**64, -(10**1000)):
+            assert decimal_text(x) == str(x)
 
 
 class TestBarycentric:

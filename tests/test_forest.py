@@ -1,10 +1,11 @@
 import random
-
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from bisectmesh import Triangulation
+from bisectmesh import Triangulation, VertexPool, kuhn
+from bisectmesh.exactgeom import DyadicPoint, simplex_volume
 from bisectmesh.forest import (
     closure01,
     demands0,
@@ -217,3 +218,47 @@ class TestCharacterisation:
                 assert verify_forest_characterisation(broken) != []
                 return
         pytest.fail("no removable sibling pair with classmates found")
+
+
+def offset_cube(n, rng):
+    """The Kuhn n-cube translated by a seeded offset in halves, so that
+    refinement soon leaves vertices over several exponents."""
+    pool = VertexPool()
+    offset = DyadicPoint([Fraction(rng.randrange(-64, 65), 2) for _ in range(n)])
+    cells = [
+        kuhn(list(perm), [1] * n, pool, offset=offset)
+        for perm in permutations(range(1, n + 1))
+    ]
+    return Triangulation.from_cells(pool, cells)
+
+
+def refined(tri, rounds, rng):
+    for _ in range(rounds):
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    return tri
+
+
+class TestTotalVolume:
+    """``total_volume`` shifts every leaf's determinant to one exponent and
+    divides once; it must equal the sum of the leaves' Fraction volumes."""
+
+    @staticmethod
+    def check(tri):
+        pool = tri.forest.pool
+        cells = tri.cells()
+        exps = {max(p.exp for p in t.vertices(pool)) for t in cells}
+        assert len(exps) > 1  # the leaves' rows are over different exponents
+        per_leaf = sum((simplex_volume(t.vertices(pool)) for t in cells), Fraction(0))
+        assert tri.total_volume() == per_leaf == 1
+
+    @pytest.mark.parametrize("n, rounds", [(2, 40), (3, 25), (4, 20)])
+    def test_offset_cubes(self, n, rounds):
+        rng = random.Random(n)
+        self.check(refined(offset_cube(n, rng), rounds, rng))
+
+    def test_overlay(self):
+        rng = random.Random(5)
+        p = offset_cube(3, rng)
+        q = refined(Triangulation(p.forest, p.forest.roots), 15, rng)
+        refined(p, 15, rng)
+        self.check(overlay(p, q))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,10 +22,11 @@ from bisectmesh.harness import (
     shape_census,
     tower_patch_spotcheck,
     unit_ball_volume,
-    upper_bound_int,
     verify_bdv,
 )
+from bisectmesh.cli import main
 from bisectmesh.inittags import VertexPartition, agk_init
+from bisectmesh.meshio import write_mesh
 from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
@@ -401,10 +404,6 @@ class TestConstants:
         assert unit_ball_volume(3) == pytest.approx(4 / 3 * math.pi)
         assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2)
 
-    def test_upper_bound_never_rounds_down(self):
-        assert upper_bound_int(36.62, 10) >= 367
-        assert 7 <= upper_bound_int(1.0, 7) <= 8
-
 
 class TestRunSequence:
     def test_single_mark_on_compatible_patch(self, square):
@@ -457,6 +456,26 @@ class TestRunSequence:
             if expected is not None:
                 assert len(tri.leaves) - before == expected
 
+    @pytest.mark.parametrize("mode", ["sic", "iso"])
+    def test_verify_bdv_bound_never_rounds_down(self, mode):
+        """Round k's bound is ceil(C (1 + 10**-9) k), never below C k: 367
+        for C = 36.62 at k = 10 and 8 for C = 1.0 at k = 7, above the iso
+        first summand."""
+        consts = compute_constants(kuhn_square())
+        first = 0 if mode == "sic" else (consts.first_summand_factor - 1) * 2
+        for constant, k, bound in ((36.62, 10, 367), (1.0, 7, 8)):
+            consts = dataclasses.replace(consts, C_sic=constant, C_iso=constant)
+            for grown in (first + bound, first + bound + 1):
+                trace = Trace(2)
+                trace.rows = [(k, 0, grown, 2 + grown, 2 * grown, 1)]
+                report = verify_bdv(trace, consts, mode)
+                if grown == first + bound:
+                    assert report == []
+                else:
+                    assert report == [
+                        f"round {k}: {grown} cells added exceeds bound {first + bound}"
+                    ]
+
     def test_verify_bdv_flags_inflated_trace(self):
         tri = kuhn_square()
         consts = compute_constants(tri)
@@ -468,6 +487,83 @@ class TestRunSequence:
         )
         report = verify_bdv(forged, consts, "sic")
         assert report and "round 5" in report[0]
+
+
+def _scan_pick(tri, strategy, done, last_created):
+    """The pick after ``done`` rounds, by a scan of every leaf: the
+    reference for the level-bucket picks."""
+    forest = tri.forest
+
+    def deep(nid):
+        return (forest.tarray(nid).level, -nid)
+
+    def shallow(nid):
+        return (forest.tarray(nid).level, nid)
+
+    if strategy == "max-level-leaf":
+        return max(tri.leaves, key=deep)
+    if strategy == "quasitower-adversary":
+        return min(tri.leaves, key=shallow) if done % 4 == 3 else max(tri.leaves, key=deep)
+    cand = {
+        nid
+        for c in last_created
+        for v in forest.tarray(c).vertex_ids
+        for nid in tri.vertex_index.get(v, ())
+    } & tri.leaves
+    return min(cand or tri.leaves, key=shallow)
+
+
+# sha256 of `bdv-run -N 60 --seed 3` CSVs, as written before the picks used
+# level buckets and the volume check one exponent
+BDV_CSV_SHA256 = {
+    ("square", "random-leaf"): "1f711970bfc48282e035171136020af3393d021df4e89d30fb7e319ed7bc59ea",
+    ("square", "max-level-leaf"): "72364f95481bd7cd7246669649dd38cd4722540727461f5f50dfd89f8b9d2e14",
+    ("square", "staircase-adversary"): "8476a4b4cb6162126776967cf41fdd9e71e991d605bee99c331c0a15c25ad059",
+    ("square", "quasitower-adversary"): "7999e6e50cb45f69b4ca297a6332e68f0c7aab5faae66547f8d24cf082c255eb",
+    ("cube", "random-leaf"): "f5be0193ce54052851ddd81ecf7bee5653f196f58fd2f4eff2c4adfe9e40f0ef",
+    ("cube", "max-level-leaf"): "508d22aba2b06378bc30152295619b7a7e7e6d72c980e4bf04cc4d57ba6e3bd3",
+    ("cube", "staircase-adversary"): "d2bbc1b7fa6253519080d12b93279ba8a87c26a0a787363da925ae76c640ff3d",
+    ("cube", "quasitower-adversary"): "925f453021e46b854935e1d2deb0b7dec42375163c4eb4fb011bce04bc0584ea",
+}
+FIXTURES = {"square": kuhn_square, "cube": lambda: kuhn_cube_mesh(3)}
+
+
+class TestPicks:
+    """The deep and shallow picks read level buckets; they must mark the
+    cell a scan of all leaves marks, since the CSVs are a contract."""
+
+    @pytest.mark.parametrize(
+        "strategy", ["max-level-leaf", "quasitower-adversary", "staircase-adversary"]
+    )
+    @pytest.mark.parametrize("mesh", sorted(FIXTURES))
+    def test_pick_equals_scan(self, mesh, strategy, monkeypatch):
+        tri = FIXTURES[mesh]()
+        rounds = []
+        last_created = []
+
+        def checked_refine(t, marked):
+            nonlocal last_created
+            assert t is tri
+            assert marked == _scan_pick(tri, strategy, len(rounds), last_created)
+            log = refine(t, marked)
+            rounds.append(marked)
+            last_created = [c for nid, _ in log for c in tri.forest.nodes[nid].children]
+            return log
+
+        monkeypatch.setattr(harness, "refine", checked_refine)
+        trace = run_sequence(tri, strategy, 60, seed=3)
+        assert [row[1] for row in trace.rows] == rounds and len(rounds) == 60
+
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    @pytest.mark.parametrize("mesh", sorted(FIXTURES))
+    def test_bdv_run_csv_digest(self, mesh, strategy, tmp_path, capsys):
+        src, out = tmp_path / "mesh.json", tmp_path / "run.csv"
+        write_mesh(src, FIXTURES[mesh]())
+        argv = ["bdv-run", "--mesh", str(src), "--strategy", strategy, "-N", "60",
+                "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == BDV_CSV_SHA256[mesh, strategy]
 
 
 def _corrupted_bisect(kind, s, pool):

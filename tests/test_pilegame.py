@@ -1,4 +1,6 @@
+import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from bisectmesh.pilegame import (
     Pile,
+    PileTrace,
     brick_children,
     brick_demands,
     play,
@@ -152,6 +155,22 @@ class TestStrategies:
         lines = trace.csv_lines()
         assert lines[0] == "round,chosen_level,chosen_index,added,cumulative,bound_4N"
         assert len(lines) == 6
+
+    def test_tower_csv_bytes(self):
+        """The 8000-round tower CSV, as written before indices past the
+        interpreter's digit limit for ``str`` could be printed."""
+        text = "\n".join(play("tower", 8000).csv_lines()) + "\n"
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "ff7d4c865e036f6e8ee3e32ed05530af7cc2f5ddf18807f6d948417b9ab8eba8"
+        )
+
+    def test_csv_index_past_str_limit(self):
+        """A tower passes the limit after about 14 000 rounds; its index is
+        still printed in full."""
+        index = 2**15000 + 1
+        trace = PileTrace("tower", None, [(15000, 15000, index, 1, 1)])
+        assert trace.csv_lines()[1] == f"15000,15000,{Decimal(index)},1,1,60000"
 
 
 class TestExhaustive:
