@@ -147,6 +147,11 @@ def c_sic(d: Fraction, D: float, n: int) -> float:
     return D**n * v_n / (2 * (1 - 2 ** (-1 / n)) ** n * float(d))
 
 
+def _h0(n: int) -> int:
+    """h0 = 2 + floor(log2 n), exactly, for the hyperlevel estimates."""
+    return n.bit_length() + 1
+
+
 def c_iso(d: Fraction, D: float, n: int) -> tuple[float, int]:
     """Hyperlevel closure constant and the initial-layer factor 2^(n h0).
 
@@ -154,7 +159,7 @@ def c_iso(d: Fraction, D: float, n: int) -> tuple[float, int]:
     h0 = 2 + floor(log2 n); the bound reads
     #T_N <= 2^(n h0) #T_0 + C N.
     """
-    h0 = 2 + int(math.log2(n))
+    h0 = _h0(n)
     two_c = (
         (D**n / float(d))
         * (2**n - 1)
@@ -243,7 +248,7 @@ def compute_constants(tri: Triangulation) -> Constants:
         D_iso_squared=iso_sq,
         C_iso=Ci,
         first_summand_factor=factor,
-        h0=2 + int(math.log2(n)),
+        h0=_h0(n),
         settled=all(c.settled for c in censuses),
         classes=sum(c.classes for c in censuses),
         generations=max(c.generations for c in censuses),
@@ -290,60 +295,11 @@ class SequenceError(AssertionError):
     """An invariant (counting identity, bisection, conformity) broke mid-run."""
 
 
-def _pick_random(rng, leafbuf, leaves):
-    while True:
-        i = rng.randrange(len(leafbuf))
-        if leafbuf[i] in leaves:
-            return leafbuf[i]
-        leafbuf[i] = leafbuf[-1]
-        leafbuf.pop()
-
-
-class _LevelQueue:
-    """The live leaves in buckets by level, each a min-heap of node ids: a
-    bucket queue (Dial, CACM 12, 1969) for the deepest and the shallowest
-    leaf, lowest id first.
-
-    Deletion is lazy: an id that is no longer in ``leaves`` is dropped when
-    it reaches the top of its heap.  Every child is pushed, and bisection
-    replaces a leaf by two leaves one level deeper, so the lowest and the
-    highest occupied levels never go down: ``lo`` and ``hi`` only move up,
-    and the bucket at ``hi`` always holds a live leaf.
-    """
-
-    def __init__(self, forest, leaves: set):
-        self.forest = forest
-        self.leaves = leaves
-        self.buckets: dict[int, list[int]] = {}
-        for nid in leaves:
-            self.buckets.setdefault(forest.tarray(nid).level, []).append(nid)
-        for heap in self.buckets.values():
-            heapq.heapify(heap)
-        self.lo = min(self.buckets)
-        self.hi = max(self.buckets)
-
-    def push(self, nid: int):
-        level = self.forest.tarray(nid).level
-        heapq.heappush(self.buckets.setdefault(level, []), nid)
-        if level > self.hi:
-            self.hi = level
-
-    def _first(self, level: int) -> Optional[int]:
-        """The lowest live id of the level, or None."""
-        heap = self.buckets.get(level)
-        while heap and heap[0] not in self.leaves:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def shallowest(self) -> int:
-        """The leaf minimising ``(level, nid)``."""
-        while (nid := self._first(self.lo)) is None:
-            self.lo += 1
-        return nid
-
-    def deepest(self) -> int:
-        """The leaf maximising ``(level, -nid)``."""
-        return self._first(self.hi)
+def _top(heap: list, leaves: set) -> int:
+    """The least ``nid`` of a ``(key, nid)`` heap that is still a leaf."""
+    while heap[0][1] not in leaves:
+        heapq.heappop(heap)
+    return heap[0][1]
 
 
 def run_sequence(
@@ -380,45 +336,59 @@ def run_sequence(
     node id, and this order is part of the CSV contract.
 
     A round costs its own bisections and checks, plus O(log) for the pick:
-    the deep and shallow picks read a :class:`_LevelQueue` kept up to date
-    from the bisection log, ``random-leaf`` a list of the leaves it has
+    the deep and shallow picks read two heaps over the leaves, keyed
+    ``(-level, nid)`` and ``(level, nid)``, with lazy deletion and fed from
+    the bisection log; ``random-leaf`` reads a list of the leaves it has
     seen, and the staircase pick scans only the previous round's
     neighbours.  No pick scans the mesh.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
+    leaves = tri.leaves
     rng = random.Random(seed)
-    trace = Trace(len(tri.leaves))
+    trace = Trace(len(leaves))
+    last_created: list[int] = []
     if strategy == "random-leaf":
-        leafbuf = list(tri.leaves)
-        born = leafbuf.append
-    else:
-        queue = _LevelQueue(forest, tri.leaves)
-        born = queue.push
+        seen = list(leaves)
+        born = seen.append
+    else:  # a sorted list is a heap
+        deep = sorted((-forest.tarray(nid).level, nid) for nid in leaves)
+        shallow = sorted((-key, nid) for key, nid in deep)
+
+        def born(nid: int):
+            level = forest.tarray(nid).level
+            heapq.heappush(deep, (-level, nid))
+            heapq.heappush(shallow, (level, nid))
+
+    def random_leaf() -> int:
+        while True:  # swap-and-pop the ids that stopped being leaves
+            i = rng.randrange(len(seen))
+            if seen[i] in leaves:
+                return seen[i]
+            seen[i] = seen[-1]
+            seen.pop()
+
+    def staircase() -> int:
+        cand = set()
+        for nid in last_created:
+            for v in forest.tarray(nid).vertex_ids:
+                cand.update(tri.vertex_index.get(v, ()))
+        cand &= leaves
+        if not cand:
+            return _top(shallow, leaves)
+        return min(cand, key=lambda nid: (forest.tarray(nid).level, nid))
+
+    pick = {
+        "random-leaf": random_leaf,
+        "max-level-leaf": lambda: _top(deep, leaves),
+        "staircase-adversary": staircase,
+        "quasitower-adversary": lambda: _top(
+            shallow if trace.rounds % 4 == 3 else deep, leaves
+        ),
+    }[strategy]
     initial_volume = tri.total_volume()
     bisections = 0
-    last_created: list[int] = []
-
-    def pick() -> int:
-        if strategy == "random-leaf":
-            return _pick_random(rng, leafbuf, tri.leaves)
-        if strategy == "max-level-leaf":
-            return queue.deepest()
-        if strategy == "staircase-adversary":
-            cand = set()
-            for nid in last_created:
-                for v in forest.tarray(nid).vertex_ids:
-                    cand.update(tri.vertex_index.get(v, ()))
-            cand &= tri.leaves
-            if not cand:
-                return queue.shallowest()
-            return min(cand, key=lambda nid: (forest.tarray(nid).level, nid))
-        # quasitower-adversary
-        if trace.rounds % 4 == 3:
-            return queue.shallowest()
-        return queue.deepest()
-
     for rnd in range(1, n_rounds + 1):
         marked = pick()
         log = refine(tri, marked)
@@ -541,7 +511,7 @@ def tower_patch_spotcheck(
 
     forest = tri.forest
     n = forest.tarray(forest.roots[0]).dim
-    h0 = 2 + int(math.log2(n))
+    h0 = _h0(n)
     rng = random.Random(seed)
     deep = [
         leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel >= h0 + 1

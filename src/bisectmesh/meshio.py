@@ -233,9 +233,11 @@ def mesh_from_dict(doc: dict):
 
 
 def write_mesh(path, tri: Triangulation, marking=None, partition=None):
+    # serialise first: a failure (such as str() past the digit limit) must
+    # not leave ``path`` truncated
+    text = json.dumps(mesh_to_dict(tri, marking, partition), indent=1)
     with open(path, "w") as fh:
-        json.dump(mesh_to_dict(tri, marking, partition), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_mesh(path):

@@ -278,9 +278,6 @@ class ChebyshevLattice:
         shift = self.coefficients(other.origin - self.origin)
         return shift is not None and all(c.denominator == 1 for c in shift)
 
-    def __hash__(self):
-        raise TypeError("ChebyshevLattice is not hashable")
-
     def __repr__(self):
         return (
             f"ChebyshevLattice(origin={self.origin!r}, basis={list(self.basis)!r}, "

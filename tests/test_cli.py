@@ -520,17 +520,35 @@ def test_out_is_directory_exit_1(argv, square_path, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
 
 
-def test_constants_longer_than_str_limit_exit_0(tmp_path, capsys):
-    """The unit square with vertex (1, 0) moved to (1, 2**-16384) is valid,
-    and its exact volume floor d = (2**16384 - 1) / 2**16385 has a
-    denominator past the interpreter's 4300-digit limit for ``str``; it is
-    printed in full, checked against ``decimal``, which has no limit."""
+def thin_square(tmp_path):
+    """The unit square with vertex (1, 0) moved to (1, 2**-16384): valid,
+    with numerators past the interpreter's 4300-digit limit for ``str``
+    after one uniform sweep."""
     path = Path(flat_square(tmp_path, 0))
     doc = json.loads(path.read_text())
     doc["vertices"][1] = [["1", "0"], ["1", "16384"]]
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_constants_longer_than_str_limit_exit_0(tmp_path, capsys):
+    """The thin square's exact volume floor d = (2**16384 - 1) / 2**16385
+    has a denominator past the 4300-digit limit; it is printed in full,
+    checked against ``decimal``, which has no limit."""
+    path = thin_square(tmp_path)
     assert main(["constants", "--mesh", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
     num, den = (Decimal(x) for x in (2**16384 - 1, 2**16385))
     assert out[:2] == ["n = 2", f"d = {num}/{den}"]
     assert len(out) == 9 and out[-1].endswith("settled = True")
+
+
+def test_unwritable_mesh_keeps_out_file(tmp_path, capsys):
+    """A mesh that cannot be serialised exits 1 and leaves the --out file
+    as it was, also when that file is the --mesh it was read from."""
+    out = tmp_path / "u.json"
+    assert main(["uniform", "--mesh", str(thin_square(tmp_path)), "--out", str(out)]) == 0
+    before = out.read_bytes()
+    assert main(["uniform", "--mesh", str(out), "--out", str(out)]) == 1
+    assert "4300 digits" in capsys.readouterr().err
+    assert out.read_bytes() == before

@@ -491,7 +491,7 @@ class TestRunSequence:
 
 def _scan_pick(tri, strategy, done, last_created):
     """The pick after ``done`` rounds, by a scan of every leaf: the
-    reference for the level-bucket picks."""
+    reference for the heap picks."""
     forest = tri.forest
 
     def deep(nid):
@@ -513,8 +513,8 @@ def _scan_pick(tri, strategy, done, last_created):
     return min(cand or tri.leaves, key=shallow)
 
 
-# sha256 of `bdv-run -N 60 --seed 3` CSVs, as written before the picks used
-# level buckets and the volume check one exponent
+# sha256 of `bdv-run -N 60 --seed 3` CSVs, as written when every pick still
+# scanned the leaves and the volume check summed one volume per leaf
 BDV_CSV_SHA256 = {
     ("square", "random-leaf"): "1f711970bfc48282e035171136020af3393d021df4e89d30fb7e319ed7bc59ea",
     ("square", "max-level-leaf"): "72364f95481bd7cd7246669649dd38cd4722540727461f5f50dfd89f8b9d2e14",
@@ -528,9 +528,20 @@ BDV_CSV_SHA256 = {
 FIXTURES = {"square": kuhn_square, "cube": lambda: kuhn_cube_mesh(3)}
 
 
+class _CountingSet(set):
+    """A set that counts the calls of its ``__iter__``."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 class TestPicks:
-    """The deep and shallow picks read level buckets; they must mark the
-    cell a scan of all leaves marks, since the CSVs are a contract."""
+    """The deep and shallow picks read two heaps; they must mark the cell a
+    scan of all leaves marks, since the CSVs are a contract, without
+    scanning the leaves themselves."""
 
     @pytest.mark.parametrize(
         "strategy", ["max-level-leaf", "quasitower-adversary", "staircase-adversary"]
@@ -553,6 +564,20 @@ class TestPicks:
         monkeypatch.setattr(harness, "refine", checked_refine)
         trace = run_sequence(tri, strategy, 60, seed=3)
         assert [row[1] for row in trace.rows] == rounds and len(rounds) == 60
+
+    @pytest.mark.parametrize("strategy", harness.STRATEGIES)
+    @pytest.mark.parametrize("mesh", sorted(FIXTURES))
+    def test_no_pick_scans_the_leaves(self, mesh, strategy):
+        """A run iterates the leaves a fixed number of times, however many
+        rounds it has."""
+
+        def iterations(rounds):
+            tri = FIXTURES[mesh]()
+            tri.leaves = _CountingSet(tri.leaves)
+            run_sequence(tri, strategy, rounds, seed=3)
+            return tri.leaves.iterations
+
+        assert iterations(10) == iterations(40)
 
     @pytest.mark.parametrize("strategy", harness.STRATEGIES)
     @pytest.mark.parametrize("mesh", sorted(FIXTURES))

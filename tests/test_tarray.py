@@ -335,6 +335,9 @@ class TestLattice:
         assert base != sheared  # same point set, different max-norm
         assert base == flipped
 
+    def test_unhashable(self):
+        pytest.raises(TypeError, hash, ChebyshevLattice(point(0, 0), [point(1, 0)], 0))
+
     def test_degenerate_rejected(self):
         pool = VertexPool()
         for q in (point(0, 0), point(1, 1), point(2, 2)):
