@@ -47,13 +47,13 @@ def _save(args, tri):
 
 
 def _emit_csv(args, lines):
-    """Write CSV ``lines`` to ``--out``, or print them."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print("\n".join(lines))
+    """Write CSV ``lines`` one at a time to ``--out``, or print them."""
+    if not args.out:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return
+    with open(args.out, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+    print(f"wrote {args.out}")
 
 
 def _cmd_init_division(args):

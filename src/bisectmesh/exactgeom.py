@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -314,20 +315,13 @@ def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
 def decimal_text(x: int) -> str:
     """``str(x)`` for an integer of any length.
 
-    Below the interpreter's digit limit for ``str`` this is ``str(x)``.
-    Past it, divide and conquer (Brent and Zimmermann, *Modern Computer
-    Arithmetic*, 2010, section 1.7): ``divmod`` by ``10**k``, with k about
-    half the digits, splits ``x`` into a high part and a low part that is
-    zero-padded to k digits, until every part is below the limit.  The
-    process-wide limit itself is left alone.
+    Below the interpreter's digit limit for ``str`` this is ``str(x)``;
+    past it, ``str(Decimal(x))``, since ``decimal`` prints integers with no
+    limit.  The process-wide limit itself is left alone.
     """
     # 0 means no limit; interpreters without the limit have no getter
     limit = getattr(sys, "get_int_max_str_digits", int)()
     # b bits make at most b log10(2) + 1 < b / 3 + 1 digits
     if not limit or x.bit_length() <= 3 * limit:
         return str(x)
-    if x < 0:
-        return "-" + decimal_text(-x)
-    k = x.bit_length() * 3 // 20  # about half of the b log10(2) digits
-    high, low = divmod(x, 10**k)
-    return decimal_text(high) + decimal_text(low).zfill(k)
+    return str(Decimal(x))

@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
+from decimal import Decimal
 from typing import Optional
 
 from .exactgeom import DyadicPoint, _reduced, orientation
@@ -48,8 +50,18 @@ _MAX_LEVEL = 1 << 20
 _MAX_EXP = 1 << 16
 
 
-def _point_to_json(p: DyadicPoint) -> list:
-    return [[str(num), str(exp)] for num, exp in (_reduced(x, p.exp) for x in p.nums)]
+def _point_to_json(p: DyadicPoint, where: str, i: int) -> list:
+    """``p`` as JSON pairs; a failure names the path ``where[i]``."""
+    pairs = [_reduced(x, p.exp) for x in p.nums]
+    try:
+        return [[str(num), str(exp)] for num, exp in pairs]
+    except ValueError:  # str() past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        digits = max(Decimal(num).adjusted() + 1 for num, _ in pairs)
+        raise ValueError(
+            f"{where}[{i}]: numerator has {digits} digits, more than the {limit} "
+            "digits the loader reads back"
+        ) from None
 
 
 def _int_from_text(text: str, path: str) -> int:
@@ -106,7 +118,7 @@ def mesh_to_dict(
     remap = {v: i for i, v in enumerate(used)}
     doc = {
         "dim": cells[0].dim,
-        "vertices": [_point_to_json(pool.point(v)) for v in used],
+        "vertices": [_point_to_json(pool.point(v), "vertices", i) for i, v in enumerate(used)],
         "cells": [
             {
                 "horizontal": [remap[v] for v in c.horizontal],
@@ -119,7 +131,7 @@ def mesh_to_dict(
     }
     if marking is not None:
         doc["marking"] = {
-            str(m): [_point_to_json(p) for p in pts]
+            str(m): [_point_to_json(p, f"marking.{m}", i) for i, p in enumerate(pts)]
             for m, pts in marking.points_by_type.items()
         }
     if partition is not None:
@@ -233,8 +245,8 @@ def mesh_from_dict(doc: dict):
 
 
 def write_mesh(path, tri: Triangulation, marking=None, partition=None):
-    # serialise first: a failure (such as str() past the digit limit) must
-    # not leave ``path`` truncated
+    # serialise first: a failure (such as a numerator past the digit limit)
+    # must not leave ``path`` truncated
     text = json.dumps(mesh_to_dict(tri, marking, partition), indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")

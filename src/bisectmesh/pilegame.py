@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-from .exactgeom import decimal_text
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 
 Brick = tuple[int, int]  # (level, index)
+
+# Decimal arithmetic that never rounds and never overflows
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# Below about this many bits str() of an int beats one exact doubling
+_SHORT_BITS = 1024
 
 
 def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
@@ -101,11 +105,27 @@ class PileTrace:
         return self.rounds[-1][4] if self.rounds else 0
 
     def csv_lines(self) -> list[str]:
-        """The trace as CSV; a tower's index gains a bit per round, so it is
-        printed with :func:`decimal_text`, which has no length limit."""
+        """The trace as CSV, every index printed in full at any length.
+
+        ``str()`` of an n-digit int takes time quadratic in n, and a
+        tower's index gains a bit per round.  So a long index that is a
+        child of the previous row's (``idx >> 1 == prev``) is derived from
+        that row's exact ``Decimal`` by one doubling plus ``idx & 1``, in
+        time linear in its digits; any other long index is converted from
+        scratch, and a short one is printed by ``str()``.
+        """
         lines = ["round,chosen_level,chosen_index,added,cumulative,bound_4N"]
+        prev = value = None
         for r, lvl, idx, added, cum in self.rounds:
-            lines.append(f"{r},{lvl},{decimal_text(idx)},{added},{cum},{4 * r}")
+            if idx.bit_length() < _SHORT_BITS:
+                text, value = str(idx), None
+            else:
+                if value is not None and idx >> 1 == prev:
+                    value = _EXACT.fma(value, 2, idx & 1)
+                else:
+                    value = Decimal(idx)
+                text, prev = str(value), idx
+            lines.append(f"{r},{lvl},{text},{added},{cum},{4 * r}")
         return lines
 
 
@@ -137,12 +157,20 @@ def _quasitower_moves(pile: Pile, n_rounds: int):
 
 
 def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
+    """Draw a supply brick and one of its children until the child is new.
+
+    The supply is three basement bricks and every chosen brick: all are in
+    the pile and over the basement, so a child of one is legal exactly when
+    it is not in the pile yet.  ``rng.choice(seq)`` draws what
+    ``seq[rng.randrange(len(seq))]`` draws.
+    """
     produced = 0
     supply = [(0, 0), (0, -1), (0, 1)]
+    bricks, choice = pile.bricks, rng.choice
     while produced < n_rounds:
-        base = supply[rng.randrange(len(supply))]
-        child = brick_children(base)[rng.randrange(2)]
-        if pile.is_legal_child(child):
+        level, index = choice(supply)
+        child = (level + 1, 2 * index + choice((0, 1)))
+        if child not in bricks:
             supply.append(child)
             produced += 1
             yield child

@@ -1,16 +1,23 @@
+import hashlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisectmesh import cli
 from bisectmesh.cli import main
 from bisectmesh.forest import overlay
 from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
+from bisectmesh.pilegame import play
 
 from conftest import (
     agk_cube,
@@ -138,6 +145,57 @@ def test_pile_game_csv(tmp_path, capsys):
     assert len(lines) == 51
     last = lines[-1].split(",")
     assert int(last[4]) <= 4 * 50
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--strategy", "quasitower", "-N", "24500"],
+         "cb7304567bfb9c4762d0fb5d6ea08a638593b213cc72ade0614c86ef019bcb99"),
+        (["--strategy", "random", "-N", "33500", "--seed", "7"],
+         "910d5ed92e110b0c3a91fdbd0dbe589979e4967c834970fc3d7df510393dc281"),
+    ],
+    ids=["quasitower", "random"],
+)
+def test_pile_game_csv_bytes(argv, digest, tmp_path, capsys):
+    """The bench's quasitower and random pile-game CSVs, byte for byte as
+    written when every index was printed by ``str()``."""
+    csv = tmp_path / "pile.csv"
+    assert main(["pile-game", *argv, "--out", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+PILE_STRATEGIES = ("tower", "quasitower", "random")
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    strategy=st.sampled_from(PILE_STRATEGIES) | st.text(max_size=12),
+    rounds=st.integers(-2, 3000),
+    seed=st.integers(),
+    to_file=st.booleans(),
+)
+def test_pile_game_property(strategy, rounds, seed, to_file):
+    """Any pile-game argv exits with a documented code and no exception;
+    on exit 0 the CSV is ``play()``'s trace with every index printed by
+    ``Decimal``, which has no digit limit."""
+    argv = ["pile-game", "--strategy", strategy, "-N", str(rounds), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        csv = os.path.join(folder, "pile.csv")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--out", csv] if to_file else argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code != 0:
+            return
+        text = Path(csv).read_text() if to_file else out.getvalue()
+    assert strategy in PILE_STRATEGIES and rounds >= 1
+    oracle = ["round,chosen_level,chosen_index,added,cumulative,bound_4N"] + [
+        f"{r},{lvl},{Decimal(idx)},{added},{cum},{4 * r}"
+        for r, lvl, idx, added, cum in play(strategy, rounds, seed).rounds
+    ]
+    assert text.splitlines()[: rounds + 1] == oracle
+    assert to_file or text.startswith("\n".join(oracle) + "\n# total added ")
 
 
 def test_invalid_mesh_is_exit_1(tmp_path, capsys):
@@ -550,5 +608,7 @@ def test_unwritable_mesh_keeps_out_file(tmp_path, capsys):
     assert main(["uniform", "--mesh", str(thin_square(tmp_path)), "--out", str(out)]) == 0
     before = out.read_bytes()
     assert main(["uniform", "--mesh", str(out), "--out", str(out)]) == 1
-    assert "4300 digits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "4300 digits" in err
+    assert "vertices[" in err
     assert out.read_bytes() == before

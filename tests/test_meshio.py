@@ -127,6 +127,29 @@ def test_hash_is_canonical_under_vertex_order():
     assert mesh_hash(tri_a) == mesh_hash(tri_b)
 
 
+def _long_triangle():
+    """A triangle whose vertex 2 has the 4933-digit numerator 2**16384 + 1,
+    past the interpreter's 4300-digit limit for ``str`` and ``int``."""
+    pool = VertexPool()
+    far = point(0, Fraction(2**16384 + 1, 2**16385))
+    ids = tuple(pool.id_of(p) for p in (point(0, 0), point(1, 0), far))
+    return Triangulation.from_cells(pool, [TaggedSimplex(ids, ())]), far
+
+
+def test_numerator_past_digit_limit_names_its_path(tmp_path):
+    """Writing and hashing fail with a ValueError naming the JSON path of
+    the point, not with the interpreter's conversion message."""
+    tri, far = _long_triangle()
+    message = r"more than the 4300 digits the loader reads back$"
+    with pytest.raises(ValueError, match=r"^vertices\[2\]: numerator has 4933 digits, " + message):
+        mesh_hash(tri)
+    with pytest.raises(ValueError, match=r"^vertices\[2\]: "):
+        write_mesh(tmp_path / "m.json", tri)
+    with pytest.raises(ValueError, match=r"^marking\.2\[1\]: numerator has 4933 digits, "):
+        mesh_to_dict(kuhn_square(), PointMarking({2: [point(1, 1), far]}))
+    assert not (tmp_path / "m.json").exists()
+
+
 def _unit_square_doc():
     return {
         "dim": 2,

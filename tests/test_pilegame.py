@@ -165,6 +165,37 @@ class TestStrategies:
             == "ff7d4c865e036f6e8ee3e32ed05530af7cc2f5ddf18807f6d948417b9ab8eba8"
         )
 
+    def test_tower_converts_one_long_index_from_scratch(self, monkeypatch):
+        """A 2000-round tower CSV derives each long index from the row
+        before it.  ``str``, ``Decimal`` and ``decimal_text`` are the ways
+        ``pilegame`` could convert an int from scratch, each quadratic in
+        the digits; together they may see at most one long index, where
+        printing every row from scratch converts about 1000."""
+        from bisectmesh import exactgeom, pilegame
+
+        assert pilegame._SHORT_BITS <= 1024
+        long_args = []
+
+        def counting(convert):
+            def wrapper(x, *args):
+                if isinstance(x, int) and x.bit_length() >= pilegame._SHORT_BITS:
+                    long_args.append(x)
+                return convert(x, *args)
+
+            return wrapper
+
+        for name, convert in (
+            ("str", str), ("Decimal", Decimal), ("decimal_text", exactgeom.decimal_text),
+        ):
+            monkeypatch.setattr(pilegame, name, counting(convert), raising=False)
+        trace = play("tower", 2000)
+        lines = trace.csv_lines()
+        assert len(long_args) <= 1
+        assert lines[1:] == [
+            f"{r},{lvl},{Decimal(idx)},{added},{cum},{4 * r}"
+            for r, lvl, idx, added, cum in trace.rounds
+        ]
+
     def test_csv_index_past_str_limit(self):
         """A tower passes the limit after about 14 000 rounds; its index is
         still printed in full."""
