@@ -17,7 +17,6 @@ returned as ``fractions.Fraction``; floats appear only in reporting, and
 from __future__ import annotations
 
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -315,13 +314,7 @@ def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
 def decimal_text(x: int) -> str:
     """``str(x)`` for an integer of any length.
 
-    Below the interpreter's digit limit for ``str`` this is ``str(x)``;
-    past it, ``str(Decimal(x))``, since ``decimal`` prints integers with no
-    limit.  The process-wide limit itself is left alone.
+    ``decimal`` prints integers with no digit limit, so this is
+    ``str(Decimal(x))``; the interpreter's limit for ``str`` is left alone.
     """
-    # 0 means no limit; interpreters without the limit have no getter
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    # b bits make at most b log10(2) + 1 < b / 3 + 1 digits
-    if not limit or x.bit_length() <= 3 * limit:
-        return str(x)
     return str(Decimal(x))

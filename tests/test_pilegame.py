@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -166,30 +167,31 @@ class TestStrategies:
         )
 
     def test_tower_converts_one_long_index_from_scratch(self, monkeypatch):
-        """A 2000-round tower CSV derives each long index from the row
-        before it.  ``str``, ``Decimal`` and ``decimal_text`` are the ways
-        ``pilegame`` could convert an int from scratch, each quadratic in
-        the digits; together they may see at most one long index, where
-        printing every row from scratch converts about 1000."""
-        from bisectmesh import exactgeom, pilegame
+        """A 3000-round tower CSV derives each long index from the row
+        before it.  With the digit limit for ``str`` at its 640-digit
+        minimum, converting any of the indices past 640 digits (about the
+        last 870 rows) to text by an int route raises; the ``Decimal``
+        wrapper counts the from-scratch conversions of long indices, of
+        which at most one is allowed."""
+        from bisectmesh import pilegame
 
         assert pilegame._SHORT_BITS <= 1024
         long_args = []
 
-        def counting(convert):
-            def wrapper(x, *args):
-                if isinstance(x, int) and x.bit_length() >= pilegame._SHORT_BITS:
-                    long_args.append(x)
-                return convert(x, *args)
+        def counting(x, *args):
+            if isinstance(x, int) and x.bit_length() >= pilegame._SHORT_BITS:
+                long_args.append(x)
+            return Decimal(x, *args)
 
-            return wrapper
-
-        for name, convert in (
-            ("str", str), ("Decimal", Decimal), ("decimal_text", exactgeom.decimal_text),
-        ):
-            monkeypatch.setattr(pilegame, name, counting(convert), raising=False)
-        trace = play("tower", 2000)
-        lines = trace.csv_lines()
+        monkeypatch.setattr(pilegame, "Decimal", counting)
+        trace = play("tower", 3000)
+        assert Decimal(trace.rounds[-1][2]).adjusted() + 1 > 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            lines = trace.csv_lines()
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert len(long_args) <= 1
         assert lines[1:] == [
             f"{r},{lvl},{Decimal(idx)},{added},{cum},{4 * r}"
