@@ -187,10 +187,6 @@ class Constants:
     classes: int
     generations: int
 
-    def coarse_first_summand(self, v0_empty: bool = False) -> int:
-        base = 4 * self.n if v0_empty else 8 * self.n
-        return base**self.n
-
 
 def _require_float(what: str, value, cells: list) -> None:
     """Raise ValueError naming ``cells`` unless ``value`` is a finite nonzero float."""

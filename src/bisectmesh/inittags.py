@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactgeom import DyadicPoint, barycentric, diam_sq
-from .tarray import TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict
+from .exactgeom import DyadicPoint, _rows, barycentric
+from .tarray import (
+    TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict, same_lattice,
+)
 from .forest import Triangulation
 from .refine import check_conforming, uniform_refine
 
@@ -36,14 +38,6 @@ class VertexPartition:
     v1: frozenset
     order0: Optional[Sequence[int]] = None
     order1: Optional[Sequence[int]] = None
-
-    def rank0(self) -> dict:
-        order = self.order0 if self.order0 is not None else sorted(self.v0)
-        return {v: i for i, v in enumerate(order)}
-
-    def rank1(self) -> dict:
-        order = self.order1 if self.order1 is not None else sorted(self.v1)
-        return {v: i for i, v in enumerate(order)}
 
 
 class MarkingError(ValueError):
@@ -74,10 +68,14 @@ def resolve_marking(
     """Validate a marking and compute the subsimplex -> point assignment.
 
     Every free m-subsimplex must contain exactly one type-m point; a type-m
-    point lying in no free m-subsimplex is an extra point.  Raises
-    :class:`MarkingError` otherwise.
+    point lying in no free m-subsimplex is an extra point, and a type outside
+    ``2..n`` has no subsimplices.  Raises :class:`MarkingError` otherwise.
     """
     n = len(cells[0]) - 1
+    outside = sorted(m for m in marking.points_by_type if not 2 <= m <= n)
+    if outside:
+        keys = ", ".join(f"marking.{m}" for m in outside)
+        raise MarkingError(f"{keys}: marking types must lie in 2..{n}")
     assignment: dict[frozenset, DyadicPoint] = {}
     higher: list[DyadicPoint] = []
     for m in range(n, 1, -1):
@@ -118,62 +116,20 @@ def barycentre_marking(pool: VertexPool, cells: Sequence[tuple]) -> PointMarking
 
 
 def _barycentre(pool: VertexPool, ids) -> DyadicPoint:
+    """Barycentre of the points ``ids``.  With ``k = 2**a * q`` points, ``q``
+    odd, the column sums over ``2**e`` divided by ``k`` are dyadic exactly
+    when ``q`` divides every sum."""
     ids = list(ids)
-    pts = [pool.point(v).as_fractions() for v in ids]
-    k = len(pts)
-    coords = [sum(p[d] for p in pts) / k for d in range(len(pts[0]))]
-    # Barycentres of even-sized vertex sets are dyadic only for k a power of
-    # two; reject other cases early with a clear message.
-    try:
-        return DyadicPoint(coords)
-    except ValueError as exc:
+    rows, e = _rows([pool.point(v) for v in ids])
+    k = len(rows)
+    a = (k & -k).bit_length() - 1
+    q = k >> a
+    sums = [sum(col) for col in zip(*rows)]
+    if any(x % q for x in sums):
         raise MarkingError(
             f"barycentre of {ids} is not dyadic; supply explicit dyadic marking"
-        ) from exc
-
-
-def greedy_low_dim_marking(pool: VertexPool, cells: Sequence[tuple]) -> PointMarking:
-    """Distribution pass preferring points on low-dimensional faces.
-
-    Candidate faces are scanned by dimension, then by longest edge
-    (descending), ties broken by vertex ids; each chosen point is the
-    barycentre of its face and covers every free subsimplex containing it.
-    """
-    n = len(cells[0]) - 1
-    marking = PointMarking()
-    higher: list[DyadicPoint] = []
-    for m in range(n, 1, -1):
-        free = _free_subsimplices(pool, cells, m, higher)
-        candidates = set()
-        for s in free:
-            for k in range(1, m + 2):
-                candidates.update(frozenset(c) for c in combinations(sorted(s), k))
-
-        def sort_key(face):
-            ids = sorted(face)
-            longest = diam_sq([pool.point(a) for a in ids])
-            return (len(ids), -longest, ids)
-
-        chosen: list[DyadicPoint] = []
-        uncovered = set(free)
-        for face in sorted(candidates, key=sort_key):
-            if not uncovered:
-                break
-            try:
-                p = _barycentre(pool, sorted(face))
-            except MarkingError:
-                continue
-            patch = {s for s in free if _point_in_subsimplex(pool, p, s)}
-            # a point landing in an already-covered subsimplex would give it
-            # a second type-m point; such candidates left the remainder
-            if patch & uncovered and not patch - uncovered:
-                chosen.append(p)
-                uncovered -= patch
-        if uncovered:
-            raise MarkingError(f"could not cover all free {m}-subsimplices")
-        marking.points_by_type[m] = chosen
-        higher.extend(chosen)
-    return marking
+        )
+    return DyadicPoint._of([x // q for x in sums], e + a)
 
 
 def initial_division(
@@ -223,11 +179,14 @@ def agk_init(
         partition.v0 & partition.v1
     ):
         raise MarkingError("partition must split the vertex set into two blocks")
-    r0, r1 = partition.rank0(), partition.rank1()
+    # every vertex's place in the order of its block (default: ascending ids)
+    rank = {}
+    for block, order in ((partition.v0, partition.order0), (partition.v1, partition.order1)):
+        rank.update((v, i) for i, v in enumerate(sorted(block) if order is None else order))
     tagged = []
     for cell in cells:
-        hor = sorted((v for v in cell if v in partition.v0), key=r0.__getitem__)
-        ver = sorted((v for v in cell if v in partition.v1), key=r1.__getitem__)
+        hor = sorted((v for v in cell if v in partition.v0), key=rank.__getitem__)
+        ver = sorted((v for v in cell if v in partition.v1), key=rank.__getitem__)
         if hor:
             tagged.append(TaggedSimplex(tuple(hor), tuple(ver), 0, 0))
         else:
@@ -373,7 +332,7 @@ def check_isocochange(tri: Triangulation) -> list[str]:
 
     The sublattice spanned by the intersection is the lattice of the
     restricted T-array (restrictions of reference simplices are reference
-    simplices in sublattices), refined to the common width.
+    simplices in sublattices), refined to the finer of the two widths.
     """
     problems = []
     pool = tri.forest.pool
@@ -381,9 +340,7 @@ def check_isocochange(tri: Triangulation) -> list[str]:
         ra = restrict(sa, shared)
         rb = restrict(sb, shared)
         alpha = max(ra.hyperlevel, rb.hyperlevel)
-        la = lattice_of(ra, pool).refine(alpha)
-        lb = lattice_of(rb, pool).refine(alpha)
-        if la != lb:
+        if not same_lattice(lattice_of(ra, pool, alpha), lattice_of(rb, pool, alpha)):
             problems.append(
                 f"cells {a} and {b}: intersection sublattices differ on "
                 f"{sorted(shared)}"

@@ -219,79 +219,15 @@ def kuhn(
     )
 
 
-class ChebyshevLattice:
-    """The unique scaled integer lattice in which a T-array is a reference
-    simplex.
-
-    ``points = origin + Z-combinations of basis``; one basis step has length
-    ``2**-width_exp`` in the lattice's max-norm.
-    """
-
-    def __init__(self, origin: DyadicPoint, basis: Sequence[DyadicPoint], width_exp: int):
-        self.origin = origin
-        self.basis = tuple(basis)
-        self.width_exp = width_exp
-
-    def refine(self, width_exp: int) -> "ChebyshevLattice":
-        """Shrink to width 2**-width_exp (a multiple refinement of this one)."""
-        if width_exp < self.width_exp:
-            raise ValueError("refinement must not coarsen the lattice")
-        k = self.width_exp - width_exp
-        return ChebyshevLattice(
-            self.origin, [b.scale_pow2(k) for b in self.basis], width_exp
-        )
-
-    def coefficients(self, vector: DyadicPoint):
-        """Exact basis coefficients of a vector, or None if outside the span;
-        ValueError when the basis is dependent."""
-        rows, _ = _rows([*self.basis, vector])
-        target = rows.pop()
-        sol = _solve(rows, target)
-        if sol is None:
-            return None
-        nums, den = sol
-        return [Fraction(c, den) for c in nums]
-
-    def __eq__(self, other) -> bool:
-        """Exact equality of lattices including their max-norms.
-
-        The change-of-basis matrix must be a signed permutation (the only
-        unimodular max-norm isometries) and the origins must differ by a
-        lattice vector.
-        """
-        if not isinstance(other, ChebyshevLattice):
-            return NotImplemented
-        if self.width_exp != other.width_exp or len(self.basis) != len(other.basis):
-            return False
-        m = len(self.basis)
-        used_rows = set()
-        for b in other.basis:
-            coeff = self.coefficients(b)
-            if coeff is None:
-                return False
-            nonzero = [(i, c) for i, c in enumerate(coeff) if c != 0]
-            if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in used_rows:
-                return False
-            used_rows.add(nonzero[0][0])
-        if len(used_rows) != m:
-            return False
-        shift = self.coefficients(other.origin - self.origin)
-        return shift is not None and all(c.denominator == 1 for c in shift)
-
-    def __repr__(self):
-        return (
-            f"ChebyshevLattice(origin={self.origin!r}, basis={list(self.basis)!r}, "
-            f"width=2^-{self.width_exp})"
-        )
-
-
-def lattice_of(s: TaggedSimplex, pool: VertexPool) -> ChebyshevLattice:
-    """Construct the Chebyshev lattice of a T-array.
+def lattice_of(s: TaggedSimplex, pool: VertexPool, width: int):
+    """The Chebyshev lattice of a T-array, the unique scaled integer lattice
+    in which it is a reference simplex, as ``(origin, basis)``: its points
+    are ``origin`` plus Z-combinations of ``basis``.
 
     The cube of the horizontal part is spanned by its successive differences;
     each vertical vertex extends the cube to the next dimension with itself
-    as the new centre.  The final cube's edge vectors generate the lattice,
-    one step weighing 2**-hyperlevel.
+    as the new centre.  The final cube's edge vectors, one step of length
+    ``2**-hyperlevel``, are scaled to step ``2**-width``.
     """
     pts = s.vertices(pool)
     k = s.type
@@ -301,9 +237,33 @@ def lattice_of(s: TaggedSimplex, pool: VertexPool) -> ChebyshevLattice:
         half_diag = origin
         for e in edges:
             half_diag = half_diag + e.half()
-        new_edge = (pts[j + 1] - half_diag).scale_pow2(1)
-        edges.append(new_edge)
+        edges.append((pts[j + 1] - half_diag).scale_pow2(1))
     rows, _ = _rows(edges)
     if not _eliminate([list(col) for col in zip(*rows)], len(rows))[1]:
         raise ValueError("degenerate T-array has no lattice")
-    return ChebyshevLattice(origin, edges, s.hyperlevel)
+    return origin, [e.scale_pow2(s.hyperlevel - width) for e in edges]
+
+
+def _unsigned(v: DyadicPoint) -> tuple:
+    """``v`` or ``-v``, whichever has a positive first nonzero numerator, as
+    its canonical ``(nums, exp)``."""
+    if next((x for x in v.nums if x), 0) < 0:
+        return tuple(-x for x in v.nums), v.exp
+    return v.nums, v.exp
+
+
+def same_lattice(a: tuple, b: tuple) -> bool:
+    """Exact equality of two ``(origin, basis)`` lattices, max-norms included.
+
+    The bases must agree up to a signed permutation (the only unimodular
+    max-norm isometries); an independent basis has no two parallel vectors,
+    so that is equality of the sign-normalised vector sets.  The origins
+    must differ by a lattice vector.
+    """
+    (oa, ba), (ob, bb) = a, b
+    if set(map(_unsigned, ba)) != set(map(_unsigned, bb)):
+        return False
+    rows, _ = _rows([*ba, ob - oa])
+    target = rows.pop()
+    sol = _solve(rows, target)
+    return sol is not None and all(x % sol[1] == 0 for x in sol[0])

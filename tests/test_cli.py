@@ -7,6 +7,7 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from bisectmesh import cli
 from bisectmesh.cli import main
 from bisectmesh.forest import overlay
-from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
+from bisectmesh.meshio import mesh_hash, mesh_to_dict, read_mesh, write_mesh
 from bisectmesh.pilegame import play
 
 from conftest import (
@@ -28,7 +29,7 @@ from conftest import (
     tripled_triangle_pair,
 )
 from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
-from bisectmesh.inittags import VertexPartition
+from bisectmesh.inittags import PointMarking, VertexPartition
 from bisectmesh.tarray import TaggedSimplex
 
 
@@ -612,3 +613,98 @@ def test_unwritable_mesh_keeps_out_file(tmp_path, capsys):
     assert "4300 digits" in err
     assert "vertices[" in err
     assert out.read_bytes() == before
+
+
+def _fuzz_documents():
+    """Mesh documents the CLI property mutates: tagged 2D squares (one
+    meeting the strong initial conditions, one not), a Kuhn tetrahedron,
+    and an untagged triangle pair carrying a marking and a partition."""
+    pool, cells, ids = tripled_triangle_pair()
+    untagged = Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells])
+    marking = PointMarking({2: [point(3, 1), point(6, 2)]})
+    partition = VertexPartition(frozenset(ids[:2]), frozenset(ids[2:]), ids[1::-1], None)
+    docs = [
+        mesh_to_dict(kuhn_square()),
+        mesh_to_dict(one_sided_square()),
+        mesh_to_dict(single_kuhn(3)),
+        mesh_to_dict(untagged, marking, partition),
+    ]
+    return [json.dumps(d) for d in docs]
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+FUZZ_ARGV = [["check", what] for what in sorted(cli._CHECKS)] + [
+    ["init-division"],
+    ["agk-init"],
+    ["uniform"],
+    ["quasi-uniform"],
+    ["hyper-uniform", "--depth", "1"],
+    ["constants"],
+    ["bdv-run", "-N", "5"],
+]
+
+
+# a coordinate as ``["num", "exp"]`` text: two draws in three canonical
+_CANONICAL = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 4])).map(
+    lambda q: [str(q.numerator), str(q.denominator.bit_length() - 1)]
+)
+_RAW = st.tuples(st.integers(-12, 12), st.integers(0, 2)).map(lambda t: [str(t[0]), str(t[1])])
+DYADIC_TEXT = st.one_of(_CANONICAL, _CANONICAL, _RAW)
+
+
+def _mutate_split(doc, data):
+    cell = data.draw(st.sampled_from(doc["cells"]))
+    ids = data.draw(st.permutations(cell["horizontal"] + cell["vertical"]))
+    k = data.draw(st.integers(0, len(ids)))
+    cell["horizontal"], cell["vertical"] = ids[:k], ids[k:]
+
+
+def _mutate_hyperlevel(doc, data):
+    cell = data.draw(st.sampled_from(doc["cells"]))
+    cell["hyperlevel"] = data.draw(st.sampled_from([-1, 0, 1, 2, 7]))
+
+
+def _mutate_partition(doc, data):
+    ids = list(range(len(doc["vertices"])))
+    v0 = data.draw(st.lists(st.sampled_from(ids), unique=True))
+    v1 = [v for v in ids if v not in v0]
+    if data.draw(st.booleans()):
+        v1 = data.draw(st.lists(st.sampled_from(ids), unique=True))
+    part = {"v0": v0, "v1": v1}
+    for key, block in (("order0", v0), ("order1", v1)):
+        if data.draw(st.booleans()):
+            part[key] = data.draw(st.permutations(block))
+    doc["partition"] = part
+
+
+def _mutate_marking(doc, data):
+    key = data.draw(st.sampled_from(["-1", "0", "1", "2", "3", "7"]))
+    vertex = st.sampled_from(doc["vertices"])
+    fresh = st.lists(DYADIC_TEXT, min_size=doc["dim"], max_size=doc["dim"])
+    doc.setdefault("marking", {})[key] = data.draw(st.lists(vertex | fresh, max_size=3))
+
+
+def _mutate_vertex(doc, data):
+    vertex = data.draw(st.sampled_from(doc["vertices"]))
+    vertex[data.draw(st.integers(0, doc["dim"] - 1))] = data.draw(DYADIC_TEXT)
+
+
+MUTATIONS = [_mutate_split, _mutate_hyperlevel, _mutate_partition, _mutate_marking, _mutate_vertex]
+
+
+@settings(max_examples=250, deadline=2000)
+@given(data=st.data())
+def test_mesh_document_property(data):
+    """Any mutated fixture mesh under any mesh subcommand exits with a
+    documented code and raises nothing."""
+    doc = json.loads(data.draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        mutate(doc, data)
+    argv = data.draw(st.sampled_from(FUZZ_ARGV))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "mesh.json")
+        Path(path).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--mesh", path])
+    assert code in (0, 1, 2, 3), err.getvalue()

@@ -394,11 +394,6 @@ class TestConstants:
         assert c_iso(Fraction(1, 2), 1.2, 2)[0] > ci
         assert c_iso(Fraction(1, 8), 1.0, 2)[0] > ci
 
-    def test_coarse_first_summands(self):
-        consts = compute_constants(half_kuhn_mesh(2))
-        assert consts.coarse_first_summand() == 16**2
-        assert consts.coarse_first_summand(v0_empty=True) == 8**2
-
     def test_unit_ball_volumes(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi)
         assert unit_ball_volume(3) == pytest.approx(4 / 3 * math.pi)

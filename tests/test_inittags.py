@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bisectmesh import Triangulation, VertexPool, point
 from bisectmesh.inittags import (
     MarkingError,
+    _barycentre,
     PointMarking,
     VertexPartition,
     agk_init,
@@ -15,7 +17,6 @@ from bisectmesh.inittags import (
     check_retaco,
     check_retahyco,
     check_sic,
-    greedy_low_dim_marking,
     initial_division,
     resolve_marking,
 )
@@ -96,16 +97,35 @@ class TestInitialDivision:
                 pool, cells, PointMarking({2: [point(3, 1), point(6, 2), point(50, 50)]})
             )
 
-    def test_greedy_marking_prefers_vertices(self):
+    def test_marking_type_outside_range_rejected(self):
+        """A type-7 point on a triangle mesh has no 7-subsimplex to divide;
+        it is named, not ignored."""
         pool, cells, _ = tripled_triangle_pair()
-        marking = greedy_low_dim_marking(pool, cells)
-        pts = marking.points_by_type[2]
-        # vertex points suffice, so no cell gets geometrically divided
-        vertex_points = {pool.point(v) for c in cells for v in c}
-        assert pts and set(pts) <= vertex_points
-        tri = initial_division(pool, cells, marking)
-        assert len(tri.leaves) == 2
-        assert check_sic(tri) == []
+        marking = PointMarking({2: [point(3, 1), point(6, 2)], 7: [point(1, 0)], -1: []})
+        with pytest.raises(MarkingError, match=re.escape("marking.-1, marking.7: ")):
+            initial_division(pool, cells, marking)
+        with pytest.raises(MarkingError, match=re.escape("must lie in 2..2")):
+            resolve_marking(pool, cells, PointMarking({1: []}))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_barycentre_matches_fraction_mean(self, seed):
+        """The integer barycentre equals the mean of the points as
+        Fractions, and is rejected exactly when that mean is not dyadic."""
+        rng = random.Random(seed)
+        for k in range(1, 9):
+            pool = VertexPool()
+            pts = []
+            while len(pts) < k:
+                q = point(*(Fraction(rng.randrange(-40, 40), 2 ** rng.randrange(3)) for _ in range(3)))
+                if q not in pts:
+                    pts.append(q)
+            ids = [pool.id_of(q) for q in pts]
+            mean = [sum(col) / k for col in zip(*(q.as_fractions() for q in pts))]
+            if all(c.denominator & (c.denominator - 1) == 0 for c in mean):
+                assert _barycentre(pool, ids) == point(*mean)
+            else:
+                with pytest.raises(MarkingError, match="not dyadic"):
+                    _barycentre(pool, ids)
 
     def test_kuhn_cube_face_centre_marking_is_plain_bisection(self):
         """Centres of the cube's faces as typed points: the division steps
@@ -266,6 +286,24 @@ class TestCheckPcIsoCoChange:
                 cells.append(TaggedSimplex(tuple(perm), (), 0, 0))
             tri = Triangulation.from_cells(pool, cells)
             assert check_isocochange(tri) == []
+
+    def test_isocochange_violation_detected(self):
+        """Both cells restrict to the row (a c) on the diagonal, so retaco
+        passes; but the second restriction keeps no horizontal vertex and
+        is transposed to hyperlevel 1, so its lattice steps by c - a where
+        the first's, refined to width 1, steps by (c - a) / 2."""
+        pool = VertexPool()
+        a = pool.id_of(point(0, 0))
+        b = pool.id_of(point(1, 0))
+        c = pool.id_of(point(1, 1))
+        d = pool.id_of(point(0, 1))
+        tri = Triangulation.from_cells(
+            pool, [TaggedSimplex((a, b, c), ()), TaggedSimplex((d,), (a, c))]
+        )
+        assert check_retaco(tri) == []
+        assert check_isocochange(tri) == [
+            "cells 0 and 1: intersection sublattices differ on [0, 2]"
+        ]
 
     def test_pc_violation_detected(self):
         pool = VertexPool()

@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import VertexPool, bisect, kuhn, point, refinement_edge, midpoint
+from bisectmesh.exactgeom import _rows, _solve
 from bisectmesh.tarray import (
-    ChebyshevLattice,
     TaggedSimplex,
     canonicalize,
     lattice_of,
     reflect,
     restrict,
+    same_lattice,
     transpose,
 )
 
@@ -286,34 +289,66 @@ class TestKuhn:
             kuhn([1, 2], [1, 2], pool)
 
 
+def _coefficients(basis, vector):
+    """Exact coefficients of ``vector`` in ``basis``, or None off the span."""
+    rows, _ = _rows([*basis, vector])
+    target = rows.pop()
+    sol = _solve(rows, target)
+    if sol is None:
+        return None
+    nums, den = sol
+    return [Fraction(c, den) for c in nums]
+
+
+def signed_permutation_equal(a, b) -> bool:
+    """Reference lattice equality, independent of :func:`same_lattice`:
+    every basis vector of ``b`` has coefficients in ``a``'s basis forming a
+    signed permutation (the only unimodular max-norm isometries), and the
+    origins differ by an integer combination of ``a``'s basis."""
+    (oa, ba), (ob, bb) = a, b
+    if len(ba) != len(bb):
+        return False
+    used = set()
+    for v in bb:
+        coeff = _coefficients(ba, v)
+        if coeff is None:
+            return False
+        nonzero = [(i, c) for i, c in enumerate(coeff) if c != 0]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in used:
+            return False
+        used.add(nonzero[0][0])
+    shift = _coefficients(ba, ob - oa)
+    return shift is not None and all(c.denominator == 1 for c in shift)
+
+
 class TestLattice:
     def test_kuhn_lattice_is_unit(self):
         pool = VertexPool()
         s = kuhn([1, 2], [1, 1], pool)
-        lat = lattice_of(s, pool)
-        assert lat.width_exp == 0
-        assert lat.origin == point(0, 0)
-        assert list(lat.basis) == [point(1, 0), point(0, 1)]
+        origin, basis = lattice_of(s, pool, 0)
+        assert origin == point(0, 0)
+        assert basis == [point(1, 0), point(0, 1)]
+        assert lattice_of(s, pool, 2)[1] == [point(Fraction(1, 4), 0), point(0, Fraction(1, 4))]
 
     def test_preserved_by_bisect_halved_by_transpose(self):
         pool = VertexPool()
         s = kuhn([1, 2, 3], [1, 1, 1], pool)
-        lat = lattice_of(s, pool)
+        lat = lattice_of(s, pool, 0)
         cur = s
         while cur.type > 0:
             cur, _, _ = bisect(cur, pool)
-            assert lattice_of(cur, pool) == lat
+            assert same_lattice(lattice_of(cur, pool, 0), lat)
         t = transpose(cur)
-        lat2 = lattice_of(t, pool)
-        assert lat2 == lat.refine(1)
-        assert lat2 != lat
+        lat2 = lattice_of(t, pool, 1)
+        assert same_lattice(lat2, lattice_of(s, pool, 1))
+        assert not same_lattice(lat2, lat)
 
     def test_refinement_edge_length_in_root_lattice(self):
         """Chebyshev length of any descendant's refinement edge in the root
         lattice is 2^-(edge hyperlevel)."""
         pool = VertexPool()
         root = kuhn([2, 1, 3], [1, 1, 1], pool)
-        lat = lattice_of(root, pool)
+        _, basis = lattice_of(root, pool, 0)
         frontier = [root]
         for _ in range(7):
             nxt = []
@@ -324,26 +359,59 @@ class TestLattice:
             for s in frontier:
                 a, b = sorted(refinement_edge(s))
                 vec = pool.point(b) - pool.point(a)
-                coeff = lat.coefficients(vec)
-                cheb = max(abs(c) for c in coeff)
+                cheb = max(abs(c) for c in _coefficients(basis, vec))
                 assert cheb == Fraction(1, 2**s.edge_hyperlevel)
 
     def test_signed_permutation_needed_for_equality(self):
-        base = ChebyshevLattice(point(0, 0), [point(1, 0), point(0, 1)], 0)
-        sheared = ChebyshevLattice(point(0, 0), [point(1, 0), point(1, 1)], 0)
-        flipped = ChebyshevLattice(point(3, 2), [point(0, -1), point(1, 0)], 0)
-        assert base != sheared  # same point set, different max-norm
-        assert base == flipped
-
-    def test_unhashable(self):
-        pytest.raises(TypeError, hash, ChebyshevLattice(point(0, 0), [point(1, 0)], 0))
+        base = (point(0, 0), [point(1, 0), point(0, 1)])
+        sheared = (point(0, 0), [point(1, 0), point(1, 1)])
+        flipped = (point(3, 2), [point(0, -1), point(1, 0)])
+        shifted = (point(Fraction(1, 2), 0), [point(1, 0), point(0, 1)])
+        assert not same_lattice(base, sheared)  # same point set, other max-norm
+        assert same_lattice(base, flipped)
+        assert not same_lattice(base, shifted)  # origin off the lattice
+        for a in (base, sheared, flipped, shifted):
+            for b in (base, sheared, flipped, shifted):
+                assert same_lattice(a, b) == signed_permutation_equal(a, b)
 
     def test_degenerate_rejected(self):
         pool = VertexPool()
         for q in (point(0, 0), point(1, 1), point(2, 2)):
             pool.id_of(q)
         with pytest.raises(ValueError):
-            lattice_of(TaggedSimplex((0, 1, 2), ()), pool)
+            lattice_of(TaggedSimplex((0, 1, 2), ()), pool, 0)
+
+    def test_agrees_with_signed_permutation_rule(self):
+        """On seeded random taggings of the Kuhn n-cubes (n = 2..4), the
+        lattices of every restricted cell pair compare equal under
+        :func:`same_lattice` exactly when the reference rule says so; both
+        outcomes occur."""
+        rng = random.Random(2024)
+        outcomes = set()
+        for n in (2, 3, 4):
+            pool = VertexPool()
+            cells = [
+                kuhn(list(perm), [1] * n, pool).vertex_ids
+                for perm in permutations(range(1, n + 1))
+            ]
+            for _ in range(20 if n < 4 else 8):
+                tagged = []
+                for cell in cells:
+                    ids = list(cell)
+                    rng.shuffle(ids)
+                    k = rng.randrange(1, n + 2)
+                    tagged.append(TaggedSimplex(tuple(ids[:k]), tuple(ids[k:]), 0, rng.randrange(2)))
+                for sa, sb in combinations(tagged, 2):
+                    shared = set(sa.vertex_ids) & set(sb.vertex_ids)
+                    if not shared:
+                        continue
+                    ra, rb = restrict(sa, shared), restrict(sb, shared)
+                    alpha = max(ra.hyperlevel, rb.hyperlevel)
+                    la, lb = lattice_of(ra, pool, alpha), lattice_of(rb, pool, alpha)
+                    expected = signed_permutation_equal(la, lb)
+                    assert same_lattice(la, lb) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestInvariants:
