@@ -8,10 +8,14 @@ harness that computes and checks the closure-estimate constants.
 
 from .exactgeom import DyadicPoint, midpoint, point, simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
-from .forest import Forest, Triangulation, overlay, underlay, tower
+from .forest import (
+    Forest, Triangulation, closure01, overlay, underlay, tower, verify_forest_characterisation,
+)
 from .refine import RefinementError, check_conforming, refine, uniform_refine
 from .inittags import agk_init, initial_division, PointMarking, VertexPartition
-from .harness import Constants, compute_constants, run_sequence, verify_bdv
+from .harness import (
+    Constants, compute_constants, run_sequence, tower_patch_spotcheck, verify_bdv,
+)
 
 __all__ = [
     "DyadicPoint",
@@ -28,6 +32,8 @@ __all__ = [
     "overlay",
     "underlay",
     "tower",
+    "closure01",
+    "verify_forest_characterisation",
     "RefinementError",
     "check_conforming",
     "refine",
@@ -39,6 +45,7 @@ __all__ = [
     "Constants",
     "compute_constants",
     "run_sequence",
+    "tower_patch_spotcheck",
     "verify_bdv",
 ]
 

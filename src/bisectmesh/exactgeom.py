@@ -103,9 +103,6 @@ class DyadicPoint:
         """Return self * 2**k (k may be negative)."""
         return DyadicPoint._of(self.nums, self.exp - k)
 
-    def as_fractions(self) -> tuple:
-        return tuple(Fraction(x, 1 << self.exp) for x in self.nums)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DyadicPoint)
@@ -282,12 +279,6 @@ def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
     if any(c < 0 for c in coords):
         return None
     return [Fraction(c, den) for c in coords]
-
-
-def sq_dist(a: DyadicPoint, b: DyadicPoint) -> Fraction:
-    """Exact squared Euclidean distance."""
-    (row,), e = _rows([a], b)
-    return Fraction(_dot(row, row), 1 << (2 * e))
 
 
 def _max_gap_sq(rows: list) -> int:

@@ -86,17 +86,15 @@ class Forest:
 
 
 class Triangulation:
-    """A leaf set of the forest plus vertex/edge incidence indices.
-
-    An edge is the ``frozenset`` of its two vertex ids, as returned by
-    :meth:`TaggedSimplex.edges` and :func:`refinement_edge`; ``edge_index``
-    maps each leaf edge to its sharers.
-    """
+    """A leaf set of the forest plus its vertex stars: ``vertex_index`` maps
+    each leaf vertex to the leaves holding it.  An edge is the ``frozenset``
+    of its two vertex ids (:meth:`TaggedSimplex.edges`, :func:`refinement_edge`);
+    a leaf carries it when it holds both ends, so :meth:`edge_sharers`
+    intersects the two ends' stars."""
 
     def __init__(self, forest: Forest, leaves: Iterable[int]):
         self.forest = forest
         self.leaves: set[int] = set(leaves)
-        self.edge_index: dict[frozenset, set[int]] = {}
         self.vertex_index: dict[int, set[int]] = {}
         for leaf in self.leaves:
             self._index_leaf(leaf)
@@ -112,20 +110,11 @@ class Triangulation:
         return Triangulation(self.forest, self.leaves)
 
     def _index_leaf(self, nid: int):
-        t = self.forest.tarray(nid)
-        for e in t.edges():
-            self.edge_index.setdefault(e, set()).add(nid)
-        for v in t.vertex_ids:
+        for v in self.forest.tarray(nid).vertex_ids:
             self.vertex_index.setdefault(v, set()).add(nid)
 
     def _unindex_leaf(self, nid: int):
-        t = self.forest.tarray(nid)
-        for e in t.edges():
-            sharers = self.edge_index[e]
-            sharers.discard(nid)
-            if not sharers:
-                del self.edge_index[e]
-        for v in t.vertex_ids:
+        for v in self.forest.tarray(nid).vertex_ids:
             sharers = self.vertex_index[v]
             sharers.discard(nid)
             if not sharers:
@@ -144,7 +133,9 @@ class Triangulation:
         return c1, c2
 
     def edge_sharers(self, edge: frozenset) -> set:
-        return set(self.edge_index.get(edge, ()))
+        """A new set of the leaves holding both ends of ``edge``."""
+        a, b = edge
+        return self.vertex_index.get(a, set()) & self.vertex_index.get(b, set())
 
     def cells(self) -> list[TaggedSimplex]:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]
@@ -196,21 +187,6 @@ def underlay(p: Triangulation, q: Triangulation) -> Triangulation:
 def _require_same_roots(p: Triangulation, q: Triangulation):
     if p.forest is not q.forest:
         raise ValueError("triangulations must share one forest arena")
-
-
-def demands0(forest: Forest, t: int, s: int) -> bool:
-    """T demands S because both were created by the same new vertex."""
-    nt, ns = forest.nodes[t], forest.nodes[s]
-    return nt.v_new is not None and nt.v_new == ns.v_new
-
-
-def demands1(forest: Forest, t: int, s: int) -> bool:
-    """T demands S because S's new vertex created T's parent."""
-    nt, ns = forest.nodes[t], forest.nodes[s]
-    if nt.parent is None or ns.v_new is None:
-        return False
-    pa = forest.nodes[nt.parent]
-    return pa.v_new is not None and pa.v_new == ns.v_new
 
 
 def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:

@@ -396,7 +396,7 @@ def run_sequence(
         for node_id, _ in log:
             c1, c2 = forest.nodes[node_id].children
             edge = refinement_edge(forest.tarray(node_id))
-            if edge in tri.edge_index:
+            if tri.edge_sharers(edge):
                 raise SequenceError(
                     f"round {rnd}: bisected edge {set(edge)} still carried "
                     "by a leaf (hanging node)"

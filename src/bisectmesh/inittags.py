@@ -19,7 +19,7 @@ from .tarray import (
     TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict, same_lattice,
 )
 from .forest import Triangulation
-from .refine import check_conforming, uniform_refine
+from .refine import check_conforming, edge_disagreement, uniform_refine
 
 
 @dataclass
@@ -232,18 +232,13 @@ def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:
     depth = depth if depth is not None else n + 1
     stage = tri.copy()
     for d in range(depth):
-        for edge, sharers in stage.edge_index.items():
-            owners = {
-                leaf
-                for leaf in sharers
-                if refinement_edge(forest.tarray(leaf)) == edge
-            }
-            if owners and owners != sharers:
-                problems.append(
-                    f"uniform refinement {d}: edge {set(edge)} is the "
-                    f"refinement edge of {len(owners)} of {len(sharers)} sharers"
-                )
-                return problems
+        if bad := edge_disagreement(stage):
+            edge, owners, sharers = bad
+            problems.append(
+                f"uniform refinement {d}: edge {set(edge)} is the "
+                f"refinement edge of {len(owners)} of {len(sharers)} sharers"
+            )
+            return problems
         stage = uniform_refine(stage)
         hanging = check_conforming(stage)
         if hanging:

@@ -169,6 +169,7 @@ def mesh_from_dict(doc: dict):
     if not isinstance(raw_cells, list) or not raw_cells:
         raise MeshFormatError("cells: expected a non-empty list")
     cells = []
+    first_with: dict[frozenset, int] = {}
     for i, c in enumerate(raw_cells):
         path = f"cells[{i}]"
         if not isinstance(c, dict):
@@ -185,8 +186,12 @@ def mesh_from_dict(doc: dict):
                     raise MeshFormatError(f"{path}.{field}: bad vertex id {v!r}")
         if len(hor) + len(ver) != dim + 1:
             raise MeshFormatError(f"{path}: need dim+1 = {dim + 1} vertices")
-        if len(set(hor + ver)) != dim + 1:
+        vset = frozenset(hor + ver)
+        if len(vset) != dim + 1:
             raise MeshFormatError(f"{path}: repeated vertex")
+        if vset in first_with:
+            raise MeshFormatError(f"{path}: same vertices as cells[{first_with[vset]}]")
+        first_with[vset] = i
         level = c.get("level", 0)
         hyper = c.get("hyperlevel", 0)
         for field, value in (("level", level), ("hyperlevel", hyper)):

@@ -89,12 +89,6 @@ class Pile:
                     stack.append(dem)
         return added
 
-    def per_level_counts(self) -> dict:
-        counts: dict[int, int] = {}
-        for level, _ in self.bricks:
-            counts[level] = counts.get(level, 0) + 1
-        return counts
-
 
 @dataclass
 class PileTrace:

@@ -63,8 +63,6 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
             stack.append(min(incompatible))
             continue
         for u in sorted(sharers):
-            if u not in tri.leaves:
-                continue
             src = origin.get(u, u)
             c1, c2 = tri.bisect_leaf(u)
             origin[c1] = origin[c2] = src
@@ -217,20 +215,29 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     return problems
 
 
+def edge_disagreement(tri: Triangulation):
+    """The first leaf refinement edge, in sorted leaf order, that is not the
+    refinement edge of all its sharers, as ``(edge, owners, sharers)``; None
+    when every refinement edge is agreed on."""
+    ref = {leaf: refinement_edge(tri.forest.tarray(leaf)) for leaf in tri.leaves}
+    for leaf in sorted(ref):
+        edge = ref[leaf]
+        sharers = tri.edge_sharers(edge)
+        owners = {u for u in sharers if ref[u] == edge}
+        if owners != sharers:
+            return edge, owners, sharers
+    return None
+
+
 def uniform_refine(tri: Triangulation) -> Triangulation:
     """Bisect every leaf exactly once; valid on meshes where every shared
     edge is the refinement edge of all or none of its sharers."""
-    forest = tri.forest
-    ref_edges: dict[int, frozenset] = {
-        leaf: refinement_edge(forest.tarray(leaf)) for leaf in tri.leaves
-    }
-    for leaf, edge in ref_edges.items():
-        for sharer in tri.edge_sharers(edge):
-            if ref_edges[sharer] != edge:
-                raise RefinementError(
-                    f"mismatched refinement edges on shared edge {set(edge)}: "
-                    f"leaves {leaf} and {sharer}"
-                )
+    if bad := edge_disagreement(tri):
+        edge, owners, sharers = bad
+        raise RefinementError(
+            f"mismatched refinement edges on shared edge {set(edge)}: "
+            f"leaves {min(owners)} and {min(sharers - owners)}"
+        )
     for leaf in list(tri.leaves):
         tri.bisect_leaf(leaf)
     return tri
@@ -275,9 +282,10 @@ def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
     """
     forest = tri.forest
     pool = forest.pool
-    targets: set[frozenset] = set(tri.edge_index.keys())
+    targets: set[frozenset] = set()
     for leaf in tri.leaves:
         t = forest.tarray(leaf)
+        targets.update(t.edges())
         for triple in combinations(t.vertex_ids, 3):
             sub = restrict(t, set(triple))
             if sub.type == 1:

@@ -148,13 +148,6 @@ def refinement_edge(s: TaggedSimplex) -> frozenset:
     return _edge(s.horizontal[0], s.vertical[-1])
 
 
-def reflect(s: TaggedSimplex) -> TaggedSimplex:
-    """Reverse the horizontal row; children coincide up to reflexion."""
-    return TaggedSimplex(
-        tuple(reversed(s.horizontal)), s.vertical, s.level, s.hyperlevel
-    )
-
-
 def canonicalize(s: TaggedSimplex) -> TaggedSimplex:
     """Unique representative of the class of ``s`` under reflexion and
     transposition.

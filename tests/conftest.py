@@ -1,6 +1,7 @@
 """Shared mesh factories and independent test oracles."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,16 @@ from bisectmesh import VertexPool, Triangulation, point, kuhn
 from bisectmesh.exactgeom import barycentric
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.tarray import TaggedSimplex
+
+
+def fractions_of(p):
+    """Independent oracle: the coordinates of a DyadicPoint as Fractions."""
+    return tuple(Fraction(x, 1 << p.exp) for x in p.nums)
+
+
+def frac_sq_dist(a, b):
+    """Squared distance of two DyadicPoints, computed over Fractions."""
+    return sum((x - y) ** 2 for x, y in zip(fractions_of(a), fractions_of(b)))
 
 
 def kuhn_square():

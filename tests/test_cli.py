@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +23,8 @@ from bisectmesh.pilegame import play
 
 from conftest import (
     agk_cube,
+    fractions_of,
+    kuhn_cube_cells,
     kuhn_cube_mesh,
     kuhn_square,
     one_sided_square,
@@ -30,7 +33,7 @@ from conftest import (
 )
 from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
 from bisectmesh.inittags import PointMarking, VertexPartition
-from bisectmesh.tarray import TaggedSimplex
+from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 
 @pytest.fixture
@@ -289,6 +292,62 @@ def test_check_sic_depth_0_exit_1(tmp_path, capsys):
         assert "FAIL sic" in capsys.readouterr().out
 
 
+def one_mismatch_cube(seed):
+    """The Kuhn 3-cube with one seeded cell's horizontal row shuffled until
+    its refinement edge moves off the cube diagonal."""
+    rng = random.Random(seed)
+    pool, cells = kuhn_cube_cells(3)
+    tagged = [TaggedSimplex(c, ()) for c in cells]
+    k = rng.randrange(len(cells))
+    row = list(cells[k])
+    while refinement_edge(TaggedSimplex(tuple(row), ())) == refinement_edge(tagged[k]):
+        rng.shuffle(row)
+    tagged[k] = TaggedSimplex(tuple(row), ())
+    return Triangulation.from_cells(pool, tagged)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_check_sic_and_uniform_name_one_edge(seed, tmp_path, capsys):
+    """Both commands read the one refinement-edge agreement rule, so they
+    fail on the same edge: on the one-sided square (seed None) and on
+    seeded one-cell mismatches of the Kuhn 3-cube."""
+    path = tmp_path / "mismatch.json"
+    write_mesh(path, one_sided_square() if seed is None else one_mismatch_cube(seed))
+    assert main(["check", "sic", "--mesh", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert main(["uniform", "--mesh", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    edge = re.search(r"edge (\{\d+, \d+\}) is the refinement edge of", out).group(1)
+    assert f"on shared edge {edge}: leaves " in err
+    if seed is None:
+        assert out.splitlines()[0] == (
+            "uniform refinement 0: edge {1, 2} is the refinement edge of 1 of 2 sharers"
+        )
+        assert err == (
+            "refinement failed: mismatched refinement edges on shared edge {1, 2}: "
+            "leaves 0 and 1\n"
+        )
+
+
+def test_duplicate_cell_is_exit_1(tmp_path, capsys):
+    """Two copies of one triangle pass every conformity check and refine
+    independently, so the loader refuses a cell whose vertex ids repeat an
+    earlier cell's, in any order."""
+    doc = {
+        "dim": 2,
+        "vertices": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        "cells": [{"horizontal": [0, 1, 2]}, {"horizontal": [2, 0], "vertical": [1]}],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", "conforming"], ["check", "sic"], ["bdv-run", "-N", "3"]):
+        assert main([*argv, "--mesh", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "cells[1]: same vertices as cells[0]" in err
+        assert "Traceback" not in err
+
+
 def test_pile_game_zero_rounds_exit_1(capsys):
     assert main(["pile-game", "-N", "0"]) == 1
     assert "must be at least 1" in capsys.readouterr().err
@@ -298,7 +357,7 @@ def _canonical_hash(tri):
     """mesh_hash after renumbering vertices by coordinates and sorting the
     cells, so meshes built in different vertex orders compare by geometry."""
     pool = tri.forest.pool
-    key = lambda vid: pool.point(vid).as_fractions()
+    key = lambda vid: fractions_of(pool.point(vid))
     ordered = sorted({v for c in tri.cells() for v in c.vertex_ids}, key=key)
     new_pool = VertexPool()
     new_id = {v: new_pool.id_of(pool.point(v)) for v in ordered}
@@ -342,7 +401,7 @@ def _cell_coordinates(tri):
     """The cells as sets of vertex coordinates, independent of numbering."""
     pool = tri.forest.pool
     return {
-        frozenset(pool.point(v).as_fractions() for v in c.vertex_ids)
+        frozenset(fractions_of(pool.point(v)) for v in c.vertex_ids)
         for c in tri.cells()
     }
 

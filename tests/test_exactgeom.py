@@ -18,9 +18,10 @@ from bisectmesh.exactgeom import (
     orientation,
     point,
     simplex_volume,
-    sq_dist,
     volume_sum,
 )
+
+from conftest import frac_sq_dist, fractions_of
 
 
 def dyadic_fractions(lo, hi, max_exp):
@@ -62,7 +63,7 @@ class TestDyadic:
 
     @given(coordinates)
     def test_fractions_round_trip(self, fracs):
-        assert DyadicPoint(fracs).as_fractions() == tuple(fracs)
+        assert fractions_of(DyadicPoint(fracs)) == tuple(fracs)
 
     @given(coordinates)
     def test_repr_matches_oracle(self, fracs):
@@ -76,10 +77,10 @@ class TestDyadic:
     def test_field_ops_match_fractions(self, a, b):
         a, b = a[: len(b)], b[: len(a)]
         p, q = DyadicPoint(a), DyadicPoint(b)
-        assert (p + q).as_fractions() == tuple(x + y for x, y in zip(a, b))
-        assert (p - q).as_fractions() == tuple(x - y for x, y in zip(a, b))
-        assert p.half().as_fractions() == tuple(x / 2 for x in a)
-        assert p.scale_pow2(3).as_fractions() == tuple(x * 8 for x in a)
+        assert fractions_of(p + q) == tuple(x + y for x, y in zip(a, b))
+        assert fractions_of(p - q) == tuple(x - y for x, y in zip(a, b))
+        assert fractions_of(p.half()) == tuple(x / 2 for x in a)
+        assert fractions_of(p.scale_pow2(3)) == tuple(x * 8 for x in a)
 
     def test_dyadic_coercion(self):
         assert DyadicPoint([Fraction(3, 8)]) == DyadicPoint._of([3], 3)
@@ -224,14 +225,6 @@ class TestBarycentric:
 
 
 class TestDistances:
-    def test_sq_dist(self):
-        assert sq_dist(point(0, 0), point(1, 1)) == 2
-
-    def test_max_from_circumcentre(self):
-        tri = [point(0, 0), point(1, 0), point(1, 1)]
-        half = point(Fraction(1, 2), Fraction(1, 2))
-        assert max(sq_dist(half, v) for v in tri) == Fraction(1, 2)
-
     @given(
         st.lists(st.integers(0, 16), min_size=6, max_size=6),
         st.integers(0, 4),
@@ -247,18 +240,18 @@ class TestDistances:
             DyadicPoint(coords[4:6]),
         ]
         target = point(coords[1], coords[4])
-        best_vertex = max(sq_dist(target, v) for v in verts)
+        best_vertex = max(frac_sq_dist(target, v) for v in verts)
         # dyadic convex samples with weights (wa, wb, 16 - wa - wb) / 16
         wc = 16 - wa - wb
         sample_fr = [
             sum(
-                Fraction(w, 16) * v.as_fractions()[d]
+                Fraction(w, 16) * fractions_of(v)[d]
                 for w, v in zip((wa, wb, wc), verts)
             )
             for d in range(2)
         ]
         sample = DyadicPoint(sample_fr)
-        assert sq_dist(target, sample) <= best_vertex
+        assert frac_sq_dist(target, sample) <= best_vertex
 
 
 # --- the integer kernel against a Fraction oracle ------------------------------
@@ -273,8 +266,8 @@ def points(n):
 class TestPointKernel:
     @given(st.integers(1, 4).flatmap(points))
     def test_coords_round_trip(self, p):
-        assert DyadicPoint(p.as_fractions()) == p
-        assert repr(DyadicPoint(p.as_fractions())) == repr(p)
+        assert DyadicPoint(fractions_of(p)) == p
+        assert repr(DyadicPoint(fractions_of(p))) == repr(p)
 
     @given(st.integers(1, 4).flatmap(points), st.integers(1, 5))
     def test_equal_points_from_other_exponents_hash_alike(self, p, k):
@@ -289,8 +282,8 @@ class TestPointKernel:
         a, b = ab
         m = midpoint(a, b)
         assert m.exp == 0 or any(x % 2 for x in m.nums)
-        assert m.as_fractions() == tuple(
-            (x + y) / 2 for x, y in zip(a.as_fractions(), b.as_fractions())
+        assert fractions_of(m) == tuple(
+            (x + y) / 2 for x, y in zip(fractions_of(a), fractions_of(b))
         )
 
 
@@ -334,9 +327,9 @@ def _oracle_solve(basis, t):
 def _oracle_barycentric(pt, simplex):
     """Barycentric coordinates by :func:`_oracle_solve`; "degenerate" for a
     dependent simplex."""
-    p0 = simplex[0].as_fractions()
-    basis = [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
-    t = [x - y for x, y in zip(pt.as_fractions(), p0)]
+    p0 = fractions_of(simplex[0])
+    basis = [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
+    t = [x - y for x, y in zip(fractions_of(pt), p0)]
     sol = _oracle_solve(basis, t)
     if sol is None or sol == "degenerate":
         return sol
@@ -357,7 +350,7 @@ def simplex_and_point(draw, full=False):
         scale = 1 << total.bit_length()  # keep the weights dyadic
         weights[0] += scale - total
         pt = DyadicPoint(
-            sum(Fraction(w, scale) * v.as_fractions()[d] for w, v in zip(weights, simplex))
+            sum(Fraction(w, scale) * fractions_of(v)[d] for w, v in zip(weights, simplex))
             for d in range(n)
         )
     else:
@@ -379,9 +372,9 @@ class TestKernelOracle:
     @given(simplex_and_point(full=True))
     def test_volume_and_orientation(self, case):
         simplex, _ = case
-        p0 = simplex[0].as_fractions()
+        p0 = fractions_of(simplex[0])
         det = _frac_det(
-            [[x - y for x, y in zip(v.as_fractions(), p0)] for v in simplex[1:]]
+            [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
         )
         n = len(simplex) - 1
         assert simplex_volume(simplex) == abs(det) / math.factorial(n)
@@ -389,12 +382,8 @@ class TestKernelOracle:
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(points(n), max_size=5)))
     def test_distances(self, pts):
-        def frac_sq(a, b):
-            return sum((x - y) ** 2 for x, y in zip(a.as_fractions(), b.as_fractions()))
-
-        pairs = [frac_sq(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+        pairs = [frac_sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
         assert diam_sq(pts) == max(pairs, default=0)
-        assert [sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]] == pairs
 
 
 @st.composite
@@ -416,7 +405,7 @@ def placed_point(draw):
     scale = 1 << (total - 1).bit_length()  # keep the weights dyadic
     weights[next(i for i, w in enumerate(weights) if w)] += scale - total
     pt = DyadicPoint(
-        sum(Fraction(w, scale) * v.as_fractions()[d] for w, v in zip(weights, simplex))
+        sum(Fraction(w, scale) * fractions_of(v)[d] for w, v in zip(weights, simplex))
         for d in range(n)
     )
     return simplex, pt

@@ -3,13 +3,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bisectmesh import Triangulation, VertexPool, kuhn
+from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
 from bisectmesh.exactgeom import DyadicPoint, simplex_volume
 from bisectmesh.forest import (
     closure01,
-    demands0,
-    demands1,
     finer,
     forest_size_identity,
     overlay,
@@ -18,7 +17,7 @@ from bisectmesh.forest import (
     verify_forest_characterisation,
 )
 from bisectmesh.refine import refine
-from conftest import kuhn_square, staircase_mesh
+from conftest import kuhn_cube_mesh, kuhn_square, staircase_mesh
 
 
 class TestCountingIdentity:
@@ -111,8 +110,8 @@ class TestDemands:
     def test_siblings_demand_each_other(self, square):
         leaf = min(square.leaves)
         c1, c2 = square.forest.ensure_children(leaf)
-        assert demands0(square.forest, c1, c2)
-        assert demands0(square.forest, c2, c1)
+        assert c2 in closure01(square.forest, [c1])
+        assert c1 in closure01(square.forest, [c2])
 
     def test_child_demands_parent_class(self):
         tri = kuhn_square()
@@ -121,7 +120,7 @@ class TestDemands:
         c1, _ = forest.ensure_children(leaf)
         # leaf is a root, so its children have no ->1 targets; go one deeper
         g1, _ = forest.ensure_children(c1)
-        assert demands1(forest, g1, c1)
+        assert c1 in closure01(forest, [g1])
 
     def test_closure_equals_tower(self):
         rng = random.Random(17)
@@ -180,6 +179,43 @@ class TestArenaLinks:
             if node.parent is not None:
                 assert node.index in forest.nodes[node.parent].children
                 assert node.index > node.parent  # acyclic by construction
+
+
+def scanned_sharers(tri, edge):
+    """Independent oracle: the leaves holding both ends of ``edge``."""
+    return {leaf for leaf in tri.leaves if edge <= set(tri.forest.tarray(leaf).vertex_ids)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    rounds=st.integers(0, 8),
+    unclosed=st.integers(0, 4),
+)
+def test_edge_sharers_match_leaf_scan(n, seed, rounds, unclosed):
+    """``edge_sharers`` reads the vertex stars; after closed refinement,
+    unclosed bisections (hanging nodes), ``copy`` and overlay/underlay it
+    must equal a scan of the leaves, for every leaf edge and for every
+    bisected edge, and hand out a set the caller may change."""
+    rng = random.Random(seed)
+    p = kuhn_square() if n == 2 else kuhn_cube_mesh(3)
+    q = p.copy()
+    for _ in range(rounds):
+        refine(p, rng.choice(sorted(p.leaves)))
+        refine(q, rng.choice(sorted(q.leaves)))
+    for _ in range(unclosed):
+        p.bisect_leaf(rng.choice(sorted(p.leaves)))
+    forest = p.forest
+    bisected = {refinement_edge(node.tarray) for node in forest.nodes if node.children}
+    for tri in (p, q, p.copy(), overlay(p, q), underlay(p, q)):
+        leaf_edges = {e for leaf in tri.leaves for e in forest.tarray(leaf).edges()}
+        for edge in leaf_edges | bisected:
+            want = scanned_sharers(tri, edge)
+            got = tri.edge_sharers(edge)
+            assert got == want
+            got.add(-1)
+            assert tri.edge_sharers(edge) == want
 
 
 class TestCharacterisation:

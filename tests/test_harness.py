@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh import forest as forest_mod, harness, tarray
-from bisectmesh.exactgeom import DyadicPoint, diam_sq, midpoint, simplex_volume, sq_dist
+from bisectmesh.exactgeom import DyadicPoint, diam_sq, midpoint, simplex_volume
 from bisectmesh.harness import (
     SequenceError,
     ShapeCensus,
@@ -30,7 +30,7 @@ from bisectmesh.meshio import write_mesh
 from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
-from conftest import agk_cube, kuhn_cube_mesh, kuhn_square, single_kuhn
+from conftest import agk_cube, frac_sq_dist, kuhn_cube_mesh, kuhn_square, single_kuhn
 
 
 def half_kuhn_mesh(n):
@@ -132,13 +132,9 @@ class TestDistanceCeilings:
         for _ in range(12):
             c1, c2, vnew = bisect(cur, pool)
             cur = c1 if rng.random() < 0.5 else c2
-            far = max(sq_dist(pool.point(vnew), p) for p in cur.vertices(pool))
+            far = max(frac_sq_dist(pool.point(vnew), p) for p in cur.vertices(pool))
             v_2n = (Fraction(2) ** (2 * cur.level)) * far**2
             assert v_2n <= consts.D_pow_2n
-
-
-def _frac_sq(a, b):
-    return sum((x - y) ** 2 for x, y in zip(a.as_fractions(), b.as_fractions()))
 
 
 def reference_shape_census(root, pool, max_generations=400, max_classes=500_000):
@@ -166,13 +162,13 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
             new = midpoint(shape[0], shape[t])
             rest = (new, *shape[t + 1 :])
             for child in (shape[1 : t + 1] + rest, shape[:t] + rest):
-                d_sq = max(_frac_sq(new, p) for p in child)
+                d_sq = max(frac_sq_dist(new, p) for p in child)
                 vol = simplex_volume(child)
                 value = c0**2 * d_sq**n / vol**2
                 if value > best_v:
                     best_v = value
                 iso = iso_scale_sq * max(
-                    _frac_sq(a, b) for i, a in enumerate(child) for b in child[i + 1 :]
+                    frac_sq_dist(a, b) for i, a in enumerate(child) for b in child[i + 1 :]
                 )
                 if iso > best_iso:
                     best_iso = iso

@@ -24,6 +24,7 @@ from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
+    fractions_of,
     kuhn_cube_cells,
     kuhn_square,
     one_sided_square,
@@ -120,7 +121,7 @@ class TestInitialDivision:
                 if q not in pts:
                     pts.append(q)
             ids = [pool.id_of(q) for q in pts]
-            mean = [sum(col) / k for col in zip(*(q.as_fractions() for q in pts))]
+            mean = [sum(col) / k for col in zip(*(fractions_of(q) for q in pts))]
             if all(c.denominator & (c.denominator - 1) == 0 for c in mean):
                 assert _barycentre(pool, ids) == point(*mean)
             else:

@@ -1,0 +1,52 @@
+"""Guard: every function or method the package defines has a caller.
+
+A definition counts as used when its name occurs as a ``Name``, an
+``Attribute`` or an imported name anywhere in ``src/bisectmesh`` or
+``bench/*.py``, or when ``bisectmesh.__all__`` exports it.  Dunder methods
+are called by Python itself and are exempt.  A helper that only the tests
+call is either exported as API or moved into the tests as an oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import bisectmesh
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees():
+    files = sorted((ROOT / "src" / "bisectmesh").glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py")
+    )
+    return [(path, ast.parse(path.read_text(), str(path))) for path in files]
+
+
+def uncalled_definitions(trees, exported):
+    """``(file, line, name)`` of package definitions nothing uses."""
+    package = ROOT / "src"
+    defined, used = [], set(exported)
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if package in path.parents and not dunder:
+                    defined.append((path.name, node.lineno, node.name))
+    return [d for d in defined if d[2] not in used]
+
+
+def test_every_package_function_has_a_caller():
+    assert uncalled_definitions(_trees(), bisectmesh.__all__) == []
+
+
+def test_guard_sees_an_uncalled_helper():
+    trees = _trees()
+    path = ROOT / "src" / "bisectmesh" / "extra.py"
+    trees.append((path, ast.parse("def orphan():\n    return 1\n")))
+    assert uncalled_definitions(trees, bisectmesh.__all__) == [("extra.py", 1, "orphan")]
