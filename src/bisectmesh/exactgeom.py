@@ -37,6 +37,21 @@ def _reduced(num: int, exp: int) -> tuple[int, int]:
     return num >> shift, exp - shift
 
 
+def _canonical(nums, exp: int) -> tuple[tuple, int]:
+    """The integer vector ``nums / 2**exp`` in canonical form ``(nums, exp)``:
+    the exponent is 0 or some numerator is odd."""
+    if exp < 0:
+        return tuple([x << -exp for x in nums]), 0
+    if exp:
+        bits = 0
+        for x in nums:
+            bits |= x
+        shift = min((bits & -bits).bit_length() - 1, exp) if bits else exp
+        if shift:
+            return tuple([x >> shift for x in nums]), exp - shift
+    return tuple(nums), exp
+
+
 class DyadicPoint:
     """A point with exact dyadic coordinates ``nums[d] / 2**exp``.
 
@@ -66,18 +81,8 @@ class DyadicPoint:
     @classmethod
     def _of(cls, nums, exp: int) -> "DyadicPoint":
         """Canonical point ``nums / 2**exp`` for any integer vector and exponent."""
-        if exp < 0:
-            nums, exp = [x << -exp for x in nums], 0
-        elif exp:
-            bits = 0
-            for x in nums:
-                bits |= x
-            shift = min((bits & -bits).bit_length() - 1, exp) if bits else exp
-            if shift:
-                nums, exp = [x >> shift for x in nums], exp - shift
         p = object.__new__(cls)
-        p.nums = tuple(nums)
-        p.exp = exp
+        p.nums, p.exp = _canonical(nums, exp)
         return p
 
     @property

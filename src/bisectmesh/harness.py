@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactgeom import (
-    DyadicPoint, _det, _max_gap_sq, _rows, diam_sq, midpoint, simplex_volume
+    _canonical, _max_gap_sq, _rows, diam_sq, midpoint, simplex_volume
 )
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
@@ -50,9 +50,10 @@ def _exact_nth_root(value: Fraction, k: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeCensus:
-    """Certificate of the shape-class enumeration of one root."""
+    """Certificate of the shape-class enumeration of one root (frozen: the
+    memo of :func:`compute_constants` hands one census to congruent roots)."""
 
     classes: int
     generations: int
@@ -66,6 +67,7 @@ def shape_census(
     pool,
     max_generations: int = 400,
     max_classes: int = 500_000,
+    memo: Optional[dict] = None,
 ) -> ShapeCensus:
     """Walk all descendant shape classes of one root.
 
@@ -76,22 +78,63 @@ def shape_census(
     valued once, the first time the walk reaches it as a child; the root's
     class is seen from the start but valued only if a descendant falls in it.
 
-    The walk carries only class keys ``(type, offsets)``, the offsets of
-    vertices 1..n from vertex 0 as one canonical vector over a power of two.
-    Transposition doubles a key.  Bisection doubles its rows (exponent + 1),
-    so the new vertex, the midpoint of vertex 0 (the origin) and vertex t, is
-    the undoubled row t; the first child is rebased at its first vertex.
-    Values read the same rows: ``dist**(2n) / vol**2 == (n!)**2 * far**n /
-    det**2``, with ``far`` the largest squared distance from the new vertex.
+    The walk carries only class keys ``(type, offsets, exp)``: the offsets of
+    vertices 1..n from vertex 0, one flat integer vector over ``2**exp`` in
+    the canonical form of :class:`~bisectmesh.exactgeom.DyadicPoint`.
+    Bisection doubles the rows (exponent + 1), so the new vertex, the midpoint
+    of vertex 0 (the origin) and vertex t, is the undoubled row t; the first
+    child is rebased at its first vertex.  Transposing a type-0 key doubles
+    it, so its children keep its exponent.
+
+    Two lemmas keep the values to O(n) integer work per class:
+
+    * Volume by type.  Bisection halves the volume and transposition, which
+      takes type 0 to type n, multiplies it by ``2**n``; so at the walk's
+      scale a class of type t has volume ``|root| * 2**(t - t_root)``, and
+      ``(2**(l/n) dist)**(2n) == 4**(level + t_root) * far**n /
+      2**(2t + 2n exp)``, with ``far`` the largest squared distance from the
+      new vertex in units of ``2**-exp``.  No determinant is needed, and the
+      candidates are compared as integers shifted by powers of two.
+    * Diameter monotone under inclusion.  A child lies inside its parent at
+      the same scale, so only a child of a transposed parent can have a
+      larger diameter than a class already valued (or the root); the
+      diameter is computed for those children alone, and by induction every
+      other class is bounded by one that was computed.
+
+    ``memo``, a dict that lives for one :func:`compute_constants` call, maps
+    ``(type, level, hyperlevel, exp, columns, caps)`` to a census, where the
+    columns of the root's canonical offset rows are sign-flipped to a
+    positive first nonzero entry and sorted.  That is a complete invariant
+    under signed coordinate permutations, isometries that map dyadic points
+    to dyadic points and commute with bisection and with the power-of-two
+    canonicalisation, so congruent roots share one census.  The function is
+    still called once per root, so the calls' ``classes`` add up to
+    ``Constants.classes``.  Raises ValueError for a root of zero volume.
     """
     n = root.dim
     pts = [pool.point(v) for v in root.vertex_ids]
     m = len(pts[0].nums)
-    origin = [0] * m
-    best_ratio = Fraction(0)  # max over children of far**n / det**2
-    best_diam = diam_sq(pts)
     rows, e = _rows(pts[1:], pts[0])
-    root_key = (root.type, DyadicPoint._of([x for r in rows for x in r], e))
+    offsets, e = _canonical([x for r in rows for x in r], e)
+    rows = [offsets[i : i + m] for i in range(0, n * m, m)]
+    if memo is not None:
+        columns = sorted(
+            c if next((x for x in c if x), 0) >= 0 else tuple(-x for x in c)
+            for c in zip(*rows)
+        )
+        memo_key = (
+            root.type, root.level, root.hyperlevel, e, tuple(columns),
+            max_generations, max_classes,
+        )
+        if memo_key in memo:
+            return memo[memo_key]
+    if not simplex_volume(pts):
+        raise ValueError("root simplex has zero volume")
+    origin = (0,) * m
+    # the best value is v_num / 2**v_shift, the best diameter d_num / 2**d_shift
+    v_num = v_shift = 0
+    d_num, d_shift = _max_gap_sq([origin, *rows]), 2 * e
+    root_key = (root.type, offsets, e)
     seen = {root_key}
     valued = set()
     frontier = [root_key]
@@ -99,46 +142,48 @@ def shape_census(
     while frontier and generations < max_generations and len(seen) < max_classes:
         generations += 1
         next_frontier = []
-        for t, offsets in frontier:
-            if t == 0:
-                t, offsets = n, offsets.scale_pow2(1)
-            rows = [offsets.nums[i : i + m] for i in range(0, n * m, m)]
-            doubled = [[x << 1 for x in r] for r in rows]
-            tail = [rows[t - 1], *doubled[t:]]
+        for t, offsets, exp in frontier:
+            transposed = not t
+            if transposed:
+                t = n
+            else:
+                exp += 1
+            doubled = [[x << 1 for x in offsets[i : i + m]] for i in range(0, n * m, m)]
+            tail = [offsets[(t - 1) * m : t * m], *doubled[t:]]
             for child in (
                 [[x - y for x, y in zip(r, doubled[0])] for r in doubled[1:t] + tail],
                 doubled[: t - 1] + tail,
             ):
-                flat = [x for r in child for x in r]
-                key = (t - 1, DyadicPoint._of(flat, offsets.exp + 1))
+                key = (t - 1, *_canonical([x for r in child for x in r], exp))
                 if key in valued:
                     continue
                 valued.add(key)
-                key_rows = [key[1].nums[i : i + m] for i in range(0, n * m, m)]
-                new = key_rows[t - 1]
+                new = child[t - 1]
                 far = max(
                     sum((x - y) * (x - y) for x, y in zip(r, new))
-                    for r in (origin, *key_rows)
+                    for r in (origin, *child)
                 )
-                ratio = Fraction(far**n, _det(key_rows) ** 2)
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                diam = Fraction(_max_gap_sq([origin, *key_rows]), 1 << (2 * key[1].exp))
-                if diam > best_diam:
-                    best_diam = diam
+                value, shift = far**n, 2 * (t - 1) + 2 * n * exp
+                if value << v_shift > v_num << shift:
+                    v_num, v_shift = value, shift
+                if transposed:
+                    diam = _max_gap_sq([origin, *child])
+                    if diam << d_shift > d_num << (2 * exp):
+                        d_num, d_shift = diam, 2 * exp
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(key)
         frontier = next_frontier
-    # 2^level |root|, times the n! that the ratios leave out
-    c0 = Fraction(2) ** root.level * simplex_volume(pts) * math.factorial(n)
-    return ShapeCensus(
+    census = ShapeCensus(
         classes=len(seen),
         generations=generations,
         settled=not frontier,
-        max_v_pow_2n=c0**2 * best_ratio,
-        max_iso_sq=Fraction(4) ** root.hyperlevel * best_diam,
+        max_v_pow_2n=Fraction(v_num << 2 * (root.level + root.type), 1 << v_shift),
+        max_iso_sq=Fraction(d_num << 2 * root.hyperlevel, 1 << d_shift),
     )
+    if memo is not None:
+        memo[memo_key] = census
+    return census
 
 
 def c_sic(d: Fraction, D: float, n: int) -> float:
@@ -213,7 +258,8 @@ def compute_constants(tri: Triangulation) -> Constants:
     iso_floors = [
         Fraction(2) ** (n * t.hyperlevel + n - t.type) * v for t, v in zip(roots, vols)
     ]
-    censuses = [shape_census(t, forest.pool) for t in roots]
+    memo: dict = {}
+    censuses = [shape_census(t, forest.pool, memo=memo) for t in roots]
     cells = range(len(roots))
     d_at = min(cells, key=floors.__getitem__)
     d_iso_at = min(cells, key=iso_floors.__getitem__)
@@ -323,10 +369,12 @@ def run_sequence(
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,
-    and a midpoint hangs exactly when its bisected edge still occurs in the
-    edge index.  Strategies: ``random-leaf``, ``max-level-leaf`` (deepest
-    leaf), ``staircase-adversary`` (lowest-level neighbour of the previous
-    round's new cells; the lowest-level leaf when there are none),
+    and a midpoint hangs exactly when its bisected edge still has a leaf
+    sharer (:meth:`~bisectmesh.forest.Triangulation.edge_sharers`).
+
+    Strategies: ``random-leaf``, ``max-level-leaf`` (deepest leaf),
+    ``staircase-adversary`` (lowest-level neighbour of the previous round's
+    new cells; the lowest-level leaf when there are none),
     ``quasitower-adversary`` (deepest leaf, and the lowest-level leaf every
     fourth round); :data:`STRATEGIES` lists them.  Ties go to the lowest
     node id, and this order is part of the CSV contract.

@@ -443,7 +443,8 @@ def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):
         assert "not refinements of one common initial mesh" in capsys.readouterr().err
 
 
-# `constants` stdout of Kuhn simplices and agk-tagged cubes, pinned as text.
+# `constants` stdout of Kuhn simplices, the Kuhn 4-cube and agk-tagged cubes,
+# pinned as text.
 CONSTANTS_GOLDEN = {
     "kuhn-2": (
         "n = 2\n"
@@ -477,6 +478,17 @@ CONSTANTS_GOLDEN = {
         "C_iso <= 40418939808.1134\n"
         "bound: #T_N <= 65536 #T_0 + C_iso N (h0 = 4)\n"
         "certificate: 1537 shape classes in 16 generations, settled = True\n"
+    ),
+    "cube-4": (
+        "n = 4\n"
+        "d = 1/24\n"
+        "D = 1.73205080756888 (D^2 = 3)\n"
+        "C_sic <= 831713.299289971\n"
+        "d_iso = 1/24\n"
+        "D_iso = 2 (D_iso^2 = 4)\n"
+        "C_iso <= 40418939808.1134\n"
+        "bound: #T_N <= 65536 #T_0 + C_iso N (h0 = 4)\n"
+        "certificate: 36888 shape classes in 16 generations, settled = True\n"
     ),
     "agk-2": (
         "n = 3\n"
@@ -528,7 +540,8 @@ CONSTANTS_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CONSTANTS_GOLDEN))
 def test_constants_golden(name, tmp_path, capsys):
     kind, arg = name.split("-")
-    tri = single_kuhn(int(arg)) if kind == "kuhn" else agk_cube(int(arg))
+    make = {"kuhn": single_kuhn, "cube": kuhn_cube_mesh, "agk": agk_cube}[kind]
+    tri = make(int(arg))
     path = tmp_path / "mesh.json"
     write_mesh(path, tri)
     assert main(["constants", "--mesh", str(path)]) == 0

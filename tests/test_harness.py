@@ -30,7 +30,14 @@ from bisectmesh.meshio import write_mesh
 from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
-from conftest import agk_cube, frac_sq_dist, kuhn_cube_mesh, kuhn_square, single_kuhn
+from conftest import (
+    agk_cube,
+    frac_sq_dist,
+    fractions_of,
+    kuhn_cube_mesh,
+    kuhn_square,
+    single_kuhn,
+)
 
 
 def half_kuhn_mesh(n):
@@ -248,7 +255,11 @@ class TestCensusOracle:
         assert got.D_pow_2n == max(c.max_v_pow_2n for c in refs)
         assert got.D_iso_squared == max(c.max_iso_sq for c in refs)
         assert got.classes == sum(c.classes for c in refs)
-        monkeypatch.setattr(harness, "shape_census", reference_shape_census)
+        monkeypatch.setattr(
+            harness,
+            "shape_census",
+            lambda root, pool, memo=None: reference_shape_census(root, pool),
+        )
         assert got == compute_constants(tri)
 
     def test_agk_corpus_covers_type0_and_hyperlevel1_roots(self):
@@ -309,6 +320,17 @@ def _moved(root, pool, k, shift):
     )
 
 
+DYADIC_OFFSETS = st.lists(
+    st.builds(
+        lambda num, e: Fraction(num, 1 << e),
+        st.integers(-(2**12), 2**12),
+        st.integers(0, 12),
+    ),
+    min_size=4,
+    max_size=4,
+)
+
+
 class TestCensusKey:
     """The census keys a class by its offsets over a power of two: a
     translate of a root has the same census, a stretched root the same
@@ -318,15 +340,7 @@ class TestCensusKey:
     @given(
         st.sampled_from([name for name, _ in KEYED_ROOTS]),
         st.integers(0, 5),
-        st.lists(
-            st.builds(
-                lambda num, e: Fraction(num, 1 << e),
-                st.integers(-(2**12), 2**12),
-                st.integers(0, 12),
-            ),
-            min_size=4,
-            max_size=4,
-        ),
+        DYADIC_OFFSETS,
         st.integers(1, 3),
     )
     def test_translation_leaves_census_equal(self, name, index, offset, k):
@@ -342,6 +356,98 @@ class TestCensusKey:
         )
         assert stretched.max_iso_sq == 4**k * base.max_iso_sq
         assert stretched.max_v_pow_2n == 4 ** (k * n) * base.max_v_pow_2n
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([name for name, _ in KEYED_ROOTS]),
+        st.integers(0, 5),
+        st.permutations(range(4)),
+        st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4),
+        DYADIC_OFFSETS,
+    )
+    def test_signed_permutation_leaves_census_equal(
+        self, name, index, order, signs, offset
+    ):
+        """The lemma behind the memo of ``compute_constants``: a root moved
+        by a signed coordinate permutation and a dyadic translation has an
+        equal census."""
+        root, pool, base = _keyed_root(name, index)
+        n = root.dim
+        perm = [i for i in order if i < n]
+        shift = DyadicPoint(offset[:n])
+        moved_pool = VertexPool()
+        ids = []
+        for v in root.vertex_ids:
+            coords = fractions_of(pool.point(v))
+            image = DyadicPoint([s * coords[i] for s, i in zip(signs, perm)])
+            ids.append(moved_pool.id_of(image + shift))
+        h = len(root.horizontal)
+        moved = TaggedSimplex(tuple(ids[:h]), tuple(ids[h:]), root.level, root.hyperlevel)
+        assert shape_census(moved, moved_pool) == base
+
+
+class TestCensusMemo:
+    def test_kuhn_4_cube_roots_share_one_census(self):
+        forest = kuhn_cube_mesh(4).forest
+        roots = [forest.tarray(r) for r in forest.roots]
+        memo = {}
+        censuses = [shape_census(root, forest.pool, memo=memo) for root in roots]
+        assert len(roots) == 24 and len(memo) == 1
+        assert censuses == [shape_census(roots[0], forest.pool)] * 24
+
+    # agk seeds 2-5 are compared with unmemoized reference censuses in
+    # TestCensusOracle
+    @pytest.mark.parametrize("seed", [0, 1, 6, 7])
+    def test_memo_leaves_constants_equal(self, seed, monkeypatch):
+        tri = agk_cube(seed)
+        got = compute_constants(tri)
+        unmemoized = shape_census
+        monkeypatch.setattr(
+            harness,
+            "shape_census",
+            lambda root, pool, memo=None: unmemoized(root, pool),
+        )
+        assert got == compute_constants(tri)
+
+    def test_key_separates_what_the_census_depends_on(self):
+        """Changing the type, level, hyperlevel or exponent of a root gives a
+        new memo entry with the unmemoized census; a reflected copy shares
+        the entry."""
+        pool = VertexPool()
+        root = kuhn([1, 2, 3], [1, 1, 1], pool)
+        ids = root.vertex_ids
+        pts = [pool.point(v) for v in ids]
+        mirrored = tuple(pool.id_of(DyadicPoint([-p.nums[0], *p.nums[1:]])) for p in pts)
+        halved = tuple(pool.id_of(p.half()) for p in pts)
+        variants = [
+            (TaggedSimplex(mirrored, ()), 1),
+            (TaggedSimplex(ids[:3], ids[3:]), 2),
+            (TaggedSimplex(ids, (), 1, 0), 3),
+            (TaggedSimplex(ids, (), 0, 1), 4),
+            (TaggedSimplex(halved, ()), 5),
+        ]
+        memo = {}
+        assert shape_census(root, pool, memo=memo) == shape_census(root, pool)
+        for variant, entries in variants:
+            assert shape_census(variant, pool, memo=memo) == shape_census(variant, pool)
+            assert len(memo) == entries
+
+    def test_caps_are_part_of_the_key(self):
+        forest = single_kuhn(3).forest
+        root = forest.tarray(forest.roots[0])
+        memo = {}
+        full = shape_census(root, forest.pool, memo=memo)
+        capped = shape_census(root, forest.pool, max_generations=3, memo=memo)
+        assert full.settled and not capped.settled and len(memo) == 2
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_zero_volume_root_is_rejected(memo):
+    pool = VertexPool()
+    ids = tuple(pool.id_of(point(*q)) for q in ((0, 0), (1, 1), (2, 2)))
+    with pytest.raises(ValueError, match="zero volume"):
+        shape_census(TaggedSimplex(ids, ()), pool, memo=memo)
+    assert not memo
 
 
 class TestExactNthRoot:
