@@ -52,6 +52,14 @@ def _canonical(nums, exp: int) -> tuple[tuple, int]:
     return tuple(nums), exp
 
 
+def _unsigned(nums: tuple) -> tuple:
+    """``nums`` or its negation, whichever has a positive first nonzero
+    entry."""
+    if next((x for x in nums if x), 0) < 0:
+        return tuple([-x for x in nums])
+    return nums
+
+
 class DyadicPoint:
     """A point with exact dyadic coordinates ``nums[d] / 2**exp``.
 

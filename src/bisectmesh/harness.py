@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactgeom import (
-    _canonical, _max_gap_sq, _rows, diam_sq, midpoint, simplex_volume
+    _canonical, _max_gap_sq, _rows, _unsigned, diam_sq, midpoint, simplex_volume
 )
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
@@ -118,12 +118,9 @@ def shape_census(
     offsets, e = _canonical([x for r in rows for x in r], e)
     rows = [offsets[i : i + m] for i in range(0, n * m, m)]
     if memo is not None:
-        columns = sorted(
-            c if next((x for x in c if x), 0) >= 0 else tuple(-x for x in c)
-            for c in zip(*rows)
-        )
+        columns = tuple(sorted(map(_unsigned, zip(*rows))))
         memo_key = (
-            root.type, root.level, root.hyperlevel, e, tuple(columns),
+            root.type, root.level, root.hyperlevel, e, columns,
             max_generations, max_classes,
         )
         if memo_key in memo:

@@ -5,6 +5,12 @@ the basement demands the brick directly underneath and the one touching it
 at the corner of its off-centre half; a round chooses one new child brick
 and adds the demand closure.  The interest is in the total number of bricks
 added after N rounds, which never exceeds 4N.
+
+The basement is unbounded, and no game ever leaves its middle: a demanded
+brick touches the brick demanding it, so a demand chain from a level-l
+brick drifts less than ``2**-1 + ... + 2**-(l-1) < 1`` basement cell, and
+every brick :func:`play` chooses lies over cells -1..1.  So every brick of
+every game lies over cells -2..2, ``-2 <= index >> level <= 2``.
 """
 
 from __future__ import annotations
@@ -42,34 +48,21 @@ def brick_children(brick: Brick) -> tuple[Brick, Brick]:
 
 @dataclass
 class Pile:
-    """Demand-closed set of bricks over a finite clipped basement.
+    """Demand-closed set of bricks over an unbounded basement.
 
-    Only bricks of level >= 1 are stored; the basement bricks
-    ``(0, lo), ..., (0, hi-1)`` are implicit.  Demands falling outside the
-    basement range are ignored, which can only shrink towers.
+    Only bricks of level >= 1 are stored; every basement brick ``(0, i)``
+    is implicit.  Every brick of a game :func:`play` plays lies over
+    basement cells -2..2 (see the module docstring).
     """
 
-    basement_lo: int = -(2**20)
-    basement_hi: int = 2**20
     bricks: set = field(default_factory=set)
 
     def __contains__(self, brick: Brick) -> bool:
-        level, index = brick
-        if level == 0:
-            return self.basement_lo <= index < self.basement_hi
-        return brick in self.bricks
-
-    def in_range(self, brick: Brick) -> bool:
-        """True iff the brick lies over the clipped basement; the shift
-        floors, so this is ``lo * 2**level <= index < hi * 2**level``."""
-        level, index = brick
-        return self.basement_lo <= index >> level < self.basement_hi
+        return brick[0] == 0 or brick in self.bricks
 
     def is_legal_child(self, brick: Brick) -> bool:
         level, index = brick
-        if level < 1 or brick in self or not self.in_range(brick):
-            return False
-        return (level - 1, index >> 1) in self
+        return level >= 1 and brick not in self.bricks and (level - 1, index >> 1) in self
 
     def add_brick(self, chosen: Brick) -> int:
         """Add a chosen child brick and its demand closure; returns the
@@ -83,7 +76,7 @@ class Pile:
         stack = [chosen]
         while stack:
             for dem in brick_demands(stack.pop()):
-                if dem[0] and dem not in bricks and self.in_range(dem):
+                if dem[0] and dem not in bricks:
                     bricks.add(dem)
                     added += 1
                     stack.append(dem)
@@ -92,8 +85,6 @@ class Pile:
 
 @dataclass
 class PileTrace:
-    strategy: str
-    seed: int | None
     rounds: list = field(default_factory=list)  # (round, level, index, added, cumulative)
 
     @property
@@ -125,7 +116,7 @@ class PileTrace:
         return lines
 
 
-def _tower_moves(pile: Pile, n_rounds: int):
+def _tower_moves(n_rounds: int):
     """Always choose a child of a top brick, alternating sides."""
     top = (0, 0)
     for j in range(n_rounds):
@@ -134,7 +125,7 @@ def _tower_moves(pile: Pile, n_rounds: int):
         yield top
 
 
-def _quasitower_moves(pile: Pile, n_rounds: int):
+def _quasitower_moves(n_rounds: int):
     """Climb a thin tower, then trigger one full-height cascade on each side.
 
     The first ``m = N - 3`` rounds climb (two bricks each); the choices of
@@ -156,9 +147,9 @@ def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
     """Draw a supply brick and one of its children until the child is new.
 
     The supply is three basement bricks and every chosen brick: all are in
-    the pile and over the basement, so a child of one is legal exactly when
-    it is not in the pile yet.  ``rng.choice(seq)`` draws what
-    ``seq[rng.randrange(len(seq))]`` draws.
+    the pile, so a child of one is legal exactly when it is not in the pile
+    yet.  ``rng.choice(seq)`` draws what ``seq[rng.randrange(len(seq))]``
+    draws.
     """
     produced = 0
     supply = [(0, 0), (0, -1), (0, 1)]
@@ -177,11 +168,11 @@ def play(strategy: str, n_rounds: int, seed: int | None = None) -> PileTrace:
     if n_rounds < 1:
         raise ValueError("need at least one round")
     pile = Pile()
-    trace = PileTrace(strategy, seed)
+    trace = PileTrace()
     if strategy == "tower":
-        moves = _tower_moves(pile, n_rounds)
+        moves = _tower_moves(n_rounds)
     elif strategy == "quasitower":
-        moves = _quasitower_moves(pile, n_rounds)
+        moves = _quasitower_moves(n_rounds)
     elif strategy == "random":
         moves = _random_moves(pile, n_rounds, random.Random(seed))
     else:

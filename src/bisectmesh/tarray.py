@@ -23,6 +23,7 @@ from .exactgeom import (
     _eliminate,
     _rows,
     _solve,
+    _unsigned,
 )
 
 
@@ -237,14 +238,6 @@ def lattice_of(s: TaggedSimplex, pool: VertexPool, width: int):
     return origin, [e.scale_pow2(s.hyperlevel - width) for e in edges]
 
 
-def _unsigned(v: DyadicPoint) -> tuple:
-    """``v`` or ``-v``, whichever has a positive first nonzero numerator, as
-    its canonical ``(nums, exp)``."""
-    if next((x for x in v.nums if x), 0) < 0:
-        return tuple(-x for x in v.nums), v.exp
-    return v.nums, v.exp
-
-
 def same_lattice(a: tuple, b: tuple) -> bool:
     """Exact equality of two ``(origin, basis)`` lattices, max-norms included.
 
@@ -254,7 +247,7 @@ def same_lattice(a: tuple, b: tuple) -> bool:
     must differ by a lattice vector.
     """
     (oa, ba), (ob, bb) = a, b
-    if set(map(_unsigned, ba)) != set(map(_unsigned, bb)):
+    if {(_unsigned(v.nums), v.exp) for v in ba} != {(_unsigned(v.nums), v.exp) for v in bb}:
         return False
     rows, _ = _rows([*ba, ob - oa])
     target = rows.pop()

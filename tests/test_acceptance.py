@@ -60,7 +60,7 @@ def test_c01_pile_game_bounds():
             violations += 1
         games += 1
     pile = Pile()
-    tower_total = sum(pile.add_brick(m) for m in _tower_moves(pile, 1000))
+    tower_total = sum(pile.add_brick(m) for m in _tower_moves(1000))
     per_level_ok = max(Counter(level for level, _ in pile.bricks).values()) <= 3
     elapsed = time.time() - t0
     ok = violations == 0 and tower_total <= 3000 and per_level_ok and elapsed < 10

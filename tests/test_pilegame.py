@@ -46,7 +46,7 @@ class TestBrickDemands:
 class TestPile:
     def test_closure_after_every_round(self):
         rng = random.Random(0)
-        pile = Pile(-64, 64)
+        pile = Pile()
         added = pile.add_brick((1, 0))
         assert added == 1
         for _ in range(50):
@@ -56,23 +56,7 @@ class TestPile:
                 pile.add_brick(child)
             for b in pile.bricks:
                 for dem in brick_demands(b):
-                    if dem[0] >= 1 and pile.in_range(dem):
-                        assert dem in pile
-
-    @given(
-        st.integers(0, 80),
-        st.integers(-10, 10),
-        st.integers(-2, 2),
-        st.integers(-8, 0),
-        st.integers(1, 8),
-    )
-    def test_in_range_matches_scaled_basement(self, level, base, offset, lo, hi):
-        """Indices near the scaled basement ends, of both signs."""
-        index = (base << level) + offset
-        pile = Pile(lo, hi)
-        assert pile.in_range((level, index)) == (
-            lo * (1 << level) <= index < hi * (1 << level)
-        )
+                    assert dem in pile
 
     def test_add_brick_matches_pop_then_test_closure(self):
         """Reference: the closure that tests each brick when it is popped."""
@@ -81,14 +65,14 @@ class TestPile:
             new, stack = set(), [chosen]
             while stack:
                 b = stack.pop()
-                if b in pile or b in new or not pile.in_range(b):
+                if b in pile or b in new:
                     continue
                 new.add(b)
                 stack.extend(d for d in brick_demands(b) if d[0] >= 1)
             return new
 
         rng = random.Random(5)
-        pile = Pile(-6, 6)
+        pile = Pile()
         for _ in range(400):
             base = rng.choice([(0, rng.randrange(-6, 6))] + sorted(pile.bricks))
             child = brick_children(base)[rng.randrange(2)]
@@ -124,7 +108,7 @@ class TestStrategies:
             trace = play("tower", n_rounds)
             assert trace.total_added <= 3 * n_rounds
         pile = Pile()
-        total = sum(pile.add_brick(m) for m in _tower_moves(pile, 200))
+        total = sum(pile.add_brick(m) for m in _tower_moves(200))
         assert max(Counter(level for level, _ in pile.bricks).values()) <= 3
 
     def test_any_strategy_bound(self):
@@ -151,6 +135,18 @@ class TestStrategies:
         added = {r: a for r, _, _, a, _ in trace.rounds}
         assert added[m + 1] == m
         assert added[m + 3] == m
+
+    @pytest.mark.parametrize(
+        "strategy, n_rounds, seed",
+        [("tower", 8000, None), ("quasitower", 24500, None), ("random", 33500, 1)],
+    )
+    def test_bench_games_stay_over_cells_minus_two_to_two(self, strategy, n_rounds, seed):
+        """The lemma of the module docstring on the bench's games: replayed
+        round by round, every brick lies over basement cells -2..2."""
+        pile = Pile()
+        for _, level, index, added, _ in play(strategy, n_rounds, seed).rounds:
+            assert pile.add_brick((level, index)) == added
+        assert {index >> level for level, index in pile.bricks} <= {-2, -1, 0, 1, 2}
 
     def test_trace_csv_shape(self):
         trace = play("tower", 5)
@@ -203,7 +199,7 @@ class TestStrategies:
         """A tower passes the limit after about 14 000 rounds; its index is
         still printed in full."""
         index = 2**15000 + 1
-        trace = PileTrace("tower", None, [(15000, 15000, index, 1, 1)])
+        trace = PileTrace([(15000, 15000, index, 1, 1)])
         assert trace.csv_lines()[1] == f"15000,15000,{Decimal(index)},1,1,60000"
 
 

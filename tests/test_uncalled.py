@@ -1,10 +1,16 @@
-"""Guard: every function or method the package defines has a caller.
+"""Guard: every function or method the package defines has a caller, and
+every parameter it takes is read.
 
 A definition counts as used when its name occurs as a ``Name``, an
 ``Attribute`` or an imported name anywhere in ``src/bisectmesh`` or
 ``bench/*.py``, or when ``bisectmesh.__all__`` exports it.  Dunder methods
 are called by Python itself and are exempt.  A helper that only the tests
 call is either exported as API or moved into the tests as an oracle.
+
+A parameter counts as read when its name is loaded somewhere in the body of
+its function or lambda, nested functions included.  ``self``, ``cls``,
+names that start with ``_`` and the parameters of dunder methods, whose
+signatures Python fixes, are exempt.
 """
 
 import ast
@@ -50,3 +56,46 @@ def test_guard_sees_an_uncalled_helper():
     path = ROOT / "src" / "bisectmesh" / "extra.py"
     trees.append((path, ast.parse("def orphan():\n    return 1\n")))
     assert uncalled_definitions(trees, bisectmesh.__all__) == [("extra.py", 1, "orphan")]
+
+
+def unread_parameters(trees):
+    """``(file, line, function, parameter)`` of package parameters that
+    their function's body never reads."""
+    package = ROOT / "src"
+    unread = []
+    for path, tree in trees:
+        if package not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread.extend(
+                (path.name, node.lineno, name, p.arg)
+                for p in params
+                if p and p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            )
+    return unread
+
+
+def test_every_package_parameter_is_read():
+    assert unread_parameters(_trees()) == []
+
+
+def test_guard_sees_an_unread_parameter():
+    trees = _trees()
+    path = ROOT / "src" / "bisectmesh" / "extra.py"
+    trees.append((path, ast.parse("def f(a, b):\n    return a\n")))
+    assert unread_parameters(trees) == [("extra.py", 1, "f", "b")]
