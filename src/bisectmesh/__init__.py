@@ -9,9 +9,9 @@ harness that computes and checks the closure-estimate constants.
 from .exactgeom import DyadicPoint, midpoint, point, simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
 from .forest import (
-    Forest, Triangulation, closure01, overlay, underlay, tower, verify_forest_characterisation,
+    Forest, Triangulation, closure01, overlay, underlay, verify_forest_characterisation,
 )
-from .refine import RefinementError, check_conforming, refine, uniform_refine
+from .refine import RefinementError, check_conforming, refine, tower, uniform_refine
 from .inittags import agk_init, initial_division, PointMarking, VertexPartition
 from .harness import (
     Constants, compute_constants, run_sequence, tower_patch_spotcheck, verify_bdv,

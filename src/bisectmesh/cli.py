@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
-from .exactgeom import barycentric, decimal_text
+from .exactgeom import barycentric
 from .forest import Triangulation, overlay as overlay_tris
 from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
@@ -116,9 +117,10 @@ def _cmd_sweep(args, fn, **kw):
 
 
 def _exact(q: Fraction) -> str:
-    """``str(q)``, of any length."""
-    num = decimal_text(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{decimal_text(q.denominator)}"
+    """``str(q)``, of any length: ``Decimal`` prints integers with no digit
+    limit, and the interpreter's limit for ``str`` is left alone."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def _cmd_constants(args):
@@ -147,14 +149,13 @@ def _cmd_bdv_run(args):
     tri, _, _ = read_mesh(args.mesh)
     consts = compute_constants(tri)
     trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
-    mode = args.mode or "sic"
-    problems = verify_bdv(trace, consts, mode)
-    bound = consts.C_sic if mode == "sic" else consts.C_iso
+    problems = verify_bdv(trace, consts, args.mode)
+    bound = consts.C_sic if args.mode == "sic" else consts.C_iso
     _emit_csv(args, trace.csv_lines(bound))
     grown = trace.final_cells - trace.initial_cells
     print(
         f"# strategy={args.strategy} rounds={trace.rounds} grown={grown} "
-        f"mode={mode} max_jump={trace.max_jump}"
+        f"mode={args.mode} max_jump={trace.max_jump}"
     )
     if problems:
         for p in problems:
@@ -259,48 +260,44 @@ def main(argv=None) -> int:
         description="Conforming simplicial bisection refinement toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("--mesh", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
-    def add(name, fn, **flags):
-        p = sub.add_parser(name)
-        if flags.get("mesh", True):
-            p.add_argument("--mesh", required=True)
-        if flags.get("out", True):
-            p.add_argument("--out")
-        for extra in flags.get("extra", ()):
-            extra(p)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("init-division", _cmd_init_division)
-    add("agk-init", _cmd_agk_init)
-    p = add("check", _cmd_check, out=False, extra=[
-        lambda p: p.add_argument("what", choices=sorted(_CHECKS)),
-        lambda p: p.add_argument("--depth", type=_int_at_least(1)),
-    ])
-    add("refine", _cmd_refine, extra=[
-        lambda p: p.add_argument("--cell", type=int, required=True),
-    ])
-    add("uniform", lambda a: _cmd_sweep(a, uniform_refine))
-    add("hyper-uniform", lambda a: _cmd_sweep(a, hyperlevel_uniform_refine, j=a.depth), extra=[
-        lambda p: p.add_argument("--depth", type=_int_at_least(0), required=True),
-    ])
-    add("quasi-uniform", lambda a: _cmd_sweep(a, quasi_uniform_refine))
-    add("constants", _cmd_constants, out=False)
-    add("bdv-run", _cmd_bdv_run, extra=[
-        lambda p: p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES),
-        lambda p: p.add_argument("--rounds", "-N", type=_int_at_least(1), default=50),
-        lambda p: p.add_argument("--seed", type=int, default=0),
-        lambda p: p.add_argument("--mode", choices=["sic", "iso"]),
-    ])
-    add("pile-game", _cmd_pile_game, mesh=False, extra=[
-        lambda p: p.add_argument("--strategy", default="random",
-                                 choices=["tower", "quasitower", "random"]),
-        lambda p: p.add_argument("--rounds", "-N", type=_int_at_least(1), default=100),
-        lambda p: p.add_argument("--seed", type=int, default=0),
-    ])
-    add("overlay", _cmd_overlay, extra=[
-        lambda p: p.add_argument("--mesh2", required=True),
-    ])
+    sub.add_parser("init-division", parents=[mesh, out]).set_defaults(fn=_cmd_init_division)
+    sub.add_parser("agk-init", parents=[mesh, out]).set_defaults(fn=_cmd_agk_init)
+    p = sub.add_parser("check", parents=[mesh])
+    p.add_argument("what", choices=sorted(_CHECKS))
+    p.add_argument("--depth", type=_int_at_least(1))
+    p.set_defaults(fn=_cmd_check)
+    p = sub.add_parser("refine", parents=[mesh, out])
+    p.add_argument("--cell", type=int, required=True)
+    p.set_defaults(fn=_cmd_refine)
+    sub.add_parser("uniform", parents=[mesh, out]).set_defaults(
+        fn=lambda a: _cmd_sweep(a, uniform_refine)
+    )
+    p = sub.add_parser("hyper-uniform", parents=[mesh, out])
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
+    p.set_defaults(fn=lambda a: _cmd_sweep(a, hyperlevel_uniform_refine, j=a.depth))
+    sub.add_parser("quasi-uniform", parents=[mesh, out]).set_defaults(
+        fn=lambda a: _cmd_sweep(a, quasi_uniform_refine)
+    )
+    sub.add_parser("constants", parents=[mesh]).set_defaults(fn=_cmd_constants)
+    p = sub.add_parser("bdv-run", parents=[mesh, out])
+    p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES)
+    p.add_argument("--rounds", "-N", type=_int_at_least(1), default=50)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=["sic", "iso"], default="sic")
+    p.set_defaults(fn=_cmd_bdv_run)
+    p = sub.add_parser("pile-game", parents=[out])
+    p.add_argument("--strategy", default="random", choices=["tower", "quasitower", "random"])
+    p.add_argument("--rounds", "-N", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=_cmd_pile_game)
+    p = sub.add_parser("overlay", parents=[mesh, out])
+    p.add_argument("--mesh2", required=True)
+    p.set_defaults(fn=_cmd_overlay)
 
     try:
         args = parser.parse_args(argv)

@@ -10,14 +10,12 @@ Bareiss elimination serves every linear-algebra question: determinants, the
 solve of a vector in the span of k rows (off-span and dependence tests
 included) and, through the signs of that solve, containment in a simplex.
 Results that leave the dyadics (volumes, barycentric coordinates) are
-returned as ``fractions.Fraction``; floats appear only in reporting, and
-:func:`decimal_text` prints exact integers of any length.
+returned as ``fractions.Fraction``; floats appear only in reporting.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -311,14 +309,3 @@ def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
     rows, e = _rows(pts)
     return Fraction(_max_gap_sq(rows), 1 << (2 * e))
 
-
-# --- printing -----------------------------------------------------------------
-
-
-def decimal_text(x: int) -> str:
-    """``str(x)`` for an integer of any length.
-
-    ``decimal`` prints integers with no digit limit, so this is
-    ``str(Decimal(x))``; the interpreter's limit for ``str`` is left alone.
-    """
-    return str(Decimal(x))

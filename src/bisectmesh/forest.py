@@ -16,14 +16,15 @@ from .tarray import TaggedSimplex, VertexPool, bisect, total_volume
 
 
 class Node:
-    __slots__ = ("tarray", "parent", "children", "v_new", "index")
+    """One generated simplex; its id is its position in ``Forest.nodes``."""
 
-    def __init__(self, tarray, parent, v_new, index):
+    __slots__ = ("tarray", "parent", "children", "v_new")
+
+    def __init__(self, tarray, parent, v_new):
         self.tarray: TaggedSimplex = tarray
         self.parent: Optional[int] = parent
         self.children: Optional[tuple[int, int]] = None
         self.v_new: Optional[int] = v_new  # vertex created by the bisection
-        self.index = index
 
 
 class Forest:
@@ -42,7 +43,7 @@ class Forest:
 
     def add_root(self, tarray: TaggedSimplex) -> int:
         nid = len(self.nodes)
-        self.nodes.append(Node(tarray, None, None, nid))
+        self.nodes.append(Node(tarray, None, None))
         self.roots.append(nid)
         return nid
 
@@ -55,25 +56,12 @@ class Forest:
         if node.children is not None:
             return node.children
         c1, c2, v_new = bisect(node.tarray, self.pool)
-        i1 = len(self.nodes)
-        self.nodes.append(Node(c1, nid, v_new, i1))
-        i2 = len(self.nodes)
-        self.nodes.append(Node(c2, nid, v_new, i2))
-        node.children = (i1, i2)
+        node.children = (len(self.nodes), len(self.nodes) + 1)
+        self.nodes += (Node(c1, nid, v_new), Node(c2, nid, v_new))
         return node.children
 
     def parent(self, nid: int) -> Optional[int]:
         return self.nodes[nid].parent
-
-    def forest_of(self, leaves: Iterable[int]) -> frozenset:
-        """fo(P): the leaves together with all their ancestors and all roots."""
-        seen = set(self.roots)
-        for leaf in leaves:
-            nid = leaf
-            while nid is not None and nid not in seen:
-                seen.add(nid)
-                nid = self.nodes[nid].parent
-        return frozenset(seen)
 
     def leaves_of(self, node_set: frozenset) -> set:
         """Leaves of a full subforest given as a node-id set."""
@@ -145,7 +133,14 @@ class Triangulation:
         return total_volume((forest.tarray(nid) for nid in self.leaves), forest.pool)
 
     def node_set(self) -> frozenset:
-        return self.forest.forest_of(self.leaves)
+        """fo(P): the leaves together with all their ancestors and all roots."""
+        nodes = self.forest.nodes
+        seen = set(self.forest.roots)
+        for nid in self.leaves:
+            while nid is not None and nid not in seen:
+                seen.add(nid)
+                nid = nodes[nid].parent
+        return frozenset(seen)
 
 
 def forest_size_identity(tri: Triangulation) -> tuple[int, int, int]:
@@ -195,15 +190,15 @@ def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:
     The demand targets of a node T are its 0-class (nodes sharing its new
     vertex) and the 0-class of its parent's new vertex.  The closure is
     taken over the *generated* part of the forest, so the caller must have
-    materialised the relevant region first, e.g. by running :func:`tower`
-    (which refines a scratch copy through the shared arena) or by expanding
-    every node down to the seed's level: demands never point to deeper
-    levels.
+    materialised the relevant region first, e.g. by running
+    :func:`bisectmesh.refine.tower` (which refines a scratch copy through
+    the shared arena) or by expanding every node down to the seed's level:
+    demands never point to deeper levels.
     """
     by_v_new: dict[int, list[int]] = {}
-    for node in forest.nodes:
+    for nid, node in enumerate(forest.nodes):
         if node.v_new is not None:
-            by_v_new.setdefault(node.v_new, []).append(node.index)
+            by_v_new.setdefault(node.v_new, []).append(nid)
     closed = set(forest.roots)
     stack = list(seeds)
     while stack:
@@ -220,53 +215,24 @@ def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:
 
 
 def verify_forest_characterisation(tri: Triangulation) -> list[str]:
-    """Check the vertex-set characterisation of an admissible forest.
+    """Check the vertex-set characterisation of an admissible forest: the
+    non-root nodes of fo(P) are exactly the generated nodes whose new vertex
+    belongs to V, the new vertices of fo(P), and V is closed under the
+    vertex demand relation.
 
-    (a) The non-root nodes of fo(P) are exactly the generated nodes whose
-    new vertex belongs to V = new vertices of fo(P);  (b) V is closed under
-    the vertex demand relation: the parent's new vertex of any non-root node
-    with a non-root parent is again in V.  Returns a list of violation
-    messages (empty = pass).
+    Only one direction can fail.  V is read off fo(P), so every non-root
+    node of fo(P) has its new vertex in V; fo(P) (:meth:`Triangulation.node_set`)
+    is ancestor-closed, so the parent of such a node is in fo(P) too and its
+    new vertex, if any, is in V.  What remains is a generated node outside
+    fo(P) whose new vertex is in V.  Returns one message per such node, in
+    id order (empty = pass).
     """
     forest = tri.forest
     nodes = tri.node_set()
-    problems = []
     v_set = {forest.nodes[nid].v_new for nid in nodes} - {None}
-    for node in forest.nodes:
-        if node.v_new is None:
-            continue
-        inside = node.index in nodes
-        if inside and node.v_new not in v_set:
-            problems.append(f"node {node.index}: new vertex escaped V")
-        if not inside and node.v_new in v_set:
-            problems.append(
-                f"node {node.index}: shares new vertex {node.v_new} with the "
-                "forest but is missing from it"
-            )
-    for nid in nodes:
-        node = forest.nodes[nid]
-        if node.parent is None:
-            continue
-        pa = forest.nodes[node.parent]
-        if pa.v_new is not None and pa.v_new not in v_set:
-            problems.append(
-                f"node {nid}: parent's new vertex {pa.v_new} not demanded into V"
-            )
-    return problems
-
-
-def tower(tri: Triangulation, child_of_leaf: int) -> frozenset:
-    """Nodes forced into the forest when the child's parent leaf is refined.
-
-    Computed as fo(refine(P, pa(S))) minus fo(P) on a scratch copy; the
-    demand-closure characterisation is used as an independent oracle in the
-    test-suite, not here.
-    """
-    from .refine import refine  # local import to avoid a cycle
-
-    parent = tri.forest.parent(child_of_leaf)
-    if parent is None or parent not in tri.leaves:
-        raise ValueError("tower seed must be the child of a current leaf")
-    scratch = tri.copy()
-    refine(scratch, parent)
-    return scratch.node_set() - tri.node_set()
+    return [
+        f"node {nid}: shares new vertex {node.v_new} with the forest but is "
+        "missing from it"
+        for nid, node in enumerate(forest.nodes)
+        if node.v_new in v_set and nid not in nodes
+    ]

@@ -22,7 +22,7 @@ from .exactgeom import (
 )
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
-from .refine import max_jump, refine
+from .refine import max_jump, refine, tower
 
 
 def unit_ball_volume(m: int) -> float:
@@ -548,8 +548,6 @@ def tower_patch_spotcheck(
     type-n hyperlevel-(j - h0) ancestors of its cells; those ancestors are
     patch cells and must share a vertex.  Returns a report dict.
     """
-    from .forest import tower
-
     forest = tri.forest
     n = forest.tarray(forest.roots[0]).dim
     h0 = _h0(n)

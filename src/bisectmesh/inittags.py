@@ -44,55 +44,58 @@ class MarkingError(ValueError):
     pass
 
 
-def _point_in_subsimplex(pool: VertexPool, p: DyadicPoint, ids) -> bool:
-    return barycentric(p, [pool.point(v) for v in ids]) is not None
-
-
-def _free_subsimplices(
-    pool: VertexPool, cells: Sequence[tuple], m: int, higher_points: list
-) -> set:
-    """m-subsimplices of the mesh containing no point of type > m."""
+def _subsimplices(cells: Sequence[tuple], m: int) -> set:
+    """The m-subsimplices of the mesh, as vertex-id frozensets."""
     subs = set()
     for cell in cells:
         subs.update(frozenset(c) for c in combinations(cell, m + 1))
-    return {
-        s
-        for s in subs
-        if not any(_point_in_subsimplex(pool, q, s) for q in higher_points)
-    }
+    return subs
 
 
 def resolve_marking(
     pool: VertexPool, cells: Sequence[tuple], marking: PointMarking
 ) -> dict:
-    """Validate a marking and compute the subsimplex -> point assignment.
+    """Validate a marking and locate each marked point once.
 
-    Every free m-subsimplex must contain exactly one type-m point; a type-m
-    point lying in no free m-subsimplex is an extra point, and a type outside
-    ``2..n`` has no subsimplices.  Raises :class:`MarkingError` otherwise.
+    Every free m-subsimplex (one containing no point of type > m) must
+    contain exactly one type-m point; a type-m point lying in no free
+    m-subsimplex is an extra point, and a type outside ``2..n`` has no
+    subsimplices.  Raises :class:`MarkingError` otherwise.  Returns
+    ``{subsimplex: (point, support)}``, where the support lists, in
+    ascending id order, the subsimplex's vertices at which the point's
+    barycentric coordinate is nonzero.
     """
     n = len(cells[0]) - 1
     outside = sorted(m for m in marking.points_by_type if not 2 <= m <= n)
     if outside:
         keys = ", ".join(f"marking.{m}" for m in outside)
         raise MarkingError(f"{keys}: marking types must lie in 2..{n}")
-    assignment: dict[frozenset, DyadicPoint] = {}
+    assignment: dict[frozenset, tuple] = {}
     higher: list[DyadicPoint] = []
     for m in range(n, 1, -1):
         points = marking.points_by_type.get(m, [])
-        free = _free_subsimplices(pool, cells, m, higher)
+        free = {
+            s
+            for s in _subsimplices(cells, m)
+            if not any(barycentric(q, [pool.point(v) for v in s]) is not None for q in higher)
+        }
         used = [False] * len(points)
         for s in free:
+            ids = sorted(s)
+            simplex = [pool.point(v) for v in ids]
             inside = [
-                i for i, q in enumerate(points) if _point_in_subsimplex(pool, q, s)
+                (i, coords)
+                for i, q in enumerate(points)
+                if (coords := barycentric(q, simplex)) is not None
             ]
             if len(inside) != 1:
                 raise MarkingError(
                     f"type-{m} marking gives {len(inside)} points in subsimplex "
-                    f"{sorted(s)}; need exactly one"
+                    f"{ids}; need exactly one"
                 )
-            assignment[s] = points[inside[0]]
-            used[inside[0]] = True
+            i, coords = inside[0]
+            assignment[s] = points[i], [v for v, c in zip(ids, coords) if c]
+            used[i] = True
         for i, q in enumerate(points):
             if not used[i]:
                 raise MarkingError(
@@ -108,10 +111,8 @@ def barycentre_marking(pool: VertexPool, cells: Sequence[tuple]) -> PointMarking
     n = len(cells[0]) - 1
     marking = PointMarking()
     for m in range(n, 1, -1):
-        subs = set()
-        for cell in cells:
-            subs.update(frozenset(c) for c in combinations(cell, m + 1))
-        marking.points_by_type[m] = [_barycentre(pool, s) for s in sorted(map(sorted, subs))]
+        subs = sorted(map(sorted, _subsimplices(cells, m)))
+        marking.points_by_type[m] = [_barycentre(pool, s) for s in subs]
     return marking
 
 
@@ -149,11 +150,7 @@ def initial_division(
     for m in range(n, 1, -1):
         next_parts = []
         for old, new in parts:
-            q = assignment[frozenset(old)]
-            coords = barycentric(q, [pool.point(v) for v in old])
-            if coords is None:
-                raise MarkingError(f"marked point {q!r} outside its subsimplex")
-            support = [v for v, c in zip(old, coords) if c != 0]
+            q, support = assignment[frozenset(old)]
             q_id = pool.id_of(q)
             for dropped in support:
                 rest = tuple(v for v in old if v != dropped)

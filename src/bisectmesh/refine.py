@@ -71,6 +71,21 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
     return bisections
 
 
+def tower(tri: Triangulation, child_of_leaf: int) -> frozenset:
+    """Nodes forced into the forest when the child's parent leaf is refined.
+
+    Computed as fo(refine(P, pa(S))) minus fo(P) on a scratch copy; the
+    demand-closure characterisation (:func:`~bisectmesh.forest.closure01`)
+    is used as an independent oracle in the test-suite, not here.
+    """
+    parent = tri.forest.parent(child_of_leaf)
+    if parent is None or parent not in tri.leaves:
+        raise ValueError("tower seed must be the child of a current leaf")
+    scratch = tri.copy()
+    refine(scratch, parent)
+    return scratch.node_set() - tri.node_set()
+
+
 def max_jump(forest, bisections: list[tuple[int, int]]) -> int:
     """Largest level increase any input leaf suffered in one :func:`refine`
     round, from the bisection log it returned."""
@@ -103,6 +118,11 @@ def _boxes_meet(a: tuple, b: tuple) -> bool:
 
 def check_conforming(tri: Triangulation) -> list[str]:
     """Report hanging nodes: leaf vertices lying in a leaf they do not span.
+
+    An empty report (PASS) means exactly that no leaf vertex lies in a leaf
+    it does not span.  It does not prove the mesh conforming: two cells on
+    the same side of a shared facet overlap without a hanging vertex, and
+    they pass.
 
     Under pairwise compatibility the absence of hanging nodes is equivalent
     to regularity, which the engine relies on for dimensions above 2; the

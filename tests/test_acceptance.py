@@ -10,7 +10,7 @@ import time
 from collections import Counter
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
-from bisectmesh.forest import closure01, overlay, tower, underlay, verify_forest_characterisation
+from bisectmesh.forest import closure01, overlay, underlay, verify_forest_characterisation
 from bisectmesh.harness import compute_constants, run_sequence, verify_bdv
 from bisectmesh.inittags import (
     PointMarking,
@@ -28,6 +28,7 @@ from bisectmesh.refine import (
     max_jump,
     quasi_uniform_refine,
     refine,
+    tower,
 )
 from bisectmesh.tarray import TaggedSimplex, bisect, refinement_edge
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -125,6 +126,17 @@ def test_bdv_run_csv(square_path, tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "round,marked_cell,cells_added,cells_total,forest_nonroot,bound,ratio"
     assert len(lines) == 16
+
+
+def test_bdv_run_bound_violation_is_exit_2(square_path, monkeypatch, capsys):
+    """A run that outgrows the bound prints the violation and exits 2."""
+    real = cli.compute_constants
+    monkeypatch.setattr(
+        cli, "compute_constants", lambda tri: dataclasses.replace(real(tri), C_sic=0.5)
+    )
+    assert main(["bdv-run", "--mesh", square_path, "--rounds", "3"]) == 2
+    out = capsys.readouterr().out
+    assert out.endswith("mode=sic max_jump=1\nround 1: 2 cells added exceeds bound 1\n")
 
 
 def test_bdv_run_deterministic(square_path, tmp_path):

@@ -1,18 +1,18 @@
 import math
 import random
-from decimal import Decimal
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bisectmesh.cli import _exact
 from bisectmesh.exactgeom import (
     _det,
     _rows,
     _solve,
     DyadicPoint,
     barycentric,
-    decimal_text,
     diam_sq,
     midpoint,
     orientation,
@@ -175,8 +175,18 @@ class TestVolumeSum:
 
 
 class TestDecimalText:
-    """``decimal_text`` must print what ``str`` prints, at any length;
-    ``Decimal`` prints integers with no digit limit, so it is the oracle."""
+    """``cli._exact``, the one printer of exact values, must print what
+    ``str`` prints with the interpreter's digit limit lifted, at any length,
+    and leave that limit as it found it."""
+
+    @staticmethod
+    def unlimited_str(q):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize(
         "x",
@@ -185,17 +195,21 @@ class TestDecimalText:
         ids=lambda x: f"{'-' if x < 0 else ''}{x.bit_length()}-bit",
     )
     def test_examples(self, x):
-        assert decimal_text(x) == str(Decimal(x))
+        limit = sys.get_int_max_str_digits()
+        for q in (Fraction(x), Fraction(x, 3), Fraction(7, 2 * x + 1)):
+            assert _exact(q) == self.unlimited_str(q)
+        assert sys.get_int_max_str_digits() == limit
 
     def test_random_lengths(self):
         rng = random.Random(7)
         for _ in range(100):
             x = rng.getrandbits(rng.randrange(1, 70_000)) * rng.choice((1, -1))
-            assert decimal_text(x) == str(Decimal(x))
+            q = Fraction(x, rng.choice((1, 3, 2 ** rng.randrange(1, 70_000))))
+            assert _exact(q) == self.unlimited_str(q)
 
     def test_short_is_str(self):
-        for x in (0, -5, 2**64, -(10**1000)):
-            assert decimal_text(x) == str(x)
+        for q in (Fraction(0), Fraction(-5), Fraction(2**64, 3), Fraction(-(10**1000))):
+            assert _exact(q) == str(q)
 
 
 class TestBarycentric:

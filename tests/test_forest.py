@@ -12,11 +12,10 @@ from bisectmesh.forest import (
     finer,
     forest_size_identity,
     overlay,
-    tower,
     underlay,
     verify_forest_characterisation,
 )
-from bisectmesh.refine import refine
+from bisectmesh.refine import refine, tower
 from conftest import kuhn_cube_mesh, kuhn_square, staircase_mesh
 
 
@@ -172,13 +171,13 @@ class TestArenaLinks:
         for _ in range(20):
             refine(tri, rng.choice(sorted(tri.leaves)))
         forest = tri.forest
-        for node in forest.nodes:
+        for nid, node in enumerate(forest.nodes):
             if node.children is not None:
                 for c in node.children:
-                    assert forest.nodes[c].parent == node.index
+                    assert forest.nodes[c].parent == nid
             if node.parent is not None:
-                assert node.index in forest.nodes[node.parent].children
-                assert node.index > node.parent  # acyclic by construction
+                assert nid in forest.nodes[node.parent].children
+                assert nid > node.parent  # acyclic by construction
 
 
 def scanned_sharers(tri, edge):
@@ -245,9 +244,9 @@ class TestCharacterisation:
                 continue
             vn = forest.nodes[ch[0]].v_new
             classmates = [
-                w.index
-                for w in forest.nodes
-                if w.v_new == vn and w.index not in ch and w.index in nodes
+                wid
+                for wid, w in enumerate(forest.nodes)
+                if w.v_new == vn and wid not in ch and wid in nodes
             ]
             if classmates:
                 broken = Triangulation(forest, (tri.leaves - set(ch)) | {u})

@@ -27,7 +27,7 @@ from bisectmesh.harness import (
 from bisectmesh.cli import main
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.meshio import write_mesh
-from bisectmesh.refine import refine
+from bisectmesh.refine import refine, tower
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 from conftest import (
@@ -538,8 +538,6 @@ class TestRunSequence:
     def test_per_round_growth_equals_tower_size(self):
         """Cross-check a sample of rounds against the tower of the marked
         cell's child: cells added = half the tower's node count."""
-        from bisectmesh.forest import tower
-
         rng = random.Random(10)
         tri = kuhn_square()
         for rnd in range(40):
@@ -735,6 +733,49 @@ class TestCorruptedBisection:
         with pytest.raises(SequenceError, match="children do not partition cell"):
             run_sequence(mesh(), "random-leaf", 20, seed=0)
         assert len(calls) >= call
+
+
+class TestSequenceInvariants:
+    """Each of ``run_sequence``'s other checks fires on the fault it names."""
+
+    def test_unclosed_bisection_is_a_hanging_node(self, monkeypatch):
+        def unclosed(tri, target):
+            tri.bisect_leaf(target)
+            return [(target, target)]
+
+        monkeypatch.setattr(harness, "refine", unclosed)
+        with pytest.raises(SequenceError, match=r"^round 1: bisected edge .* \(hanging node\)$"):
+            run_sequence(kuhn_square(), "random-leaf", 3, seed=0)
+
+    def test_unlogged_bisection_breaks_the_round_identity(self, monkeypatch):
+        monkeypatch.setattr(harness, "refine", lambda tri, target: refine(tri, target)[:-1])
+        with pytest.raises(SequenceError, match="^round 1: counting identity broken$"):
+            run_sequence(kuhn_square(), "random-leaf", 3, seed=0)
+
+    def test_off_edge_bisection_drifts_the_volume(self, monkeypatch):
+        """With the bisection-rule check switched off, an off-edge new
+        vertex passes every per-round check and is caught by the volume."""
+        calls = []
+
+        def bisect(s, pool):
+            calls.append(s)
+            if len(calls) == 1:
+                return _corrupted_bisect("off-edge", s, pool)
+            return tarray.bisect(s, pool)
+
+        monkeypatch.setattr(forest_mod, "bisect", bisect)
+        monkeypatch.setattr(harness, "_bisects", lambda forest, node_id: True)
+        message = "^total leaf volume drifted from the initial volume$"
+        with pytest.raises(SequenceError, match=message):
+            run_sequence(kuhn_square(), "random-leaf", 1, seed=0)
+
+    def test_run_from_a_refined_leaf_set_breaks_the_forest_identity(self):
+        """The forest counts from its roots, so a run that starts from a
+        refined mesh in the same arena fails the end-of-run identity."""
+        tri = kuhn_square()
+        refine(tri, min(tri.leaves))
+        with pytest.raises(SequenceError, match=r"^counting identity violated: 6, 6, 6, 4$"):
+            run_sequence(tri, "max-level-leaf", 2)
 
 
 class TestTowerPatchSpotcheck:

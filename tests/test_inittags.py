@@ -20,7 +20,7 @@ from bisectmesh.inittags import (
     initial_division,
     resolve_marking,
 )
-from bisectmesh.refine import refine
+from bisectmesh.refine import check_conforming, refine
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
@@ -357,6 +357,33 @@ class TestCheckPcIsoCoChange:
             )
             assert check_retahyco(tri) == []
             assert check_isocochange(tri) == []
+
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            # vertex 0 horizontal at hyperlevel 0 and at hyperlevel 1
+            ([((0, 1, 2), ()), ((0, 2, 3), (), 1)], "vertex 0: inconsistent hyperlevel assignment"),
+            # vertex 2 horizontal (hyperlevel 0), then vertical (hyperlevel 1)
+            ([((0, 1, 2), ()), ((0, 3), (2,))], "vertex 2: inconsistent hyperlevel assignment"),
+            (
+                [((0, 1, 2), ()), ((0, 2, 3), (), 1)],
+                "cells 0 and 1: restriction hyperlevels 0 != 1",
+            ),
+            (
+                [((0, 1, 2), ()), ((0, 3), (2,))],
+                "cells 0 and 1: restrictions to [0, 2] do not coincide up to reflexion",
+            ),
+        ],
+    )
+    def test_retahyco_names_each_mismatch(self, tags, message):
+        """The unit square cut along its diagonal {0, 2}, tagged to break
+        the clause that ``message`` names; the mesh itself is conforming."""
+        pool = VertexPool()
+        assert [pool.id_of(point(*q)) for q in [(0, 0), (1, 0), (1, 1), (0, 1)]] == [0, 1, 2, 3]
+        cells = [TaggedSimplex(hor, ver, 0, *h) for hor, ver, *h in tags]
+        tri = Triangulation.from_cells(pool, cells)
+        assert check_conforming(tri) == []
+        assert message in check_retahyco(tri)
 
     def test_retahyco_rejects_bad_hyperlevels(self):
         pool = VertexPool()

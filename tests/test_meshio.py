@@ -359,6 +359,33 @@ def test_json_booleans_rejected_as_integers(tmp_path, capsys, path, edit):
     assert path in capsys.readouterr().err
 
 
+# message -> an edit of the unit square document that the loader rejects
+MALFORMED = {
+    "vertices[3][1]: Exceeds the limit (4300 digits)":
+        lambda doc: doc["vertices"][3].__setitem__(1, ["1" * 5000, "0"]),
+    'vertices[3][1]: expected a ["num","exp"] string pair':
+        lambda doc: doc["vertices"][3].__setitem__(1, [1, 0]),
+    "top level: expected an object": lambda doc: [doc],
+    "cells: expected a non-empty list": lambda doc: doc.update(cells=[]),
+    "cells[0]: expected an object": lambda doc: doc["cells"].__setitem__(0, [0, 1, 2]),
+    "cells[0].vertical: expected a list": lambda doc: doc["cells"][0].update(vertical=2),
+    "cells[0]: need dim+1 = 3 vertices": lambda doc: doc["cells"][0].update(horizontal=[0, 1]),
+    "marking: expected an object": lambda doc: doc.update(marking=[]),
+    "marking.2: expected a list of points": lambda doc: doc.update(marking={"2": 5}),
+    "partition: expected an object": lambda doc: doc.update(partition=[]),
+}
+
+
+@pytest.mark.parametrize("message", list(MALFORMED))
+def test_malformed_document_exit_1_names_its_path(tmp_path, capsys, message):
+    """The loader's shape checks, each reached through the CLI: exit 1
+    with the JSON path, not a traceback."""
+    doc = _unit_square_doc()
+    doc = MALFORMED[message](doc) or doc
+    assert _exit_code_of(tmp_path, doc, ["check", "conforming"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 UNREADABLE = {
     "non-utf-8": b'{"dim": 2, "vertices": ["\xff"]}',
     "deep-nesting": b"[" * 200_000,
