@@ -12,7 +12,7 @@ from .forest import (
     Forest, Triangulation, closure01, overlay, underlay, verify_forest_characterisation,
 )
 from .refine import RefinementError, check_conforming, refine, tower, uniform_refine
-from .inittags import agk_init, initial_division, PointMarking, VertexPartition
+from .inittags import agk_init, initial_division, VertexPartition
 from .harness import (
     Constants, compute_constants, run_sequence, tower_patch_spotcheck, verify_bdv,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "uniform_refine",
     "agk_init",
     "initial_division",
-    "PointMarking",
     "VertexPartition",
     "Constants",
     "compute_constants",

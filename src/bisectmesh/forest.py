@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .tarray import TaggedSimplex, VertexPool, bisect, total_volume
+from .exactgeom import volume_sum
+from .tarray import TaggedSimplex, VertexPool, bisect
 
 
 class Node:
@@ -31,9 +32,9 @@ class Forest:
     """Arena of tagged-simplex nodes with parent/child links.
 
     Roots are the initial cells.  ``ensure_children`` memoises bisection, so
-    every admissible simplex is represented by at most one node.  It holds
-    no geometry: volumes come from :mod:`tarray` (:meth:`TaggedSimplex.volume`
-    and :func:`~bisectmesh.tarray.total_volume`).
+    every admissible simplex is represented by at most one node.  Links and
+    new vertices are read off ``nodes[nid]``; ``tarray(nid)`` is the one
+    accessor, for the T-array.
     """
 
     def __init__(self, pool: VertexPool):
@@ -59,9 +60,6 @@ class Forest:
         node.children = (len(self.nodes), len(self.nodes) + 1)
         self.nodes += (Node(c1, nid, v_new), Node(c2, nid, v_new))
         return node.children
-
-    def parent(self, nid: int) -> Optional[int]:
-        return self.nodes[nid].parent
 
     def leaves_of(self, node_set: frozenset) -> set:
         """Leaves of a full subforest given as a node-id set."""
@@ -129,8 +127,9 @@ class Triangulation:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]
 
     def total_volume(self) -> Fraction:
-        forest = self.forest
-        return total_volume((forest.tarray(nid) for nid in self.leaves), forest.pool)
+        """Exact total leaf volume, as one integer sum (:func:`volume_sum`)."""
+        pool = self.forest.pool
+        return volume_sum(self.forest.tarray(nid).vertices(pool) for nid in self.leaves)
 
     def node_set(self) -> frozenset:
         """fo(P): the leaves together with all their ancestors and all roots."""

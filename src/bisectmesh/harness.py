@@ -62,13 +62,12 @@ class ShapeCensus:
     max_iso_sq: Fraction  # sup over the tree of (2^h diam)^2
 
 
-def shape_census(
-    root: TaggedSimplex,
-    pool,
-    max_generations: int = 400,
-    max_classes: int = 500_000,
-    memo: Optional[dict] = None,
-) -> ShapeCensus:
+# generations and classes after which a census stops unsettled
+_MAX_GENERATIONS = 400
+_MAX_CLASSES = 500_000
+
+
+def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> ShapeCensus:
     """Walk all descendant shape classes of one root.
 
     A class is a T-array modulo translation after scaling by ``2**(h - h_root)``;
@@ -102,7 +101,7 @@ def shape_census(
       other class is bounded by one that was computed.
 
     ``memo``, a dict that lives for one :func:`compute_constants` call, maps
-    ``(type, level, hyperlevel, exp, columns, caps)`` to a census, where the
+    ``(type, level, hyperlevel, exp, columns)`` to a census, where the
     columns of the root's canonical offset rows are sign-flipped to a
     positive first nonzero entry and sorted.  That is a complete invariant
     under signed coordinate permutations, isometries that map dyadic points
@@ -119,10 +118,7 @@ def shape_census(
     rows = [offsets[i : i + m] for i in range(0, n * m, m)]
     if memo is not None:
         columns = tuple(sorted(map(_unsigned, zip(*rows))))
-        memo_key = (
-            root.type, root.level, root.hyperlevel, e, columns,
-            max_generations, max_classes,
-        )
+        memo_key = (root.type, root.level, root.hyperlevel, e, columns)
         if memo_key in memo:
             return memo[memo_key]
     if not simplex_volume(pts):
@@ -136,7 +132,7 @@ def shape_census(
     valued = set()
     frontier = [root_key]
     generations = 0
-    while frontier and generations < max_generations and len(seen) < max_classes:
+    while frontier and generations < _MAX_GENERATIONS and len(seen) < _MAX_CLASSES:
         generations += 1
         next_frontier = []
         for t, offsets, exp in frontier:
@@ -250,7 +246,7 @@ def compute_constants(tri: Triangulation) -> Constants:
     n = roots[0].dim
     # 2^level |S| is invariant under bisection and 2^(n h + n - t) |S| also
     # under transposition: their minima over the initial cells are d, d_iso
-    vols = [t.volume(forest.pool) for t in roots]
+    vols = [simplex_volume(t.vertices(forest.pool)) for t in roots]
     floors = [Fraction(2) ** t.level * v for t, v in zip(roots, vols)]
     iso_floors = [
         Fraction(2) ** (n * t.hyperlevel + n - t.type) * v for t, v in zip(roots, vols)
@@ -520,21 +516,18 @@ def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:
 def hyperlevel_ancestor_vertices(forest, nid: int, h_target: int) -> Optional[tuple]:
     """Vertex ids of the type-n hyperlevel-``h_target`` ancestor simplex.
 
-    In the stored (binary-tree) convention that ancestor is either a type-0
-    node of hyperlevel ``h_target - 1`` (its transposed) or a full-type root
-    of hyperlevel ``h_target``.
+    That is the first node on the walk from ``nid`` up to its root whose
+    type is 0 or n and whose :attr:`~TaggedSimplex.edge_hyperlevel` is
+    ``h_target``: a type-0 node counts as its transposed, and a full-type
+    node is a root, because a child is never full type.  None if no node on
+    the walk qualifies.
     """
-    cur = nid
-    while True:
-        t = forest.tarray(cur)
-        if t.type == 0 and t.hyperlevel == h_target - 1:
+    while nid is not None:
+        t = forest.tarray(nid)
+        if t.type in (0, t.dim) and t.edge_hyperlevel == h_target:
             return t.vertex_ids
-        parent = forest.parent(cur)
-        if parent is None:
-            if t.type == t.dim and t.hyperlevel == h_target:
-                return t.vertex_ids
-            return None
-        cur = parent
+        nid = forest.nodes[nid].parent
+    return None
 
 
 def tower_patch_spotcheck(

@@ -10,7 +10,7 @@ violations instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -20,14 +20,6 @@ from .tarray import (
 )
 from .forest import Triangulation
 from .refine import check_conforming, edge_disagreement, uniform_refine
-
-
-@dataclass
-class PointMarking:
-    """Typed division points: one point of type m per m-subsimplex that is
-    free of higher-type points."""
-
-    points_by_type: dict[int, list[DyadicPoint]] = field(default_factory=dict)
 
 
 @dataclass
@@ -53,9 +45,9 @@ def _subsimplices(cells: Sequence[tuple], m: int) -> set:
 
 
 def resolve_marking(
-    pool: VertexPool, cells: Sequence[tuple], marking: PointMarking
+    pool: VertexPool, cells: Sequence[tuple], marking: dict[int, list[DyadicPoint]]
 ) -> dict:
-    """Validate a marking and locate each marked point once.
+    """Validate a marking ``{type: points}`` and locate each marked point once.
 
     Every free m-subsimplex (one containing no point of type > m) must
     contain exactly one type-m point; a type-m point lying in no free
@@ -66,14 +58,14 @@ def resolve_marking(
     barycentric coordinate is nonzero.
     """
     n = len(cells[0]) - 1
-    outside = sorted(m for m in marking.points_by_type if not 2 <= m <= n)
+    outside = sorted(m for m in marking if not 2 <= m <= n)
     if outside:
         keys = ", ".join(f"marking.{m}" for m in outside)
         raise MarkingError(f"{keys}: marking types must lie in 2..{n}")
     assignment: dict[frozenset, tuple] = {}
     higher: list[DyadicPoint] = []
     for m in range(n, 1, -1):
-        points = marking.points_by_type.get(m, [])
+        points = marking.get(m, [])
         free = {
             s
             for s in _subsimplices(cells, m)
@@ -105,15 +97,16 @@ def resolve_marking(
     return assignment
 
 
-def barycentre_marking(pool: VertexPool, cells: Sequence[tuple]) -> PointMarking:
+def barycentre_marking(
+    pool: VertexPool, cells: Sequence[tuple]
+) -> dict[int, list[DyadicPoint]]:
     """Barycentres of all m-subsimplices: the classical full division into
     (n+1)!/2 cells per simplex."""
     n = len(cells[0]) - 1
-    marking = PointMarking()
-    for m in range(n, 1, -1):
-        subs = sorted(map(sorted, _subsimplices(cells, m)))
-        marking.points_by_type[m] = [_barycentre(pool, s) for s in subs]
-    return marking
+    return {
+        m: [_barycentre(pool, s) for s in sorted(map(sorted, _subsimplices(cells, m)))]
+        for m in range(n, 1, -1)
+    }
 
 
 def _barycentre(pool: VertexPool, ids) -> DyadicPoint:
@@ -136,10 +129,11 @@ def _barycentre(pool: VertexPool, ids) -> DyadicPoint:
 def initial_division(
     pool: VertexPool,
     cells: Sequence[tuple],
-    marking: Optional[PointMarking] = None,
+    marking: Optional[dict[int, list[DyadicPoint]]] = None,
 ) -> Triangulation:
-    """Recursive division of every cell by its typed points; the resulting
-    cells carry type-1 T-arrays and satisfy the strong initial conditions."""
+    """Recursive division of every cell by its typed points (a marking
+    ``{type: points}``, the barycentres by default); the resulting cells
+    carry type-1 T-arrays and satisfy the strong initial conditions."""
     n = len(cells[0]) - 1
     if any(len(c) != n + 1 for c in cells):
         raise MarkingError("all cells must be n-simplices of one dimension")

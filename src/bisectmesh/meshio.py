@@ -29,7 +29,7 @@ from typing import Optional
 from .exactgeom import DyadicPoint, _reduced, orientation
 from .tarray import TaggedSimplex, VertexPool
 from .forest import Triangulation
-from .inittags import PointMarking, VertexPartition
+from .inittags import VertexPartition
 
 
 class MeshFormatError(ValueError):
@@ -109,7 +109,7 @@ def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
 
 def mesh_to_dict(
     tri: Triangulation,
-    marking: Optional[PointMarking] = None,
+    marking: Optional[dict[int, list[DyadicPoint]]] = None,
     partition: Optional[VertexPartition] = None,
 ) -> dict:
     pool = tri.forest.pool
@@ -132,7 +132,7 @@ def mesh_to_dict(
     if marking is not None:
         doc["marking"] = {
             str(m): [_point_to_json(p, f"marking.{m}", i) for i, p in enumerate(pts)]
-            for m, pts in marking.points_by_type.items()
+            for m, pts in marking.items()
         }
     if partition is not None:
         doc["partition"] = {
@@ -147,8 +147,8 @@ def mesh_to_dict(
 
 
 def mesh_from_dict(doc: dict):
-    """Returns ``(triangulation, marking, partition)``; the latter two may be
-    None."""
+    """Returns ``(triangulation, marking, partition)``, the marking as a
+    ``{type: points}`` dict; the latter two may be None."""
     if not isinstance(doc, dict):
         raise MeshFormatError("top level: expected an object")
     dim = doc.get("dim")
@@ -208,14 +208,14 @@ def mesh_from_dict(doc: dict):
             raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
     marking = None
     if "marking" in doc:
-        marking = PointMarking()
+        marking = {}
         if not isinstance(doc["marking"], dict):
             raise MeshFormatError("marking: expected an object")
         for key, pts in doc["marking"].items():
             m = _int_from_text(key, f"marking.{key}")
             if not isinstance(pts, list):
                 raise MeshFormatError(f"marking.{key}: expected a list of points")
-            marking.points_by_type[m] = [
+            marking[m] = [
                 _point_from_json(p, dim, f"marking.{key}[{i}]")
                 for i, p in enumerate(pts)
             ]

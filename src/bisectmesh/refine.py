@@ -78,7 +78,7 @@ def tower(tri: Triangulation, child_of_leaf: int) -> frozenset:
     demand-closure characterisation (:func:`~bisectmesh.forest.closure01`)
     is used as an independent oracle in the test-suite, not here.
     """
-    parent = tri.forest.parent(child_of_leaf)
+    parent = tri.forest.nodes[child_of_leaf].parent
     if parent is None or parent not in tri.leaves:
         raise ValueError("tower seed must be the child of a current leaf")
     scratch = tri.copy()

@@ -11,15 +11,12 @@ vertices are id comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
     DyadicPoint,
     midpoint,
-    simplex_volume,
-    volume_sum,
     _eliminate,
     _rows,
     _solve,
@@ -87,9 +84,6 @@ class TaggedSimplex:
     def vertices(self, pool: VertexPool) -> list[DyadicPoint]:
         return [pool.point(v) for v in self.vertex_ids]
 
-    def volume(self, pool: VertexPool) -> Fraction:
-        return simplex_volume(self.vertices(pool))
-
     @property
     def edge_hyperlevel(self) -> int:
         """Hyperlevel of the refinement edge: that of the array in the
@@ -98,11 +92,6 @@ class TaggedSimplex:
 
     def edges(self) -> list[frozenset]:
         return [_edge(a, b) for a, b in combinations(self.vertex_ids, 2)]
-
-
-def total_volume(cells: Iterable[TaggedSimplex], pool: VertexPool) -> Fraction:
-    """Exact total volume of the cells, as one integer sum (:func:`volume_sum`)."""
-    return volume_sum(c.vertices(pool) for c in cells)
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:

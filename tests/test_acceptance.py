@@ -13,7 +13,6 @@ from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh.forest import closure01, overlay, underlay, verify_forest_characterisation
 from bisectmesh.harness import compute_constants, run_sequence, verify_bdv
 from bisectmesh.inittags import (
-    PointMarking,
     VertexPartition,
     agk_init,
     check_isocochange,
@@ -310,7 +309,7 @@ def test_c09_gss_bound():
 def test_c10_initialisers():
     pool2, cells2, (p1, p2, p3, p4) = tripled_triangle_pair()
     q1, q2 = point(3, 1), point(6, 2)
-    worked = initial_division(pool2, cells2, PointMarking({2: [q1, q2]}))
+    worked = initial_division(pool2, cells2, {2: [q1, q2]})
     q1i, q2i = pool2.id_of(q1), pool2.id_of(q2)
     got = sorted((tuple(sorted(c.horizontal)), c.vertical) for c in worked.cells())
     expected = sorted(

@@ -33,7 +33,7 @@ from conftest import (
     tripled_triangle_pair,
 )
 from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
-from bisectmesh.inittags import PointMarking, VertexPartition
+from bisectmesh.inittags import VertexPartition
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 
@@ -705,7 +705,7 @@ def _fuzz_documents():
     and an untagged triangle pair carrying a marking and a partition."""
     pool, cells, ids = tripled_triangle_pair()
     untagged = Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells])
-    marking = PointMarking({2: [point(3, 1), point(6, 2)]})
+    marking = {2: [point(3, 1), point(6, 2)]}
     partition = VertexPartition(frozenset(ids[:2]), frozenset(ids[2:]), ids[1::-1], None)
     docs = [
         mesh_to_dict(kuhn_square()),

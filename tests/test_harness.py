@@ -18,6 +18,7 @@ from bisectmesh.harness import (
     compute_constants,
     c_iso,
     c_sic,
+    hyperlevel_ancestor_vertices,
     run_sequence,
     shape_census,
     tower_patch_spotcheck,
@@ -135,7 +136,6 @@ class TestDistanceCeilings:
         from bisectmesh.tarray import bisect
 
         cur = tri.forest.tarray(tri.forest.roots[0])
-        vol0 = cur.volume(pool)
         for _ in range(12):
             c1, c2, vnew = bisect(cur, pool)
             cur = c1 if rng.random() < 0.5 else c2
@@ -281,11 +281,13 @@ class TestCensusOracle:
             (lambda: agk_cube(5), {"max_classes": 30}),
         ],
     )
-    def test_capped_certificates_match_reference(self, make, caps):
+    def test_capped_certificates_match_reference(self, make, caps, monkeypatch):
+        for name, cap in caps.items():
+            monkeypatch.setattr(harness, f"_{name.upper()}", cap)
         forest = make().forest
         for r in forest.roots:
             root = forest.tarray(r)
-            got = shape_census(root, forest.pool, **caps)
+            got = shape_census(root, forest.pool)
             assert not got.settled
             assert got == reference_shape_census(root, forest.pool, **caps)
 
@@ -431,14 +433,6 @@ class TestCensusMemo:
         for variant, entries in variants:
             assert shape_census(variant, pool, memo=memo) == shape_census(variant, pool)
             assert len(memo) == entries
-
-    def test_caps_are_part_of_the_key(self):
-        forest = single_kuhn(3).forest
-        root = forest.tarray(forest.roots[0])
-        memo = {}
-        full = shape_census(root, forest.pool, memo=memo)
-        capped = shape_census(root, forest.pool, max_generations=3, memo=memo)
-        assert full.settled and not capped.settled and len(memo) == 2
 
 
 @pytest.mark.parametrize("memo", [None, {}])
@@ -776,6 +770,45 @@ class TestSequenceInvariants:
         refine(tri, min(tri.leaves))
         with pytest.raises(SequenceError, match=r"^counting identity violated: 6, 6, 6, 4$"):
             run_sequence(tri, "max-level-leaf", 2)
+
+
+def reference_ancestor_vertices(forest, nid, h_target):
+    """Reference walk in two cases: a type-0 node of hyperlevel
+    ``h_target - 1`` (its transposed) on the way up, else a full-type root
+    of hyperlevel ``h_target``."""
+    while True:
+        t = forest.tarray(nid)
+        if t.type == 0 and t.hyperlevel == h_target - 1:
+            return t.vertex_ids
+        parent = forest.nodes[nid].parent
+        if parent is None:
+            if t.type == t.dim and t.hyperlevel == h_target:
+                return t.vertex_ids
+            return None
+        nid = parent
+
+
+@pytest.mark.parametrize(
+    "make",
+    [kuhn_square, lambda: kuhn_cube_mesh(3), lambda: agk_cube(2), lambda: agk_cube(5)],
+    ids=["kuhn-square", "kuhn-cube-3", "agk-2", "agk-5"],
+)
+def test_ancestor_walk_matches_reference(make):
+    """Every node and every target hyperlevel from 0 to two above the
+    largest, after 150 seeded refine rounds."""
+    tri = make()
+    rng = random.Random(150)
+    for _ in range(150):
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    forest = tri.forest
+    top = max(forest.tarray(nid).edge_hyperlevel for nid in range(len(forest.nodes)))
+    found = set()
+    for nid in range(len(forest.nodes)):
+        for h in range(top + 3):
+            want = reference_ancestor_vertices(forest, nid, h)
+            assert hyperlevel_ancestor_vertices(forest, nid, h) == want
+            found.add(want is None)
+    assert found == {True, False}
 
 
 class TestTowerPatchSpotcheck:

@@ -9,7 +9,6 @@ from bisectmesh import Triangulation, VertexPool, point
 from bisectmesh.inittags import (
     MarkingError,
     _barycentre,
-    PointMarking,
     VertexPartition,
     agk_init,
     check_isocochange,
@@ -37,7 +36,7 @@ class TestInitialDivision:
     def test_two_triangle_worked_example(self):
         pool, cells, (p1, p2, p3, p4) = tripled_triangle_pair()
         q1, q2 = point(3, 1), point(6, 2)
-        tri = initial_division(pool, cells, PointMarking({2: [q1, q2]}))
+        tri = initial_division(pool, cells, {2: [q1, q2]})
         q1i, q2i = pool.id_of(q1), pool.id_of(q2)
         got = sorted(
             (tuple(sorted(c.horizontal)), c.vertical) for c in tri.cells()
@@ -73,7 +72,7 @@ class TestInitialDivision:
         a = pool.id_of(point(0, 0))
         b = pool.id_of(point(1, 0))
         c = pool.id_of(point(1, 1))
-        tri = initial_division(pool, [(a, b, c)], PointMarking({2: [point(0, 0)]}))
+        tri = initial_division(pool, [(a, b, c)], {2: [point(0, 0)]})
         assert len(tri.leaves) == 1
         cell = tri.cells()[0]
         assert cell.type == 1
@@ -88,25 +87,21 @@ class TestInitialDivision:
     def test_marking_validation(self):
         pool, cells, _ = tripled_triangle_pair()
         with pytest.raises(MarkingError):  # missing point for one triangle
-            resolve_marking(pool, cells, PointMarking({2: [point(3, 1)]}))
+            resolve_marking(pool, cells, {2: [point(3, 1)]})
         with pytest.raises(MarkingError):  # two points in one triangle
-            resolve_marking(
-                pool, cells, PointMarking({2: [point(3, 1), point(2, 1), point(6, 2)]})
-            )
+            resolve_marking(pool, cells, {2: [point(3, 1), point(2, 1), point(6, 2)]})
         with pytest.raises(MarkingError):  # point outside every cell
-            resolve_marking(
-                pool, cells, PointMarking({2: [point(3, 1), point(6, 2), point(50, 50)]})
-            )
+            resolve_marking(pool, cells, {2: [point(3, 1), point(6, 2), point(50, 50)]})
 
     def test_marking_type_outside_range_rejected(self):
         """A type-7 point on a triangle mesh has no 7-subsimplex to divide;
         it is named, not ignored."""
         pool, cells, _ = tripled_triangle_pair()
-        marking = PointMarking({2: [point(3, 1), point(6, 2)], 7: [point(1, 0)], -1: []})
+        marking = {2: [point(3, 1), point(6, 2)], 7: [point(1, 0)], -1: []}
         with pytest.raises(MarkingError, match=re.escape("marking.-1, marking.7: ")):
             initial_division(pool, cells, marking)
         with pytest.raises(MarkingError, match=re.escape("must lie in 2..2")):
-            resolve_marking(pool, cells, PointMarking({1: []}))
+            resolve_marking(pool, cells, {1: []})
 
     @pytest.mark.parametrize("seed", range(4))
     def test_barycentre_matches_fraction_mean(self, seed):
@@ -133,9 +128,7 @@ class TestInitialDivision:
         are standard bisections, giving n! 2^(n-2) cells for n = 2."""
         pool, cells = kuhn_cube_cells(2)
         cells = [tuple(c) for c in cells]
-        marking = PointMarking(
-            {2: [point(Fraction(1, 2), Fraction(1, 2))]}
-        )
+        marking = {2: [point(Fraction(1, 2), Fraction(1, 2))]}
         tri = initial_division(pool, cells, marking)
         assert len(tri.leaves) == 4
         assert check_sic(tri) == []

@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
-from bisectmesh.inittags import PointMarking, VertexPartition
+from bisectmesh.inittags import VertexPartition
 from bisectmesh.meshio import (
     MeshFormatError,
     mesh_from_dict,
@@ -39,12 +39,12 @@ def test_roundtrip_identity(tmp_path):
 
 def test_roundtrip_marking_and_partition(tmp_path):
     tri = kuhn_square()
-    marking = PointMarking({2: [point(1, 1)]})
+    marking = {2: [point(1, 1)]}
     partition = VertexPartition(frozenset({0, 1}), frozenset({2, 3}), order0=[1, 0])
     path = tmp_path / "mesh.json"
     write_mesh(path, tri, marking, partition)
     _, marking2, partition2 = read_mesh(path)
-    assert marking2.points_by_type == {2: [point(1, 1)]}
+    assert marking2 == {2: [point(1, 1)]}
     assert partition2.v0 == frozenset({0, 1})
     assert partition2.order0 == [1, 0]
 
@@ -146,7 +146,7 @@ def test_numerator_past_digit_limit_names_its_path(tmp_path):
     with pytest.raises(ValueError, match=r"^vertices\[2\]: "):
         write_mesh(tmp_path / "m.json", tri)
     with pytest.raises(ValueError, match=r"^marking\.2\[1\]: numerator has 4933 digits, "):
-        mesh_to_dict(kuhn_square(), PointMarking({2: [point(1, 1), far]}))
+        mesh_to_dict(kuhn_square(), {2: [point(1, 1), far]})
     assert not (tmp_path / "m.json").exists()
 
 
@@ -268,12 +268,10 @@ def golden_mesh():
     while len(tri.leaves) < 300:
         refine(tri, rng.choice(sorted(tri.leaves)))
     verts = sorted(tri.vertex_index)
-    marking = PointMarking(
-        {
-            2: [pool.point(v) for v in verts[::37]],
-            3: [point(Fraction(-3, 2), 0, Fraction(7, 4096)), point(-5, 1, 0)],
-        }
-    )
+    marking = {
+        2: [pool.point(v) for v in verts[::37]],
+        3: [point(Fraction(-3, 2), 0, Fraction(7, 4096)), point(-5, 1, 0)],
+    }
     partition = VertexPartition(
         frozenset(verts[::2]), frozenset(verts[1::2]), verts[::2][::-1], None
     )
@@ -292,7 +290,7 @@ def test_golden_json_text(tmp_path):
     assert mesh_hash(tri) == "5658d3490f84b689"
     tri2, marking2, partition2 = read_mesh(path)
     assert mesh_hash(tri2) == mesh_hash(tri)
-    assert marking2.points_by_type == marking.points_by_type
+    assert marking2 == marking
     write_mesh(tmp_path / "again.json", tri2, marking2, partition2)
     assert (tmp_path / "again.json").read_bytes() == data
 

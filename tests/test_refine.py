@@ -399,7 +399,7 @@ class TestQuasiUniform:
         for leaf in square.leaves:
             node = leaf
             while node not in inputs and node is not None:
-                node = square.forest.parent(node)
+                node = square.forest.nodes[node].parent
             assert node is not None
             assert square.forest.tarray(leaf).level > inputs[node]
 
