@@ -6,7 +6,7 @@ with their initial-condition verifiers, the 1D pile-game toy model, and a
 harness that computes and checks the closure-estimate constants.
 """
 
-from .exactgeom import DyadicPoint, midpoint, point, simplex_volume
+from .exactgeom import DyadicPoint, midpoint, orientation, point, simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
 from .forest import (
     Forest, Triangulation, closure01, overlay, underlay, verify_forest_characterisation,
@@ -20,6 +20,7 @@ from .harness import (
 __all__ = [
     "DyadicPoint",
     "midpoint",
+    "orientation",
     "point",
     "simplex_volume",
     "TaggedSimplex",

@@ -7,8 +7,9 @@ integer vector over one shared power of two, built from ints and dyadic
 ``Fraction``s; every predicate (volume, orientation, barycentric coordinates,
 squared distance) is integer arithmetic on such vectors.  One fraction-free
 Bareiss elimination serves every linear-algebra question: determinants, the
-solve of a vector in the span of k rows (off-span and dependence tests
-included) and, through the signs of that solve, containment in a simplex.
+solve of vectors in the span of k rows, any number in one elimination
+(off-span and dependence tests included) and, through the signs of that
+solve, containment in a simplex.
 Results that leave the dyadics (volumes, barycentric coordinates) are
 returned as ``fractions.Fraction``; floats appear only in reporting.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def Dyadic(num: int, exp: int = 0) -> Fraction:
@@ -202,40 +203,84 @@ def _dot(u: list, v: list) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _solve(basis: list, target: list):
-    """Exact coordinates of the integer vector ``target`` in the independent
-    integer rows ``basis``, by elimination on ``[basis^T | target]``.
+def _solve_all(basis: list, targets: list) -> tuple[list, int]:
+    """Exact coordinates of each integer vector in ``targets`` in the
+    independent integer rows ``basis``, by one elimination on
+    ``[basis^T | t_1 ... t_m]``.
 
-    Returns ``(nums, den)`` with ``den > 0`` and
-    ``sum(nums[i] * basis[i]) == den * target``, or None when ``target`` is
-    off the span.  Raises ValueError when the rows are dependent.  ``den`` is
-    the leading minor and back substitution is fraction-free: by Cramer's
-    rule every ``nums[i]`` is an integer, so each division is exact.
+    Returns ``(sols, den)`` with ``den > 0``: ``sols[j]`` is the list
+    ``nums`` with ``sum(nums[i] * basis[i]) == den * targets[j]``, or None
+    when ``targets[j]`` is off the span.  Raises ValueError when the rows
+    are dependent.  ``den`` is the leading minor and back substitution is
+    fraction-free: by Cramer's rule every ``nums[i]`` is an integer, so each
+    division is exact.
     """
     k = len(basis)
-    m = [list(r) for r in zip(*basis, target)]
+    m = [list(r) for r in zip(*basis, *targets)]
     _, den = _eliminate(m, k)
     if not den:
         raise ValueError("dependent basis vectors (degenerate simplex)")
-    if any(row[k] for row in m[k:]):
-        return None
-    nums = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = m[i]
-        nums[i] = (den * row[k] - _dot(row[i + 1 : k], nums[i + 1 :])) // row[i]
-    if den < 0:
-        return [-x for x in nums], -den
-    return nums, den
+    sols = []
+    for j in range(k, k + len(targets)):
+        if any(row[j] for row in m[k:]):
+            sols.append(None)
+            continue
+        nums = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = m[i]
+            nums[i] = (den * row[j] - _dot(row[i + 1 : k], nums[i + 1 :])) // row[i]
+        sols.append(nums if den > 0 else [-x for x in nums])
+    return sols, abs(den)
+
+
+def _solve(basis: list, target: list):
+    """:func:`_solve_all` for one target: ``(nums, den)``, or None when
+    ``target`` is off the span of ``basis``."""
+    (nums,), den = _solve_all(basis, [target])
+    return None if nums is None else (nums, den)
 
 
 # --- predicates ---------------------------------------------------------------
 
 
-def _edge_rows(vertices: Sequence[DyadicPoint]) -> tuple[list, int]:
-    n = len(vertices) - 1
-    if any(v.dim != n for v in vertices):
+def _frame(points: dict) -> tuple[dict, int]:
+    """The points of a ``{key: point}`` map as integer rows over one common
+    ``2**exp``, each point shifted once: ``({key: row}, exp)``."""
+    exp = max((p.exp for p in points.values()), default=0)
+    return {key: p.at_exp(exp) for key, p in points.items()}, exp
+
+
+def _edges(rows: dict, keys, shift: int = 0) -> list:
+    """Edge rows of the points ``keys`` in a :func:`_frame`: the row of each
+    later point minus the row of the first, over ``2**shift`` (exact when
+    ``shift`` is at most the frame's exponent minus the largest exponent of
+    these points)."""
+    p0, *others = [rows[k] for k in keys]
+    return [[(x - y) >> shift for x, y in zip(r, p0)] for r in others]
+
+
+def _cell_dets(points: dict, cells: list) -> tuple[int, Iterator[int]]:
+    """``(exp, dets)`` for n-simplices, each given by the keys of its n+1
+    vertices in the ``{key: point}`` map ``points`` of n-dimensional
+    points: ``dets`` yields det(p1-p0, ..., pn-p0) of each simplex times
+    ``2**(n * exp)``, for ``exp`` the largest exponent in ``points``.
+
+    Every point is shifted once to ``exp``.  Each simplex's edge rows are
+    brought down to its own largest exponent before the elimination, so one
+    vertex with a huge exponent lengthens only the determinants of the
+    simplices that hold it.  The determinants are computed as they are
+    taken, so a caller may stop at any of them.
+    """
+    n = len(cells[0]) - 1
+    rows, exp = _frame(points)
+    if any(len(c) != n + 1 for c in cells) or any(len(r) != n for r in rows.values()):
         raise ValueError("need n+1 points of dimension n")
-    return _rows(vertices[1:], vertices[0])
+
+    def det(keys) -> int:
+        shift = exp - max([points[k].exp for k in keys])
+        return _det(_edges(rows, keys, shift)) << (n * shift)
+
+    return exp, map(det, cells)
 
 
 def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
@@ -247,29 +292,26 @@ def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
 
 
 def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
-    """Exact total volume of n-simplices, each given by its n+1 vertices
-    (0 for none, and for 0-simplices).
-
-    One integer sum: every ``|det|`` is shifted to the largest exponent met
-    so far (the sum is shifted up when a larger one arrives), and the one
-    division comes at the end.
-    """
-    total = top = n = 0
-    for vertices in simplices:
-        n = len(vertices) - 1
-        rows, e = _edge_rows(vertices)
-        e *= n
-        if e > top:
-            total <<= e - top
-            top = e
-        total += abs(_det(rows)) << (top - e)
-    return Fraction(total, (1 << top) * math.factorial(n)) if n else Fraction(0)
+    """Exact total volume of n-simplices, each given by n+1 vertices of
+    dimension n (0 for none, and for 0-simplices): one integer sum of the
+    ``|det|`` of :func:`_cell_dets`, keyed by vertex object (a pool hands
+    out one object per vertex, so a shared vertex is shifted once), and one
+    division at the end."""
+    simplices = list(simplices)
+    if not simplices:
+        return Fraction(0)
+    n = len(simplices[0]) - 1
+    exp, dets = _cell_dets(
+        {id(p): p for c in simplices for p in c}, [list(map(id, c)) for c in simplices]
+    )
+    total = sum(map(abs, dets))
+    return Fraction(total, (1 << (n * exp)) * math.factorial(n)) if n else Fraction(0)
 
 
 def orientation(vertices: Sequence[DyadicPoint]) -> int:
     """Sign (1, 0 or -1) of det(p1-p0, ..., pn-p0) for n+1 points of
     dimension n; 0 exactly when they are affinely dependent."""
-    det = _det(_edge_rows(vertices)[0])
+    _, (det,) = _cell_dets(dict(enumerate(vertices)), [range(len(vertices))])
     return (det > 0) - (det < 0)
 
 

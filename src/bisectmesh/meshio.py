@@ -24,9 +24,10 @@ import json
 import re
 import sys
 from decimal import Decimal
+from itertools import chain
 from typing import Optional
 
-from .exactgeom import DyadicPoint, _reduced, orientation
+from .exactgeom import DyadicPoint, _cell_dets, _reduced
 from .tarray import TaggedSimplex, VertexPool
 from .forest import Triangulation
 from .inittags import VertexPartition
@@ -93,12 +94,6 @@ def _dyadic_from_json(obj, path: str) -> tuple[int, int]:
     return num, exp
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; ``true``/``false`` load as bools, which Python counts
-    as ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
     if not isinstance(obj, list) or len(obj) != dim:
         raise MeshFormatError(f"{path}: expected {dim} coordinates")
@@ -152,19 +147,18 @@ def mesh_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise MeshFormatError("top level: expected an object")
     dim = doc.get("dim")
-    if not _is_int(dim) or dim < 1:
+    # a JSON integer is exactly an int: true/false load as bools, which
+    # isinstance counts as ints
+    if type(dim) is not int or dim < 1:
         raise MeshFormatError("dim: expected a positive integer")
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         raise MeshFormatError("vertices: expected a non-empty list")
     pool = VertexPool()
-    ids = []
     for i, v in enumerate(vertices):
-        p = _point_from_json(v, dim, f"vertices[{i}]")
-        vid = pool.id_of(p)
-        if vid != len(ids):
+        if pool.id_of(_point_from_json(v, dim, f"vertices[{i}]")) != i:
             raise MeshFormatError(f"vertices[{i}]: duplicate coordinates")
-        ids.append(vid)
+    n_ids = len(vertices)
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise MeshFormatError("cells: expected a non-empty list")
@@ -182,7 +176,7 @@ def mesh_from_dict(doc: dict):
             raise MeshFormatError(f"{path}.vertical: expected a list")
         for field, lst in (("horizontal", hor), ("vertical", ver)):
             for v in lst:
-                if not _is_int(v) or not 0 <= v < len(ids):
+                if type(v) is not int or not 0 <= v < n_ids:
                     raise MeshFormatError(f"{path}.{field}: bad vertex id {v!r}")
         if len(hor) + len(ver) != dim + 1:
             raise MeshFormatError(f"{path}: need dim+1 = {dim + 1} vertices")
@@ -195,7 +189,7 @@ def mesh_from_dict(doc: dict):
         level = c.get("level", 0)
         hyper = c.get("hyperlevel", 0)
         for field, value in (("level", level), ("hyperlevel", hyper)):
-            if not _is_int(value) or value < 0:
+            if type(value) is not int or value < 0:
                 raise MeshFormatError(f"{path}.{field}: expected a non-negative integer")
             if value > _MAX_LEVEL:
                 raise MeshFormatError(f"{path}.{field}: {value} is above the limit {_MAX_LEVEL}")
@@ -203,8 +197,9 @@ def mesh_from_dict(doc: dict):
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
     tri = Triangulation.from_cells(pool, cells)
-    for i, root in enumerate(tri.forest.roots):
-        if orientation(tri.forest.tarray(root).vertices(pool)) == 0:
+    _, dets = _cell_dets(dict(enumerate(pool.points)), [c.vertex_ids for c in cells])
+    for i, det in enumerate(dets):
+        if not det:
             raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
     marking = None
     if "marking" in doc:
@@ -229,7 +224,7 @@ def mesh_from_dict(doc: dict):
             if lst is None and key.startswith("order"):
                 continue
             if not isinstance(lst, list) or not all(
-                _is_int(v) and 0 <= v < len(ids) for v in lst
+                type(v) is int and 0 <= v < n_ids for v in lst
             ):
                 raise MeshFormatError(f"partition.{key}: expected a list of vertex ids")
         for key, block in (("order0", "v0"), ("order1", "v1")):
@@ -249,10 +244,78 @@ def mesh_from_dict(doc: dict):
     return tri, marking, partition
 
 
+def _block(items: list, depth: int, brackets: str = "[]") -> str:
+    """Rendered ``items`` as ``json.dumps(indent=1)`` lays out a list (an
+    object with ``brackets="{}"``) that opens at nesting ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * depth}{brackets[1]}"
+
+
+def _points_text(points: list, depth: int) -> str:
+    """A list of points, each a list of ``["num","exp"]`` string pairs,
+    through one ``%`` template per point length."""
+    forms: dict[int, str] = {}
+    rendered = []
+    for p in points:
+        form = forms.get(len(p))
+        if form is None:
+            pair = _block(['"%s"', '"%s"'], depth + 2)
+            form = forms[len(p)] = _block([pair] * len(p), depth + 1)
+        rendered.append(form % tuple(chain.from_iterable(p)))
+    return _block(rendered, depth)
+
+
+def _cells_text(cells: list) -> str:
+    """The ``cells`` list, through one ``%`` template per pair of
+    horizontal and vertical lengths."""
+    forms: dict[tuple, str] = {}
+    rendered = []
+    for c in cells:
+        hor, ver = c["horizontal"], c["vertical"]
+        form = forms.get((len(hor), len(ver)))
+        if form is None:
+            form = forms[len(hor), len(ver)] = _block(
+                [
+                    f'"horizontal": {_block(["%d"] * len(hor), 3)}',
+                    f'"vertical": {_block(["%d"] * len(ver), 3)}',
+                    '"hyperlevel": %d',
+                    '"level": %d',
+                ],
+                2,
+                "{}",
+            )
+        rendered.append(form % (*hor, *ver, c["hyperlevel"], c["level"]))
+    return _block(rendered, 1)
+
+
+def _mesh_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=1)`` for a :func:`mesh_to_dict` document,
+    laid out from the schema instead of by the pure-Python encoder that
+    ``indent`` selects."""
+    parts = [
+        f'"dim": {doc["dim"]}',
+        f'"vertices": {_points_text(doc["vertices"], 1)}',
+        f'"cells": {_cells_text(doc["cells"])}',
+    ]
+    if "marking" in doc:
+        marks = [f'"{m}": {_points_text(pts, 2)}' for m, pts in doc["marking"].items()]
+        parts.append(f'"marking": {_block(marks, 1, "{}")}')
+    if "partition" in doc:
+        blocks = [
+            f'"{key}": {_block(list(map(str, ids)), 2)}' for key, ids in doc["partition"].items()
+        ]
+        parts.append(f'"partition": {_block(blocks, 1, "{}")}')
+    return _block(parts, 0, "{}")
+
+
 def write_mesh(path, tri: Triangulation, marking=None, partition=None):
+    """Write the mesh as ``json.dumps(mesh_to_dict(...), indent=1)`` plus a
+    newline; that byte layout is part of the format."""
     # serialise first: a failure (such as a numerator past the digit limit)
     # must not leave ``path`` truncated
-    text = json.dumps(mesh_to_dict(tri, marking, partition), indent=1)
+    text = _mesh_text(mesh_to_dict(tri, marking, partition))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

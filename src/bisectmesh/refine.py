@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
 
-from .exactgeom import _det, _solve
+from .exactgeom import _det, _edges, _frame, _solve_all
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -98,14 +98,6 @@ def max_jump(forest, bisections: list[tuple[int, int]]) -> int:
     )
 
 
-def _vertex_rows(tri: Triangulation) -> dict:
-    """Integer rows of every leaf vertex at one common exponent, in the
-    order of ``tri.vertex_index``."""
-    pool = tri.forest.pool
-    exp = max((pool.point(v).exp for v in tri.vertex_index), default=0)
-    return {v: pool.point(v).at_exp(exp) for v in tri.vertex_index}
-
-
 def _box(pts: list) -> tuple[list, list]:
     """Closed bounding box ``(lo, hi)`` of integer rows."""
     cols = list(zip(*pts))
@@ -129,40 +121,36 @@ def check_conforming(tri: Triangulation) -> list[str]:
     exact pairwise-intersection oracle for the plane lives in
     :func:`check_conforming_2d_exact`.
 
-    Cost: one sort of the V leaf vertices by first coordinate, then per
-    leaf a binary search for the vertices in the x-range of its bounding
-    box, a box test on the other coordinates, and for each remaining
-    candidate one elimination that solves for its barycentric coordinates
-    (the leaf's edge rows built once, at its first candidate; a degenerate
-    leaf raises ValueError only when a vertex reaches it).  That is
-    O(V log V + L log V + K) box work for L leaves and K vertices in
-    x-ranges, against the O(V L) of testing every vertex in every leaf.
-    Problems are listed by vertex in ``tri.vertex_index`` order, then by
-    leaf in ``tri.leaves`` order.
+    Cost: every leaf vertex is shifted once to a common exponent and the V
+    of them are sorted by first coordinate.  Per leaf, a binary search
+    finds the vertices in the x-range of its bounding box, one pass per
+    further coordinate keeps those inside the box, and one elimination
+    solves for the barycentric coordinates of all remaining vertices at
+    once (a leaf no vertex reaches is never solved, so a degenerate leaf
+    raises ValueError only when one does).  That is O(V log V + L log V +
+    K) box work for L leaves and K vertices in x-ranges, and at most L
+    eliminations, against the O(V L) of testing every vertex in every
+    leaf.  Problems are listed by vertex in ``tri.vertex_index`` order,
+    then by leaf in ``tri.leaves`` order.
     """
     forest = tri.forest
-    rows = _vertex_rows(tri)
+    pool = forest.pool
+    rows, _ = _frame({v: pool.point(v) for v in tri.vertex_index})
     rank = {v: k for k, v in enumerate(rows)}
     by_x = sorted(rows, key=lambda v: rows[v][0])
-    xs = [rows[v][0] for v in by_x]
-    tails = [rows[v][1:] for v in by_x]
+    columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
     hits = []
     for pos, leaf in enumerate(tri.leaves):
         ids = forest.tarray(leaf).vertex_ids
-        p0, *others = pts = [rows[v] for v in ids]
-        lo, hi = _box(pts)
-        lo_tail, hi_tail = lo[1:], hi[1:]
-        edges = None
-        for k in range(bisect_left(xs, lo[0]), bisect_right(xs, hi[0])):
-            q = tails[k]
-            if not (all(map(le, lo_tail, q)) and all(map(le, q, hi_tail))):
-                continue
-            vid = by_x[k]
-            if vid in ids:
-                continue
-            if edges is None:
-                edges = [[x - y for x, y in zip(r, p0)] for r in others]
-            nums, den = _solve(edges, [x - y for x, y in zip(rows[vid], p0)])
+        lo, hi = _box([rows[v] for v in ids])
+        near = range(bisect_left(columns[0], lo[0]), bisect_right(columns[0], hi[0]))
+        for col, a, b in zip(columns[1:], lo[1:], hi[1:]):
+            near = [k for k in near if a <= col[k] <= b]
+        boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
+        if not boxed:
+            continue
+        sols, den = _solve_all(_edges(rows, ids), _edges(rows, (ids[0], *boxed)))
+        for vid, nums in zip(boxed, sols):
             if min(nums) >= 0 and sum(nums) <= den:
                 hits.append((rank[vid], pos, vid, leaf))
     hits.sort()
@@ -202,7 +190,7 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     """
     forest = tri.forest
     problems = check_conforming(tri)
-    rows = _vertex_rows(tri)
+    rows, _ = _frame({v: forest.pool.point(v) for v in tri.vertex_index})
     if any(len(r) != 2 for r in rows.values()):
         raise ValueError("check_conforming_2d_exact needs a plane mesh")
     boxes, edges = {}, {}

@@ -11,6 +11,7 @@ from bisectmesh.exactgeom import (
     _det,
     _rows,
     _solve,
+    _solve_all,
     DyadicPoint,
     barycentric,
     diam_sq,
@@ -394,6 +395,23 @@ class TestKernelOracle:
         assert simplex_volume(simplex) == abs(det) / math.factorial(n)
         assert orientation(simplex) == (det > 0) - (det < 0)
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(points(n), min_size=n + 1, max_size=n + 1), max_size=5)
+        )
+    )
+    def test_volume_sum_over_mixed_exponents(self, simplices):
+        """Each simplex's edge rows come down to its own exponent before
+        its determinant; the sum over all of them stays exact."""
+        want = Fraction(0)
+        for simplex in simplices:
+            p0 = fractions_of(simplex[0])
+            det = _frac_det(
+                [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
+            )
+            want += abs(det) / math.factorial(len(simplex) - 1)
+        assert volume_sum(simplices) == want
+
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(points(n), max_size=5)))
     def test_distances(self, pts):
         pairs = [frac_sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
@@ -489,3 +507,44 @@ def test_solve_matches_gram_oracle(case):
 ))
 def test_det_matches_fraction_elimination(rows):
     assert _det(rows) == _frac_det(rows)
+
+
+@st.composite
+def basis_and_targets(draw):
+    """k <= n + 1 integer rows in n-space, n <= 4, sometimes made dependent
+    on purpose, and up to four targets, each drawn in their span or
+    anywhere (off the span, almost surely, when k < n)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n + 1))
+    entries = st.integers(-6, 6) | st.integers(-(1 << 70), 1 << 70)
+    basis = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k >= 1 and draw(st.booleans()):
+        ws = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        basis[-1] = [sum(w * u[d] for w, u in zip(ws, basis)) for d in range(n)]
+    targets = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            ws = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+            targets.append([sum(w * u[d] for w, u in zip(ws, basis)) for d in range(n)])
+        else:
+            targets.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return basis, targets
+
+
+@given(basis_and_targets())
+def test_multi_target_solve_matches_gram_oracle_per_column(case):
+    """One elimination of ``[basis^T | t_1 ... t_m]`` answers each column
+    as the oracle answers it alone, over one shared denominator."""
+    basis, targets = case
+    if _oracle_solve(basis, []) == "degenerate":  # a property of the rows alone
+        with pytest.raises(ValueError):
+            _solve_all(basis, targets)
+        return
+    sols, den = _solve_all(basis, targets)
+    assert den > 0 and len(sols) == len(targets)
+    for target, nums in zip(targets, sols):
+        want = _oracle_solve(basis, target)
+        if want is None:
+            assert nums is None
+        else:
+            assert [Fraction(c, den) for c in nums] == want

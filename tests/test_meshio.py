@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, point
 from bisectmesh.inittags import VertexPartition
@@ -216,6 +217,56 @@ def test_huge_exponent_loads_fast():
     assert len(tri.leaves) == 2
 
 
+def _grid_doc(k):
+    """A k-by-k grid of squares over the unit square, two cells each."""
+    pool = VertexPool()
+    vid = {
+        (i, j): pool.id_of(point(Fraction(i, k), Fraction(j, k)))
+        for i in range(k + 1)
+        for j in range(k + 1)
+    }
+    cells = [
+        TaggedSimplex((vid[i, j], vid[i + 1 - dj, j + dj], vid[i + 1, j + 1]), ())
+        for i in range(k)
+        for j in range(k)
+        for dj in (0, 1)
+    ]
+    return mesh_to_dict(Triangulation.from_cells(pool, cells))
+
+
+def test_huge_exponent_vertex_loads_fast_in_a_large_mesh():
+    """One vertex at the largest accepted exponent lengthens only the
+    determinants of the cells that hold it: the zero-volume check brings
+    each cell's edge rows down to the cell's own exponent.  With every
+    determinant taken at exponent 2**16, this 2048-cell load took about
+    1 s; it takes about 0.2 s."""
+    doc = _grid_doc(32)
+    i = doc["vertices"].index([["1", "1"], ["0", "0"]])  # (1/2, 0)
+    doc["vertices"][i] = [["1", "1"], ["-1", str(1 << 16)]]
+    start = time.perf_counter()
+    tri, _, _ = mesh_from_dict(doc)
+    assert time.perf_counter() - start < 0.6
+    assert len(tri.leaves) == 2048
+
+
+def test_first_zero_volume_cell_named_among_mixed_exponents():
+    """The zero-volume check runs cell by cell on one frame of the pool;
+    the first degenerate cell is the one named, though its exponent is
+    above those of the cells before it."""
+    doc = _grid_doc(4)
+    zero, quarter, half = ["0", "0"], ["1", "2"], ["1", "1"]
+    assert doc["vertices"][:3] == [[zero, zero], [zero, quarter], [zero, half]]
+    doc["vertices"].append([["1", "3"], ["1", "3"]])  # (1/8, 1/8)
+    doc["vertices"].append([["3", "4"], ["3", "4"]])  # (3/16, 3/16)
+    new = len(doc["vertices"]) - 2
+    doc["cells"] += [
+        {"horizontal": [0, new, new + 1], "vertical": [], "hyperlevel": 0},
+        {"horizontal": [0, 1, 2], "vertical": [], "hyperlevel": 0},
+    ]
+    with pytest.raises(MeshFormatError, match=re.escape("cells[32]: zero volume")):
+        mesh_from_dict(doc)
+
+
 @pytest.mark.parametrize("exp", [(1 << 16) + 1, 10**6])
 def test_exponent_above_limit_rejected(exp):
     """Loading shifts numerators to a point's largest exponent, so the
@@ -402,3 +453,48 @@ def test_unreadable_file_is_malformed_json(tmp_path, capsys, kind):
         read_mesh(path)
     assert main(["check", "conforming", "--mesh", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: malformed JSON")
+
+
+@st.composite
+def written_meshes(draw):
+    """A seeded refinement of the Kuhn n-cube, n = 1..4, moved by a dyadic
+    offset that may be negative or have numerators above 2**64, with or
+    without a marking (empty point lists included) and a partition.  Roots
+    left unrefined keep an empty ``vertical``."""
+    n = draw(st.integers(1, 4))
+    nums = st.integers(-9, 9) | st.integers(-(1 << 80), 1 << 80)
+    offset = point(*(Fraction(draw(nums), 1 << draw(st.integers(0, 6))) for _ in range(n)))
+    pool = VertexPool()
+    cells = [kuhn(list(p), [1] * n, pool, offset=offset) for p in permutations(range(1, n + 1))]
+    tri = Triangulation.from_cells(pool, cells)
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    for _ in range(draw(st.integers(0, 12 // n))):
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    verts = sorted(tri.vertex_index)
+    marking = partition = None
+    if draw(st.booleans()):
+        types = draw(st.lists(st.integers(2, max(n, 2)), unique=True, max_size=3))
+        picks = st.lists(st.sampled_from(verts), max_size=3)
+        marking = {m: [pool.point(v) for v in draw(picks)] for m in types}
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(verts)))
+        v0, v1 = verts[:k], verts[k:]
+        partition = VertexPartition(
+            frozenset(v0),
+            frozenset(v1),
+            v0[::-1] if draw(st.booleans()) else None,
+            v1 if draw(st.booleans()) else None,
+        )
+    return tri, marking, partition
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_meshes())
+def test_written_text_is_json_dumps_indent_1(tmp_path_factory, case):
+    """``write_mesh`` lays the text out itself; the interpreter's encoder
+    stays the oracle for every byte."""
+    tri, marking, partition = case
+    path = tmp_path_factory.mktemp("written") / "mesh.json"
+    write_mesh(path, tri, marking, partition)
+    want = json.dumps(mesh_to_dict(tri, marking, partition), indent=1) + "\n"
+    assert path.read_bytes() == want.encode()

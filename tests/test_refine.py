@@ -283,6 +283,29 @@ class TestConformityScansMatchReference:
         assert [bool(p) for p in found] == [False, True] * 3 + [True, True]
 
 
+class TestConformityScan1D:
+    """On a line the leaf box is its x-range alone: no further coordinate
+    filters the candidates before the solve."""
+
+    def test_refined_row_has_no_hanging_vertex(self):
+        rng = random.Random(1)
+        tri = plain_mesh([(Fraction(k, 4) - 3,) for k in range(5)], [(k, k + 1) for k in range(4)])
+        for _ in range(12):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        assert check_conforming(tri) == reference_check_conforming(tri) == []
+
+    def test_overlapping_intervals_hang(self):
+        """[0, 4] and [1, 7], as given and refined: each holds a vertex of
+        the other."""
+        rng = random.Random(2)
+        tri = plain_mesh([(0,), (4,), (1,), (7,)], [(0, 1), (2, 3)])
+        for _ in range(5):
+            found = check_conforming(tri)
+            assert found == reference_check_conforming(tri)
+            assert len(found) >= 2
+            refine(tri, rng.choice(sorted(tri.leaves)))
+
+
 class TestUniform:
     def test_square(self, square):
         uniform_refine(square)
