@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -140,10 +141,16 @@ def point(*coords) -> DyadicPoint:
 
 def midpoint(a: DyadicPoint, b: DyadicPoint) -> DyadicPoint:
     """Exact midpoint (a + b) / 2 of two points of equal dimension."""
-    if a.dim != b.dim:
+    if len(a.nums) != len(b.nums):
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    e = max(a.exp, b.exp)
-    return DyadicPoint._of([x + y for x, y in zip(a.at_exp(e), b.at_exp(e))], e + 1)
+    if a.exp < b.exp:
+        a, b = b, a
+    shift = a.exp - b.exp
+    if shift:
+        nums = [x + (y << shift) for x, y in zip(a.nums, b.nums)]
+    else:
+        nums = list(map(add, a.nums, b.nums))
+    return DyadicPoint._of(nums, a.exp + 1)
 
 
 # --- the integer kernel -------------------------------------------------------
@@ -243,44 +250,25 @@ def _solve(basis: list, target: list):
 # --- predicates ---------------------------------------------------------------
 
 
-def _frame(points: dict) -> tuple[dict, int]:
-    """The points of a ``{key: point}`` map as integer rows over one common
-    ``2**exp``, each point shifted once: ``({key: row}, exp)``."""
-    exp = max((p.exp for p in points.values()), default=0)
-    return {key: p.at_exp(exp) for key, p in points.items()}, exp
+def _cell_dets(simplices: Iterable[Sequence[DyadicPoint]]) -> Iterator[tuple[int, int]]:
+    """``(det, exp)`` for each n-simplex, given by n+1 points of dimension
+    n: ``det`` is det(p1-p0, ..., pn-p0) times ``2**(n * exp)``, for ``exp``
+    the largest exponent among the simplex's own points.
 
-
-def _edges(rows: dict, keys, shift: int = 0) -> list:
-    """Edge rows of the points ``keys`` in a :func:`_frame`: the row of each
-    later point minus the row of the first, over ``2**shift`` (exact when
-    ``shift`` is at most the frame's exponent minus the largest exponent of
-    these points)."""
-    p0, *others = [rows[k] for k in keys]
-    return [[(x - y) >> shift for x, y in zip(r, p0)] for r in others]
-
-
-def _cell_dets(points: dict, cells: list) -> tuple[int, Iterator[int]]:
-    """``(exp, dets)`` for n-simplices, each given by the keys of its n+1
-    vertices in the ``{key: point}`` map ``points`` of n-dimensional
-    points: ``dets`` yields det(p1-p0, ..., pn-p0) of each simplex times
-    ``2**(n * exp)``, for ``exp`` the largest exponent in ``points``.
-
-    Every point is shifted once to ``exp``.  Each simplex's edge rows are
-    brought down to its own largest exponent before the elimination, so one
-    vertex with a huge exponent lengthens only the determinants of the
-    simplices that hold it.  The determinants are computed as they are
-    taken, so a caller may stop at any of them.
+    There is no common frame: each simplex's points are shifted to its own
+    ``exp``, so one vertex with a huge exponent lengthens only the
+    determinants of the simplices that hold it.  The determinants are
+    computed as they are taken, so a caller may stop at any of them.
     """
-    n = len(cells[0]) - 1
-    rows, exp = _frame(points)
-    if any(len(c) != n + 1 for c in cells) or any(len(r) != n for r in rows.values()):
-        raise ValueError("need n+1 points of dimension n")
-
-    def det(keys) -> int:
-        shift = exp - max([points[k].exp for k in keys])
-        return _det(_edges(rows, keys, shift)) << (n * shift)
-
-    return exp, map(det, cells)
+    for pts in simplices:
+        exp = max([p.exp for p in pts])
+        rows = [p.nums if p.exp == exp else [x << (exp - p.exp) for x in p.nums] for p in pts]
+        p0 = rows.pop(0)
+        n = len(p0)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("need n+1 points of dimension n")
+        sign, piv = _eliminate([list(map(sub, r, p0)) for r in rows], n)
+        yield sign * piv, exp
 
 
 def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
@@ -293,25 +281,30 @@ def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
 
 def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
     """Exact total volume of n-simplices, each given by n+1 vertices of
-    dimension n (0 for none, and for 0-simplices): one integer sum of the
-    ``|det|`` of :func:`_cell_dets`, keyed by vertex object (a pool hands
-    out one object per vertex, so a shared vertex is shifted once), and one
-    division at the end."""
+    dimension n (0 for none, and for 0-simplices).
+
+    The ``|det|`` of :func:`_cell_dets`, each over its simplex's own
+    largest exponent, are added per exponent; each partial sum is shifted
+    once to the largest exponent, and there is one division at the end.
+    """
     simplices = list(simplices)
-    if not simplices:
+    n = len(simplices[0]) - 1 if simplices else 0
+    if any(len(c) != n + 1 for c in simplices):
+        raise ValueError("need n+1 points of dimension n")
+    by_exp: dict[int, int] = {}
+    for det, exp in _cell_dets(simplices):
+        by_exp[exp] = by_exp.get(exp, 0) + abs(det)
+    if not n:
         return Fraction(0)
-    n = len(simplices[0]) - 1
-    exp, dets = _cell_dets(
-        {id(p): p for c in simplices for p in c}, [list(map(id, c)) for c in simplices]
-    )
-    total = sum(map(abs, dets))
-    return Fraction(total, (1 << (n * exp)) * math.factorial(n)) if n else Fraction(0)
+    top = max(by_exp)
+    total = sum(t << (n * (top - exp)) for exp, t in by_exp.items())
+    return Fraction(total, (1 << (n * top)) * math.factorial(n))
 
 
 def orientation(vertices: Sequence[DyadicPoint]) -> int:
     """Sign (1, 0 or -1) of det(p1-p0, ..., pn-p0) for n+1 points of
     dimension n; 0 exactly when they are affinely dependent."""
-    _, (det,) = _cell_dets(dict(enumerate(vertices)), [range(len(vertices))])
+    ((det, _),) = _cell_dets([vertices])
     return (det > 0) - (det < 0)
 
 

@@ -128,8 +128,10 @@ class Triangulation:
 
     def total_volume(self) -> Fraction:
         """Exact total leaf volume, as one integer sum (:func:`volume_sum`)."""
-        pool = self.forest.pool
-        return volume_sum(self.forest.tarray(nid).vertices(pool) for nid in self.leaves)
+        nodes, points = self.forest.nodes, self.forest.pool.points
+        return volume_sum(
+            [points[v] for v in nodes[nid].tarray.vertex_ids] for nid in self.leaves
+        )
 
     def node_set(self) -> frozenset:
         """fo(P): the leaves together with all their ancestors and all roots."""

@@ -357,8 +357,9 @@ def run_sequence(
     of another edge.
 
     The total volume is still checked at the end, as one integer sum of
-    the leaves' determinants, each leaf vertex shifted once to the largest
-    exponent (see :func:`~bisectmesh.exactgeom.volume_sum`).
+    the leaves' determinants, each taken at its leaf's own largest exponent
+    and each partial sum shifted once per distinct exponent (see
+    :func:`~bisectmesh.exactgeom.volume_sum`).
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,

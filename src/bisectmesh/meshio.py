@@ -197,8 +197,9 @@ def mesh_from_dict(doc: dict):
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
     tri = Triangulation.from_cells(pool, cells)
-    _, dets = _cell_dets(dict(enumerate(pool.points)), [c.vertex_ids for c in cells])
-    for i, det in enumerate(dets):
+    points = pool.points
+    dets = _cell_dets([points[v] for v in c.vertex_ids] for c in cells)
+    for i, (det, _) in enumerate(dets):
         if not det:
             raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
     marking = None

@@ -30,17 +30,6 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _SHORT_BITS = 1024
 
 
-def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
-    """The two level-(l-1) bricks a brick rests on: directly below, and the
-    corner neighbour on the side of its off-centre half."""
-    level, index = brick
-    if level < 1:
-        raise ValueError("basement bricks demand nothing")
-    below = index >> 1
-    side = below - 1 if index % 2 == 0 else below + 1
-    return (level - 1, below), (level - 1, side)
-
-
 def brick_children(brick: Brick) -> tuple[Brick, Brick]:
     level, index = brick
     return (level + 1, 2 * index), (level + 1, 2 * index + 1)
@@ -70,16 +59,25 @@ class Pile:
         if not self.is_legal_child(chosen):
             raise ValueError(f"brick {chosen} is not a child of the pile")
         # A brick joins the pile when it is pushed, so each is tested once.
+        # A level-l brick demands the level-(l-1) brick below it and the
+        # corner neighbour on the side of its off-centre half; a level-1
+        # brick demands only basement bricks, which are always there.
         bricks = self.bricks
         bricks.add(chosen)
         added = 1
         stack = [chosen]
         while stack:
-            for dem in brick_demands(stack.pop()):
-                if dem[0] and dem not in bricks:
-                    bricks.add(dem)
-                    added += 1
-                    stack.append(dem)
+            level, index = stack.pop()
+            if level > 1:
+                below = index >> 1
+                for dem in (
+                    (level - 1, below),
+                    (level - 1, below + 1 if index & 1 else below - 1),
+                ):
+                    if dem not in bricks:
+                        bricks.add(dem)
+                        added += 1
+                        stack.append(dem)
         return added
 
 
@@ -148,17 +146,32 @@ def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
 
     The supply is three basement bricks and every chosen brick: all are in
     the pile, so a child of one is legal exactly when it is not in the pile
-    yet.  ``rng.choice(seq)`` draws what ``seq[rng.randrange(len(seq))]``
-    draws.
+    yet.
+
+    Each draw is the one ``rng.choice(seq)`` makes, inlined: ``k =
+    len(seq).bit_length()`` bits from ``rng.getrandbits``, redrawn while
+    they reach ``len(seq)``; so a supply brick takes ``k`` bits and a side
+    two.  ``TestRandomDraws`` in the tests pins this stream against the
+    ``rng.choice`` generator.
     """
     produced = 0
     supply = [(0, 0), (0, -1), (0, 1)]
-    bricks, choice = pile.bricks, rng.choice
+    size = len(supply)
+    width = size.bit_length()
+    bricks, bits = pile.bricks, rng.getrandbits
     while produced < n_rounds:
-        level, index = choice(supply)
-        child = (level + 1, 2 * index + choice((0, 1)))
+        r = bits(width)
+        while r >= size:
+            r = bits(width)
+        level, index = supply[r]
+        side = bits(2)
+        while side >= 2:
+            side = bits(2)
+        child = (level + 1, 2 * index + side)
         if child not in bricks:
             supply.append(child)
+            size += 1
+            width = size.bit_length()
             produced += 1
             yield child
 

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
 
-from .exactgeom import _det, _edges, _frame, _solve_all
+from .exactgeom import _det, _solve_all
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -133,9 +133,27 @@ def check_conforming(tri: Triangulation) -> list[str]:
     leaf.  Problems are listed by vertex in ``tri.vertex_index`` order,
     then by leaf in ``tri.leaves`` order.
     """
+    return _hanging(tri, _leaf_frame(tri))
+
+
+def _leaf_frame(tri: Triangulation) -> dict:
+    """Every leaf vertex as an integer row over one common exponent, each
+    point shifted once: ``{vertex id: row}``."""
+    points = tri.forest.pool.points
+    exp = max((points[v].exp for v in tri.vertex_index), default=0)
+    return {v: points[v].at_exp(exp) for v in tri.vertex_index}
+
+
+def _edges(rows: dict, keys) -> list:
+    """Edge rows of the points ``keys`` in a :func:`_leaf_frame`: the row of
+    each later point minus the row of the first."""
+    p0, *others = [rows[k] for k in keys]
+    return [[x - y for x, y in zip(r, p0)] for r in others]
+
+
+def _hanging(tri: Triangulation, rows: dict) -> list[str]:
+    """The scan of :func:`check_conforming`, over the leaf frame ``rows``."""
     forest = tri.forest
-    pool = forest.pool
-    rows, _ = _frame({v: pool.point(v) for v in tri.vertex_index})
     rank = {v: k for k, v in enumerate(rows)}
     by_x = sorted(rows, key=lambda v: rows[v][0])
     columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
@@ -189,8 +207,8 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     with each of the other's edges, so it is skipped by the same rule.
     """
     forest = tri.forest
-    problems = check_conforming(tri)
-    rows, _ = _frame({v: forest.pool.point(v) for v in tri.vertex_index})
+    rows = _leaf_frame(tri)
+    problems = _hanging(tri, rows)
     if any(len(r) != 2 for r in rows.values()):
         raise ValueError("check_conforming_2d_exact needs a plane mesh")
     boxes, edges = {}, {}

@@ -55,7 +55,7 @@ def _edge(a: int, b: int) -> frozenset:
     return frozenset((a, b) if a < b else (b, a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedSimplex:
     horizontal: tuple[int, ...]
     vertical: tuple[int, ...]

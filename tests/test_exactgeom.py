@@ -4,10 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bisectmesh.cli import _exact
 from bisectmesh.exactgeom import (
+    _cell_dets,
     _det,
     _rows,
     _solve,
@@ -21,6 +22,7 @@ from bisectmesh.exactgeom import (
     simplex_volume,
     volume_sum,
 )
+from bisectmesh.meshio import MeshFormatError, mesh_from_dict
 
 from conftest import frac_sq_dist, fractions_of
 
@@ -416,6 +418,97 @@ class TestKernelOracle:
     def test_distances(self, pts):
         pairs = [frac_sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
         assert diam_sq(pts) == max(pairs, default=0)
+
+
+def _oracle_det(simplex):
+    p0 = fractions_of(simplex[0])
+    return _frac_det([[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]])
+
+
+def spread_simplices(rng, n, tops):
+    """One n-simplex per exponent in ``tops``, the largest exponent among its
+    vertices; each other vertex takes an exponent in ``0..top``.  A
+    coordinate is a small integer plus an odd numerator over ``2**e``, so a
+    vertex's own exponent is exactly its ``e``."""
+
+    def vertex(e):
+        odd = lambda: 2 * rng.randrange(-(1 << 16), 1 << 16) + 1
+        return DyadicPoint(rng.randrange(-4, 5) + Fraction(odd(), 1 << e) for _ in range(n))
+
+    return [
+        [vertex(top)] + [vertex(rng.randrange(top + 1)) for _ in range(n)]
+        for top in tops
+    ]
+
+
+def _degenerate(simplex):
+    """The simplex with its last vertex moved to the midpoint of its first
+    two, so that its volume is 0."""
+    return [*simplex[:-1], midpoint(simplex[0], simplex[1])]
+
+
+def _pair(c: Fraction) -> list:
+    num, den = c.as_integer_ratio()
+    return [str(num), str(den.bit_length() - 1)]
+
+
+class TestOwnExponentDeterminants:
+    """``_cell_dets`` takes each simplex at its own largest exponent; the
+    volume sum, ``orientation`` and the loader's zero-volume test all run
+    on it.  Checked against Fraction determinants, with vertex exponents
+    from 0 to 2**12."""
+
+    TOPS = [0, 1, 2, 3, 5, 8, 13, 64, 65, 700, 1000, 2047, 4095, 4096]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_dets_volume_sum_and_orientation(self, seed, n):
+        rng = random.Random(seed)
+        simplices = spread_simplices(rng, n, self.TOPS)
+        if n > 1:
+            simplices.insert(rng.randrange(len(simplices)), _degenerate(simplices[0]))
+        dets = list(_cell_dets(simplices))
+        for simplex, (det, exp) in zip(simplices, dets):
+            want = _oracle_det(simplex)
+            assert exp == max(p.exp for p in simplex)
+            assert Fraction(det, 1 << (n * exp)) == want
+            assert orientation(simplex) == (want > 0) - (want < 0)
+        assert len({exp for _, exp in dets}) >= len(self.TOPS)
+        want = sum(abs(_oracle_det(s)) for s in simplices) / math.factorial(n)
+        assert volume_sum(simplices) == want
+        assert volume_sum(simplices[::-1]) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 3), st.booleans())
+    def test_loader_names_the_first_degenerate_cell(self, seed, n, flat):
+        rng = random.Random(seed)
+        simplices = spread_simplices(rng, n, self.TOPS)
+        if flat:
+            at = rng.randrange(len(simplices))
+            simplices[at] = _degenerate(simplices[at])
+        ids: dict = {}
+        for simplex in simplices:
+            for p in simplex:
+                ids.setdefault(p, len(ids))
+        doc = {
+            "dim": n,
+            "vertices": [[_pair(c) for c in fractions_of(p)] for p in ids],
+            "cells": [
+                {"horizontal": [ids[p] for p in simplex], "vertical": []}
+                for simplex in simplices
+            ],
+        }
+        degenerate = [i for i, s in enumerate(simplices) if not _oracle_det(s)]
+        assert bool(degenerate) == flat
+        if flat:
+            want = rf"cells\[{degenerate[0]}\]: zero volume"
+            with pytest.raises(MeshFormatError, match=want):
+                mesh_from_dict(doc)
+        else:
+            tri, _, _ = mesh_from_dict(doc)
+            assert tri.total_volume() == sum(
+                abs(_oracle_det(s)) for s in simplices
+            ) / math.factorial(n)
 
 
 @st.composite

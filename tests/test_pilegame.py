@@ -6,16 +6,42 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bisectmesh.pilegame import (
+    Brick,
     Pile,
     PileTrace,
     brick_children,
-    brick_demands,
     play,
+    _random_moves,
     _tower_moves,
 )
+
+
+def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
+    """Demand oracle: the two level-(l-1) bricks a brick rests on, directly
+    below, and the corner neighbour on the side of its off-centre half.
+    ``Pile.add_brick`` works them out inline."""
+    level, index = brick
+    if level < 1:
+        raise ValueError("basement bricks demand nothing")
+    below = index >> 1
+    side = below - 1 if index % 2 == 0 else below + 1
+    return (level - 1, below), (level - 1, side)
+
+
+def choice_moves(pile: Pile, n_rounds: int, rng: random.Random):
+    """Reference for ``_random_moves``: the same game drawn by ``rng.choice``."""
+    produced = 0
+    supply = [(0, 0), (0, -1), (0, 1)]
+    while produced < n_rounds:
+        level, index = rng.choice(supply)
+        child = (level + 1, 2 * index + rng.choice((0, 1)))
+        if child not in pile.bricks:
+            supply.append(child)
+            produced += 1
+            yield child
 
 
 class TestBrickDemands:
@@ -100,6 +126,29 @@ class TestPile:
         pile = Pile()
         with pytest.raises(ValueError):
             pile.add_brick((2, 0))  # no supporting level-1 brick yet
+
+
+class TestRandomDraws:
+    @staticmethod
+    def game(moves, n_rounds, seed):
+        """The moves a generator makes, each added to its pile, and the
+        generator's state afterwards."""
+        pile, rng = Pile(), random.Random(seed)
+        chosen = []
+        for move in moves(pile, n_rounds, rng):
+            pile.add_brick(move)
+            chosen.append(move)
+        return chosen, rng.getstate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 700))
+    def test_inlined_draws_match_choice(self, seed, n_rounds):
+        """Up to 700 rounds the supply (3 bricks plus one per round) passes
+        every power of two from 4 to 512, where the draw's bit width grows;
+        the moves and the number of bits taken must match ``rng.choice``."""
+        assert self.game(_random_moves, n_rounds, seed) == self.game(
+            choice_moves, n_rounds, seed
+        )
 
 
 class TestStrategies:
