@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, sub
 from typing import Optional
 
 from .exactgeom import (
@@ -73,19 +74,22 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
     A class is a T-array modulo translation after scaling by ``2**(h - h_root)``;
     bisection maps classes to classes and transposition doubles the scale, so
     the class set is finite and the walk stops when a full generation brings
-    nothing new.  A child's values depend only on its class, so each class is
-    valued once, the first time the walk reaches it as a child; the root's
-    class is seen from the start but valued only if a descendant falls in it.
+    nothing new.  Every class the walk expands is valued once, through the
+    one value its two children share; the values are those of the classes
+    reached as children, so the root's class counts only if a descendant
+    falls in it.
 
     The walk carries only class keys ``(type, offsets, exp)``: the offsets of
     vertices 1..n from vertex 0, one flat integer vector over ``2**exp`` in
     the canonical form of :class:`~bisectmesh.exactgeom.DyadicPoint`.
-    Bisection doubles the rows (exponent + 1), so the new vertex, the midpoint
-    of vertex 0 (the origin) and vertex t, is the undoubled row t; the first
-    child is rebased at its first vertex.  Transposing a type-0 key doubles
-    it, so its children keep its exponent.
+    Bisection doubles the vector (exponent + 1), so the new vertex m, the
+    midpoint of vertex 0 (the origin) and vertex t, is the undoubled row t.
+    The second child, which drops vertex t, is the doubled vector with row t
+    replaced by m; the first, which drops vertex 0, is rows 2..t, m and rows
+    t+1..n of the doubled vector less its row 1, rebased at vertex 1.
+    Transposing a type-0 key doubles it, so its children keep its exponent.
 
-    Two lemmas keep the values to O(n) integer work per class:
+    Four lemmas keep the values to O(n) integer work per expanded class:
 
     * Volume by type.  Bisection halves the volume and transposition, which
       takes type 0 to type n, multiplies it by ``2**n``; so at the walk's
@@ -94,11 +98,29 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
       2**(2t + 2n exp)``, with ``far`` the largest squared distance from the
       new vertex in units of ``2**-exp``.  No determinant is needed, and the
       candidates are compared as integers shifted by powers of two.
+    * One ``far`` per parent.  Let the parent be ``x0 .. xn`` with
+      refinement edge ``{x0, xt}``.  The first child is the parent without
+      ``x0`` plus m, the second the parent without ``xt`` plus m, and m is
+      the midpoint of ``x0`` and ``xt``, so ``|m - x0| == |m - xt|``.  The
+      distances from m to the other vertices of the two children are
+      therefore the same numbers, both children have type t - 1 and the
+      same exponent, and so the same value.  A value depends only on the
+      class key, so the largest value over the classes reached as children
+      is the largest over the expanded parents of this shared value, and no
+      record of the classes already valued is needed.
     * Diameter monotone under inclusion.  A child lies inside its parent at
       the same scale, so only a child of a transposed parent can have a
-      larger diameter than a class already valued (or the root); the
-      diameter is computed for those children alone, and by induction every
-      other class is bounded by one that was computed.
+      larger diameter than its parent; diameters are computed for those
+      children alone, and by induction over the walk every class is bounded
+      by the root or by one of them.
+    * Shared diameter pairs.  A transposed parent has t = n, and its
+      children are ``S + {xn}`` and ``S + {x0}`` with ``S = {x1 .. x(n-1),
+      m}``.  A diameter is the largest distance over pairs of vertices, so
+      the larger of the two children's is the largest of the distances
+      within S, taken once for both, from ``xn`` to S and from ``x0`` to S.
+      The pair ``{x0, xn}``, the parent's refinement edge, lies in neither
+      child.  In the second child's frame, ``x0`` is the origin, the rows
+      of the second child are S and ``xn`` is the last doubled row.
 
     ``memo``, a dict that lives for one :func:`compute_constants` call, maps
     ``(type, level, hyperlevel, exp, columns)`` to a census, where the
@@ -112,10 +134,10 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
     """
     n = root.dim
     pts = [pool.point(v) for v in root.vertex_ids]
-    m = len(pts[0].nums)
+    w = len(pts[0].nums)
     rows, e = _rows(pts[1:], pts[0])
     offsets, e = _canonical([x for r in rows for x in r], e)
-    rows = [offsets[i : i + m] for i in range(0, n * m, m)]
+    rows = [offsets[i : i + w] for i in range(0, n * w, w)]
     if memo is not None:
         columns = tuple(sorted(map(_unsigned, zip(*rows))))
         memo_key = (root.type, root.level, root.hyperlevel, e, columns)
@@ -123,13 +145,13 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
             return memo[memo_key]
     if not simplex_volume(pts):
         raise ValueError("root simplex has zero volume")
-    origin = (0,) * m
+    nm = n * w
+    spans = range(0, nm, w)
     # the best value is v_num / 2**v_shift, the best diameter d_num / 2**d_shift
     v_num = v_shift = 0
-    d_num, d_shift = _max_gap_sq([origin, *rows]), 2 * e
+    d_num, d_shift = _max_gap_sq([(0,) * w, *rows]), 2 * e
     root_key = (root.type, offsets, e)
     seen = {root_key}
-    valued = set()
     frontier = [root_key]
     generations = 0
     while frontier and generations < _MAX_GENERATIONS and len(seen) < _MAX_CLASSES:
@@ -141,28 +163,37 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
                 t = n
             else:
                 exp += 1
-            doubled = [[x << 1 for x in offsets[i : i + m]] for i in range(0, n * m, m)]
-            tail = [offsets[(t - 1) * m : t * m], *doubled[t:]]
-            for child in (
-                [[x - y for x, y in zip(r, doubled[0])] for r in doubled[1:t] + tail],
-                doubled[: t - 1] + tail,
-            ):
-                key = (t - 1, *_canonical([x for r in child for x in r], exp))
-                if key in valued:
-                    continue
-                valued.add(key)
-                new = child[t - 1]
-                far = max(
-                    sum((x - y) * (x - y) for x, y in zip(r, new))
-                    for r in (origin, *child)
+            t -= 1
+            lo = t * w
+            hi = lo + w
+            new = offsets[lo:hi]
+            doubled = [x << 1 for x in offsets]
+            second = doubled[:]
+            second[lo:hi] = new
+            first = list(map(sub, doubled[w:hi] + [*new] + doubled[hi:], doubled[:w] * n))
+            # squared distances from the new vertex to the origin and to each
+            # row of the second child: those of either child (one far per parent)
+            gaps = list(map(sub, second, new * n))
+            gaps = list(map(mul, gaps, gaps))
+            far = sum(map(mul, new, new))
+            for i in spans:
+                s = sum(gaps[i : i + w])
+                if s > far:
+                    far = s
+            value, shift = far**n, 2 * t + 2 * n * exp
+            if value << v_shift > v_num << shift:
+                v_num, v_shift = value, shift
+            if transposed:
+                shared = [second[i : i + w] for i in spans]
+                end = doubled[nm - w :]
+                diam = max(
+                    _max_gap_sq(shared),
+                    *[sum(map(mul, r, r)) for r in shared],
+                    *[sum((x - y) * (x - y) for x, y in zip(r, end)) for r in shared],
                 )
-                value, shift = far**n, 2 * (t - 1) + 2 * n * exp
-                if value << v_shift > v_num << shift:
-                    v_num, v_shift = value, shift
-                if transposed:
-                    diam = _max_gap_sq([origin, *child])
-                    if diam << d_shift > d_num << (2 * exp):
-                        d_num, d_shift = diam, 2 * exp
+                if diam << d_shift > d_num << (2 * exp):
+                    d_num, d_shift = diam, 2 * exp
+            for key in (t, *_canonical(first, exp)), (t, *_canonical(second, exp)):
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(key)

@@ -94,15 +94,6 @@ class TaggedSimplex:
         return [_edge(a, b) for a, b in combinations(self.vertex_ids, 2)]
 
 
-def transpose(s: TaggedSimplex) -> TaggedSimplex:
-    """Turn a type-0 column into the full-type row; hyperlevel increments."""
-    if s.type != 0:
-        raise ValueError("only type-0 arrays can be transposed")
-    return TaggedSimplex(
-        s.horizontal + s.vertical, (), level=s.level, hyperlevel=s.hyperlevel + 1
-    )
-
-
 def bisect(
     s: TaggedSimplex, pool: VertexPool
 ) -> tuple[TaggedSimplex, TaggedSimplex, int]:
@@ -110,21 +101,23 @@ def bisect(
 
     Returns the two children and the id of the new vertex (the midpoint of
     the refinement edge).  Level increments by one; the hyperlevel increments
-    exactly when the implicit transposition happens.
+    exactly when the implicit transposition happens.  A type-0 array's
+    children are built straight from its transposed row, the full-type row
+    ``horizontal + vertical`` one hyperlevel up, with no array in between.
     """
     if s.dim < 1:
         raise ValueError("cannot bisect a 0-dimensional simplex")
-    if s.type == 0:
-        s = transpose(s)
-    new_id = pool.midpoint_id(s.horizontal[0], s.horizontal[-1])
-    vert = (new_id, *s.vertical)
-    child1 = TaggedSimplex(
-        s.horizontal[1:], vert, level=s.level + 1, hyperlevel=s.hyperlevel
+    row, vertical, hyperlevel = s.horizontal, s.vertical, s.hyperlevel
+    if len(row) == 1:
+        row, vertical, hyperlevel = row + vertical, (), hyperlevel + 1
+    new_id = pool.midpoint_id(row[0], row[-1])
+    vert = (new_id, *vertical)
+    level = s.level + 1
+    return (
+        TaggedSimplex(row[1:], vert, level, hyperlevel),
+        TaggedSimplex(row[:-1], vert, level, hyperlevel),
+        new_id,
     )
-    child2 = TaggedSimplex(
-        s.horizontal[:-1], vert, level=s.level + 1, hyperlevel=s.hyperlevel
-    )
-    return child1, child2, new_id
 
 
 def refinement_edge(s: TaggedSimplex) -> frozenset:

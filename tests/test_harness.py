@@ -232,6 +232,24 @@ def refined_square_roots():
     return Triangulation.from_cells(forest.pool, cells)
 
 
+def seeded_root(n, t, seed=None):
+    """A seeded root of dimension ``n`` and type ``t`` with small integer and
+    dyadic vertices (numerators -6..6 over 1, 2 or 4), in a pool of its own.
+    Its hyperlevel ``t % 3`` and level ``(n + t) % 4`` cover 0-2 and 0-3
+    over the types of n = 2, 3, 4; the seed defaults to ``100 n + t``."""
+    rng = random.Random(100 * n + t if seed is None else seed)
+    while True:
+        pts = [
+            DyadicPoint([Fraction(rng.randrange(-6, 7), 1 << rng.randrange(3)) for _ in range(n)])
+            for _ in range(n + 1)
+        ]
+        if simplex_volume(pts):
+            break
+    pool = VertexPool()
+    ids = tuple(pool.id_of(p) for p in pts)
+    return TaggedSimplex(ids[: t + 1], ids[t + 1 :], (n + t) % 4, t % 3), pool
+
+
 # Seeds 2-5 give agk cubes with type-0 roots (2, 3, 4) and hyperlevel-1
 # roots (4, 5), beside type-1/2/3 roots of hyperlevel 0.
 CENSUS_CORPUS = (
@@ -272,6 +290,17 @@ class TestCensusOracle:
             }
         assert (True, 0) in kinds and (False, 1) in kinds
 
+    @pytest.mark.parametrize("n, t", [(n, t) for n in (2, 3, 4) for t in range(n + 1)])
+    def test_seeded_roots_match_reference(self, n, t):
+        """Roots that are no Kuhn simplex, of every type, level and
+        hyperlevel: a key left unreduced adds classes.  A settled walk
+        reaches each maximum through several classes, so the terms of a
+        single parent show only in the capped case below."""
+        root, pool = seeded_root(n, t)
+        got = shape_census(root, pool)
+        assert got.settled
+        assert got == reference_shape_census(root, pool)
+
     @pytest.mark.parametrize(
         "make, caps",
         [
@@ -290,6 +319,19 @@ class TestCensusOracle:
             got = shape_census(root, forest.pool)
             assert not got.settled
             assert got == reference_shape_census(root, forest.pool, **caps)
+
+    @pytest.mark.parametrize("seed", [0, 16])
+    def test_capped_seeded_roots_match_reference(self, seed, monkeypatch):
+        """One generation of a type-0 triangle: its children are valued
+        before any later class ties their maxima, so the far distance to
+        the refinement edge's ends and the diameter pairs through a kept
+        edge end show (seed 0 has its diameter through vertex 0, seed 16
+        through vertex n)."""
+        monkeypatch.setattr(harness, "_MAX_GENERATIONS", 1)
+        root, pool = seeded_root(2, 0, seed)
+        got = shape_census(root, pool)
+        assert not got.settled
+        assert got == reference_shape_census(root, pool, max_generations=1)
 
 
 KEYED_ROOTS = [(f"kuhn-{n}", lambda n=n: single_kuhn(n)) for n in (2, 3, 4)] + [

@@ -250,9 +250,9 @@ def test_huge_exponent_vertex_loads_fast_in_a_large_mesh():
 
 
 def test_first_zero_volume_cell_named_among_mixed_exponents():
-    """The zero-volume check runs cell by cell on one frame of the pool;
-    the first degenerate cell is the one named, though its exponent is
-    above those of the cells before it."""
+    """The zero-volume check runs cell by cell, each cell at the largest
+    exponent among its own vertices; the first degenerate cell is the one
+    named, though its exponent is above those of the cells before it."""
     doc = _grid_doc(4)
     zero, quarter, half = ["0", "0"], ["1", "2"], ["1", "1"]
     assert doc["vertices"][:3] == [[zero, zero], [zero, quarter], [zero, half]]

@@ -15,10 +15,20 @@ from bisectmesh.tarray import (
     lattice_of,
     restrict,
     same_lattice,
-    transpose,
 )
 
 from conftest import fractions_of
+
+
+def transpose(s: TaggedSimplex) -> TaggedSimplex:
+    """Transposition oracle: turn a type-0 column into the full-type row;
+    hyperlevel increments.  ``bisect`` builds a type-0 array's children
+    from that row directly."""
+    if s.type != 0:
+        raise ValueError("only type-0 arrays can be transposed")
+    return TaggedSimplex(
+        s.horizontal + s.vertical, (), level=s.level, hyperlevel=s.hyperlevel + 1
+    )
 
 
 @pytest.fixture
@@ -60,6 +70,41 @@ class TestBisect:
         assert c1.hyperlevel == c2.hyperlevel == 2
         assert c1.level == c2.level == 4
         assert c1.type == c2.type == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_type_zero_bisects_as_its_transposed(self, data):
+        """On a type-0 array, ``bisect`` gives what bisecting the transposed
+        array gives: the children, with their levels and hyperlevels, and
+        the new vertex id, each side in its own copy of one pool."""
+        n = data.draw(st.integers(1, 4))
+        coords = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(-8, 8)] * n), min_size=n + 1, max_size=n + 1,
+                unique=True,
+            )
+        )
+        extra = data.draw(st.integers(0, 3))
+        pools = []
+        for _ in range(2):
+            pool = VertexPool()
+            for q in coords:
+                pool.id_of(point(*q))
+            for q in range(extra):
+                pool.id_of(point(*[Fraction(2 * q + 1, 4)] * n))
+            pools.append(pool)
+        ids = data.draw(st.permutations(range(n + 1)))
+        s = TaggedSimplex(
+            (ids[0],),
+            tuple(ids[1:]),
+            level=data.draw(st.integers(0, 9)),
+            hyperlevel=data.draw(st.integers(0, 5)),
+        )
+        direct = bisect(s, pools[0])
+        assert direct == bisect(transpose(s), pools[1])
+        assert direct[0].hyperlevel == s.hyperlevel + 1
+        assert direct[0].level == s.level + 1
+        assert pools[0].points == pools[1].points
 
     def test_four_bisection_chain_n3(self):
         """The recursive path that removes the vertical edge (c, d) from
