@@ -4,24 +4,21 @@ Exact dyadic geometry, tagged-simplex bisection, binary forests with
 overlay/underlay, conformity-preserving refinement, tagging initialisers
 with their initial-condition verifiers, the 1D pile-game toy model, and a
 harness that computes and checks the closure-estimate constants.
+
+The package holds what the command line and the benchmark call; the
+checkers of the paper's tower and forest lemmas are oracles of the tests.
 """
 
-from .exactgeom import DyadicPoint, midpoint, orientation, point, simplex_volume
+from .exactgeom import DyadicPoint, midpoint, simplex_volume
 from .tarray import TaggedSimplex, VertexPool, bisect, kuhn, refinement_edge
-from .forest import (
-    Forest, Triangulation, closure01, overlay, underlay, verify_forest_characterisation,
-)
-from .refine import RefinementError, check_conforming, refine, tower, uniform_refine
+from .forest import Forest, Triangulation, overlay, underlay
+from .refine import RefinementError, check_conforming, refine, uniform_refine
 from .inittags import agk_init, initial_division, VertexPartition
-from .harness import (
-    Constants, compute_constants, run_sequence, tower_patch_spotcheck, verify_bdv,
-)
+from .harness import Constants, compute_constants, run_sequence, verify_bdv
 
 __all__ = [
     "DyadicPoint",
     "midpoint",
-    "orientation",
-    "point",
     "simplex_volume",
     "TaggedSimplex",
     "VertexPool",
@@ -32,9 +29,6 @@ __all__ = [
     "Triangulation",
     "overlay",
     "underlay",
-    "tower",
-    "closure01",
-    "verify_forest_characterisation",
     "RefinementError",
     "check_conforming",
     "refine",
@@ -45,7 +39,6 @@ __all__ = [
     "Constants",
     "compute_constants",
     "run_sequence",
-    "tower_patch_spotcheck",
     "verify_bdv",
 ]
 

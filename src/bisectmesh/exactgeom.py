@@ -4,8 +4,8 @@ Every vertex produced by edge bisection is a dyadic midpoint, so coordinates
 are dyadic rationals (integer numerator over a power of two) and vertex
 equality is bit-exact.  The one exact value type, :class:`DyadicPoint`, is an
 integer vector over one shared power of two, built from ints and dyadic
-``Fraction``s; every predicate (volume, orientation, barycentric coordinates,
-squared distance) is integer arithmetic on such vectors.  One fraction-free
+``Fraction``s; every predicate (volume, barycentric coordinates, squared
+distance) is integer arithmetic on such vectors.  One fraction-free
 Bareiss elimination serves every linear-algebra question: determinants, the
 solve of vectors in the span of k rows, any number in one elimination
 (off-span and dependence tests included) and, through the signs of that
@@ -132,11 +132,6 @@ class DyadicPoint:
             num, exp = _reduced(x, self.exp)
             parts.append(f"{num}/2^{exp}" if exp else str(num))
         return "DyadicPoint(" + ", ".join(parts) + ")"
-
-
-def point(*coords) -> DyadicPoint:
-    """Convenience constructor: ``point(0, Fraction(1, 2))``."""
-    return DyadicPoint(coords)
 
 
 def midpoint(a: DyadicPoint, b: DyadicPoint) -> DyadicPoint:
@@ -301,13 +296,6 @@ def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
     return Fraction(total, (1 << (n * top)) * math.factorial(n))
 
 
-def orientation(vertices: Sequence[DyadicPoint]) -> int:
-    """Sign (1, 0 or -1) of det(p1-p0, ..., pn-p0) for n+1 points of
-    dimension n; 0 exactly when they are affinely dependent."""
-    ((det, _),) = _cell_dets([vertices])
-    return (det > 0) - (det < 0)
-
-
 def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
     """Exact barycentric coordinates of ``pt`` w.r.t. a non-degenerate simplex.
 
@@ -336,11 +324,4 @@ def _max_gap_sq(rows: list) -> int:
             if d > best:
                 best = d
     return best
-
-
-def diam_sq(pts: Sequence[DyadicPoint]) -> Fraction:
-    """Exact squared diameter: the largest squared distance between two of
-    the points (0 for fewer than two)."""
-    rows, e = _rows(pts)
-    return Fraction(_max_gap_sq(rows), 1 << (2 * e))
 

@@ -183,57 +183,3 @@ def underlay(p: Triangulation, q: Triangulation) -> Triangulation:
 def _require_same_roots(p: Triangulation, q: Triangulation):
     if p.forest is not q.forest:
         raise ValueError("triangulations must share one forest arena")
-
-
-def closure01(forest: Forest, seeds: Iterable[int]) -> frozenset:
-    """Smallest demand-closed node set containing the seeds and the roots.
-
-    The demand targets of a node T are its 0-class (nodes sharing its new
-    vertex) and the 0-class of its parent's new vertex.  The closure is
-    taken over the *generated* part of the forest, so the caller must have
-    materialised the relevant region first, e.g. by running
-    :func:`bisectmesh.refine.tower` (which refines a scratch copy through
-    the shared arena) or by expanding every node down to the seed's level:
-    demands never point to deeper levels.
-    """
-    by_v_new: dict[int, list[int]] = {}
-    for nid, node in enumerate(forest.nodes):
-        if node.v_new is not None:
-            by_v_new.setdefault(node.v_new, []).append(nid)
-    closed = set(forest.roots)
-    stack = list(seeds)
-    while stack:
-        nid = stack.pop()
-        if nid in closed:
-            continue
-        closed.add(nid)
-        node = forest.nodes[nid]
-        if node.v_new is not None:
-            stack.extend(by_v_new[node.v_new])
-        if node.parent is not None and forest.nodes[node.parent].v_new is not None:
-            stack.extend(by_v_new[forest.nodes[node.parent].v_new])
-    return frozenset(closed)
-
-
-def verify_forest_characterisation(tri: Triangulation) -> list[str]:
-    """Check the vertex-set characterisation of an admissible forest: the
-    non-root nodes of fo(P) are exactly the generated nodes whose new vertex
-    belongs to V, the new vertices of fo(P), and V is closed under the
-    vertex demand relation.
-
-    Only one direction can fail.  V is read off fo(P), so every non-root
-    node of fo(P) has its new vertex in V; fo(P) (:meth:`Triangulation.node_set`)
-    is ancestor-closed, so the parent of such a node is in fo(P) too and its
-    new vertex, if any, is in V.  What remains is a generated node outside
-    fo(P) whose new vertex is in V.  Returns one message per such node, in
-    id order (empty = pass).
-    """
-    forest = tri.forest
-    nodes = tri.node_set()
-    v_set = {forest.nodes[nid].v_new for nid in nodes} - {None}
-    return [
-        f"node {nid}: shares new vertex {node.v_new} with the forest but is "
-        "missing from it"
-        for nid, node in enumerate(forest.nodes)
-        if node.v_new in v_set and nid not in nodes
-    ]

@@ -18,12 +18,10 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import Optional
 
-from .exactgeom import (
-    _canonical, _max_gap_sq, _rows, _unsigned, diam_sq, midpoint, simplex_volume
-)
+from .exactgeom import _canonical, _max_gap_sq, _rows, _unsigned, midpoint, simplex_volume
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
-from .refine import max_jump, refine, tower
+from .refine import max_jump, refine
 
 
 def unit_ball_volume(m: int) -> float:
@@ -68,7 +66,7 @@ _MAX_GENERATIONS = 400
 _MAX_CLASSES = 500_000
 
 
-def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> ShapeCensus:
+def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
     """Walk all descendant shape classes of one root.
 
     A class is a T-array modulo translation after scaling by ``2**(h - h_root)``;
@@ -138,11 +136,10 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
     rows, e = _rows(pts[1:], pts[0])
     offsets, e = _canonical([x for r in rows for x in r], e)
     rows = [offsets[i : i + w] for i in range(0, n * w, w)]
-    if memo is not None:
-        columns = tuple(sorted(map(_unsigned, zip(*rows))))
-        memo_key = (root.type, root.level, root.hyperlevel, e, columns)
-        if memo_key in memo:
-            return memo[memo_key]
+    columns = tuple(sorted(map(_unsigned, zip(*rows))))
+    memo_key = (root.type, root.level, root.hyperlevel, e, columns)
+    if memo_key in memo:
+        return memo[memo_key]
     if not simplex_volume(pts):
         raise ValueError("root simplex has zero volume")
     nm = n * w
@@ -205,8 +202,7 @@ def shape_census(root: TaggedSimplex, pool, memo: Optional[dict] = None) -> Shap
         max_v_pow_2n=Fraction(v_num << 2 * (root.level + root.type), 1 << v_shift),
         max_iso_sq=Fraction(d_num << 2 * root.hyperlevel, 1 << d_shift),
     )
-    if memo is not None:
-        memo[memo_key] = census
+    memo[memo_key] = census
     return census
 
 
@@ -540,93 +536,3 @@ def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:
             )
             break
     return problems
-
-
-# --- tower geometry spot check -------------------------------------------------
-
-
-def hyperlevel_ancestor_vertices(forest, nid: int, h_target: int) -> Optional[tuple]:
-    """Vertex ids of the type-n hyperlevel-``h_target`` ancestor simplex.
-
-    That is the first node on the walk from ``nid`` up to its root whose
-    type is 0 or n and whose :attr:`~TaggedSimplex.edge_hyperlevel` is
-    ``h_target``: a type-0 node counts as its transposed, and a full-type
-    node is a root, because a child is never full type.  None if no node on
-    the walk qualifies.
-    """
-    while nid is not None:
-        t = forest.tarray(nid)
-        if t.type in (0, t.dim) and t.edge_hyperlevel == h_target:
-            return t.vertex_ids
-        nid = forest.nodes[nid].parent
-    return None
-
-
-def tower_patch_spotcheck(
-    tri: Triangulation, samples: int = 20, seed: Optional[int] = None
-) -> dict:
-    """Empirical check that every deep tower layer sits inside one vertex
-    patch of the corresponding hyperlevel-uniform triangulation.
-
-    For each sampled child of a leaf with hyperlevel above h0, each layer
-    (hyperlevel j > h0, full-type convention) of its tower is mapped to the
-    type-n hyperlevel-(j - h0) ancestors of its cells; those ancestors are
-    patch cells and must share a vertex.  Returns a report dict.
-    """
-    forest = tri.forest
-    n = forest.tarray(forest.roots[0]).dim
-    h0 = _h0(n)
-    rng = random.Random(seed)
-    deep = [
-        leaf for leaf in tri.leaves if forest.tarray(leaf).edge_hyperlevel >= h0 + 1
-    ]
-    rng.shuffle(deep)
-    checked = 0
-    vacuous = 0
-    failures = []
-    worst_diameter_ratio = 0.0
-    pool = forest.pool
-
-    def diameter_sq(vertex_ids):
-        return diam_sq([pool.point(v) for v in vertex_ids])
-
-    for leaf in deep[:samples]:
-        c1, _ = forest.ensure_children(leaf)
-        tw = tower(tri, c1)
-        layers: dict[int, list[int]] = {}
-        for nid in tw:
-            layers.setdefault(forest.tarray(nid).edge_hyperlevel, []).append(nid)
-        for j, nodes in sorted(layers.items()):
-            if j < h0 + 1:
-                vacuous += 1
-                continue
-            ancestor_sets = []
-            for nid in nodes:
-                anc = hyperlevel_ancestor_vertices(forest, nid, j - h0)
-                if anc is None:
-                    failures.append(f"node {nid}: no hyperlevel-{j - h0} ancestor")
-                    continue
-                ancestor_sets.append(set(anc))
-            if not ancestor_sets:
-                continue
-            common = set.intersection(*ancestor_sets)
-            checked += 1
-            if not common:
-                failures.append(
-                    f"tower of {leaf}, layer {j}: patch cells share no vertex"
-                )
-                continue
-            layer_sq = diameter_sq(
-                {v for nid in nodes for v in forest.tarray(nid).vertex_ids}
-            )
-            patch_sq = diameter_sq(set.union(*ancestor_sets))
-            if patch_sq:
-                ratio = math.sqrt(float(layer_sq) / float(patch_sq))
-                worst_diameter_ratio = max(worst_diameter_ratio, ratio)
-    return {
-        "sampled": min(samples, len(deep)),
-        "layers_checked": checked,
-        "vacuous": vacuous,
-        "worst_diameter_ratio": worst_diameter_ratio,
-        "failures": failures,
-    }

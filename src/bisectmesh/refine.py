@@ -71,21 +71,6 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
     return bisections
 
 
-def tower(tri: Triangulation, child_of_leaf: int) -> frozenset:
-    """Nodes forced into the forest when the child's parent leaf is refined.
-
-    Computed as fo(refine(P, pa(S))) minus fo(P) on a scratch copy; the
-    demand-closure characterisation (:func:`~bisectmesh.forest.closure01`)
-    is used as an independent oracle in the test-suite, not here.
-    """
-    parent = tri.forest.nodes[child_of_leaf].parent
-    if parent is None or parent not in tri.leaves:
-        raise ValueError("tower seed must be the child of a current leaf")
-    scratch = tri.copy()
-    refine(scratch, parent)
-    return scratch.node_set() - tri.node_set()
-
-
 def max_jump(forest, bisections: list[tuple[int, int]]) -> int:
     """Largest level increase any input leaf suffered in one :func:`refine`
     round, from the bisection log it returned."""

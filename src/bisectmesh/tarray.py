@@ -174,7 +174,6 @@ def kuhn(
     signs: Sequence[int],
     pool: VertexPool,
     offset: Optional[DyadicPoint] = None,
-    hyperlevel: int = 0,
 ) -> TaggedSimplex:
     """Full-type Kuhn simplex: successive vertex differences are signed
     canonical unit vectors ``eps_j * e_{sigma(j)}``."""
@@ -190,9 +189,7 @@ def kuhn(
         step = [0] * n
         step[permutation[j] - 1] = signs[j]
         pts.append(pts[-1] + DyadicPoint(step))
-    return TaggedSimplex(
-        tuple(pool.id_of(p) for p in pts), (), level=0, hyperlevel=hyperlevel
-    )
+    return TaggedSimplex(tuple(pool.id_of(p) for p in pts), ())
 
 
 def lattice_of(s: TaggedSimplex, pool: VertexPool, width: int):

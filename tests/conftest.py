@@ -2,14 +2,19 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from bisectmesh import VertexPool, Triangulation, point, kuhn
+from bisectmesh import DyadicPoint, VertexPool, Triangulation, kuhn
 from bisectmesh.exactgeom import barycentric
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.tarray import TaggedSimplex
+
+
+def point(*coords):
+    """Convenience constructor: ``point(0, Fraction(1, 2))``."""
+    return DyadicPoint(coords)
 
 
 def fractions_of(p):
@@ -20,6 +25,11 @@ def fractions_of(p):
 def frac_sq_dist(a, b):
     """Squared distance of two DyadicPoints, computed over Fractions."""
     return sum((x - y) ** 2 for x, y in zip(fractions_of(a), fractions_of(b)))
+
+
+def frac_diam_sq(pts):
+    """Squared diameter of DyadicPoints over Fractions (0 for fewer than two)."""
+    return max((frac_sq_dist(a, b) for a, b in combinations(pts, 2)), default=0)
 
 
 def kuhn_square():

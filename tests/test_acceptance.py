@@ -9,8 +9,8 @@ import random
 import time
 from collections import Counter
 
-from bisectmesh import Triangulation, VertexPool, kuhn, point
-from bisectmesh.forest import closure01, overlay, underlay, verify_forest_characterisation
+from bisectmesh import Triangulation, VertexPool, kuhn
+from bisectmesh.forest import overlay, underlay
 from bisectmesh.harness import compute_constants, run_sequence, verify_bdv
 from bisectmesh.inittags import (
     VertexPartition,
@@ -27,7 +27,6 @@ from bisectmesh.refine import (
     max_jump,
     quasi_uniform_refine,
     refine,
-    tower,
 )
 from bisectmesh.tarray import TaggedSimplex, bisect, refinement_edge
 
@@ -35,10 +34,12 @@ from conftest import (
     kuhn_cube_cells,
     kuhn_cube_mesh,
     kuhn_square,
+    point,
     single_kuhn,
     tripled_tet,
     tripled_triangle_pair,
 )
+from lemmas import closure01, tower, verify_forest_characterisation
 
 
 def report(criterion, ok, detail):

@@ -29,10 +29,11 @@ from conftest import (
     kuhn_cube_mesh,
     kuhn_square,
     one_sided_square,
+    point,
     single_kuhn,
     tripled_triangle_pair,
 )
-from bisectmesh import Triangulation, VertexPool, kuhn, point, refine
+from bisectmesh import Triangulation, VertexPool, kuhn, refine
 from bisectmesh.inittags import VertexPartition
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
@@ -221,7 +222,6 @@ def test_invalid_mesh_is_exit_1(tmp_path, capsys):
 
 
 def test_refinement_failure_is_exit_3(tmp_path, capsys):
-    from bisectmesh import VertexPool, point
 
     pool = VertexPool()
     a = pool.id_of(point(0, 0, 0))
@@ -241,7 +241,6 @@ def test_refinement_failure_is_exit_3(tmp_path, capsys):
 def test_bdv_run_refinement_failure_is_exit_3(tmp_path, capsys):
     # Two full-type unit-cube simplices whose refinement edges 0-3 and 0-1
     # both lie in their common face: the closure cannot terminate.
-    from bisectmesh import VertexPool, point
 
     pool = VertexPool()
     ids = [

@@ -10,21 +10,19 @@ from bisectmesh.cli import _exact
 from bisectmesh.exactgeom import (
     _cell_dets,
     _det,
+    _max_gap_sq,
     _rows,
     _solve,
     _solve_all,
     DyadicPoint,
     barycentric,
-    diam_sq,
     midpoint,
-    orientation,
-    point,
     simplex_volume,
     volume_sum,
 )
 from bisectmesh.meshio import MeshFormatError, mesh_from_dict
 
-from conftest import frac_sq_dist, fractions_of
+from conftest import frac_sq_dist, fractions_of, point
 
 
 def dyadic_fractions(lo, hi, max_exp):
@@ -395,7 +393,8 @@ class TestKernelOracle:
         )
         n = len(simplex) - 1
         assert simplex_volume(simplex) == abs(det) / math.factorial(n)
-        assert orientation(simplex) == (det > 0) - (det < 0)
+        ((got, _),) = _cell_dets([simplex])
+        assert (got > 0) - (got < 0) == (det > 0) - (det < 0)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -417,7 +416,8 @@ class TestKernelOracle:
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(points(n), max_size=5)))
     def test_distances(self, pts):
         pairs = [frac_sq_dist(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
-        assert diam_sq(pts) == max(pairs, default=0)
+        rows, e = _rows(pts)
+        assert Fraction(_max_gap_sq(rows), 1 << (2 * e)) == max(pairs, default=0)
 
 
 def _oracle_det(simplex):
@@ -454,9 +454,8 @@ def _pair(c: Fraction) -> list:
 
 class TestOwnExponentDeterminants:
     """``_cell_dets`` takes each simplex at its own largest exponent; the
-    volume sum, ``orientation`` and the loader's zero-volume test all run
-    on it.  Checked against Fraction determinants, with vertex exponents
-    from 0 to 2**12."""
+    volume sum and the loader's zero-volume test run on it.  Checked
+    against Fraction determinants, with vertex exponents from 0 to 2**12."""
 
     TOPS = [0, 1, 2, 3, 5, 8, 13, 64, 65, 700, 1000, 2047, 4095, 4096]
 
@@ -472,7 +471,6 @@ class TestOwnExponentDeterminants:
             want = _oracle_det(simplex)
             assert exp == max(p.exp for p in simplex)
             assert Fraction(det, 1 << (n * exp)) == want
-            assert orientation(simplex) == (want > 0) - (want < 0)
         assert len({exp for _, exp in dets}) >= len(self.TOPS)
         want = sum(abs(_oracle_det(s)) for s in simplices) / math.factorial(n)
         assert volume_sum(simplices) == want

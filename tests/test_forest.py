@@ -7,16 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
 from bisectmesh.exactgeom import DyadicPoint, simplex_volume
-from bisectmesh.forest import (
-    closure01,
-    finer,
-    forest_size_identity,
-    overlay,
-    underlay,
-    verify_forest_characterisation,
-)
-from bisectmesh.refine import refine, tower
+from bisectmesh.forest import finer, forest_size_identity, overlay, underlay
+from bisectmesh.refine import refine
 from conftest import kuhn_cube_mesh, kuhn_square, staircase_mesh
+from lemmas import closure01, tower, verify_forest_characterisation
 
 
 class TestCountingIdentity:

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisectmesh import Triangulation, VertexPool, kuhn, point
+from bisectmesh import Triangulation, VertexPool, kuhn
 from bisectmesh import forest as forest_mod, harness, tarray
-from bisectmesh.exactgeom import DyadicPoint, diam_sq, midpoint, simplex_volume
+from bisectmesh.exactgeom import DyadicPoint, midpoint, simplex_volume
 from bisectmesh.harness import (
     SequenceError,
     ShapeCensus,
@@ -18,27 +18,28 @@ from bisectmesh.harness import (
     compute_constants,
     c_iso,
     c_sic,
-    hyperlevel_ancestor_vertices,
     run_sequence,
     shape_census,
-    tower_patch_spotcheck,
     unit_ball_volume,
     verify_bdv,
 )
 from bisectmesh.cli import main
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.meshio import write_mesh
-from bisectmesh.refine import refine, tower
+from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 from conftest import (
     agk_cube,
+    frac_diam_sq,
     frac_sq_dist,
     fractions_of,
     kuhn_cube_mesh,
     kuhn_square,
+    point,
     single_kuhn,
 )
+from lemmas import hyperlevel_ancestor_vertices, tower, tower_patch_spotcheck
 
 
 def half_kuhn_mesh(n):
@@ -115,7 +116,7 @@ class TestDistanceCeilings:
         for n in (2, 3, 4):
             tri = single_kuhn(n)
             census = shape_census(
-                tri.forest.tarray(tri.forest.roots[0]), tri.forest.pool
+                tri.forest.tarray(tri.forest.roots[0]), tri.forest.pool, {}
             )
             assert census.settled
             got[n] = census.generations
@@ -154,7 +155,7 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
     pts = [pool.point(v) for v in root.vertex_ids]
     c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
     iso_scale_sq = Fraction(4) ** root.hyperlevel
-    best_iso = iso_scale_sq * diam_sq(pts)
+    best_iso = iso_scale_sq * frac_diam_sq(pts)
     best_v = Fraction(0)
     seen = {(root.type, tuple(p - pts[0] for p in pts[1:]))}
     frontier = [(root.type, tuple(pts))]
@@ -268,7 +269,7 @@ class TestCensusOracle:
         forest = tri.forest
         roots = [forest.tarray(r) for r in forest.roots]
         refs = [reference_shape_census(root, forest.pool) for root in roots]
-        assert [shape_census(root, forest.pool) for root in roots] == refs
+        assert [shape_census(root, forest.pool, {}) for root in roots] == refs
         got = compute_constants(tri)
         assert got.D_pow_2n == max(c.max_v_pow_2n for c in refs)
         assert got.D_iso_squared == max(c.max_iso_sq for c in refs)
@@ -276,7 +277,7 @@ class TestCensusOracle:
         monkeypatch.setattr(
             harness,
             "shape_census",
-            lambda root, pool, memo=None: reference_shape_census(root, pool),
+            lambda root, pool, memo: reference_shape_census(root, pool),
         )
         assert got == compute_constants(tri)
 
@@ -297,7 +298,7 @@ class TestCensusOracle:
         reaches each maximum through several classes, so the terms of a
         single parent show only in the capped case below."""
         root, pool = seeded_root(n, t)
-        got = shape_census(root, pool)
+        got = shape_census(root, pool, {})
         assert got.settled
         assert got == reference_shape_census(root, pool)
 
@@ -316,7 +317,7 @@ class TestCensusOracle:
         forest = make().forest
         for r in forest.roots:
             root = forest.tarray(r)
-            got = shape_census(root, forest.pool)
+            got = shape_census(root, forest.pool, {})
             assert not got.settled
             assert got == reference_shape_census(root, forest.pool, **caps)
 
@@ -329,7 +330,7 @@ class TestCensusOracle:
         through vertex n)."""
         monkeypatch.setattr(harness, "_MAX_GENERATIONS", 1)
         root, pool = seeded_root(2, 0, seed)
-        got = shape_census(root, pool)
+        got = shape_census(root, pool, {})
         assert not got.settled
         assert got == reference_shape_census(root, pool, max_generations=1)
 
@@ -347,7 +348,7 @@ def _keyed_root(name, index):
         forest = dict(KEYED_ROOTS)[name]().forest
         r = forest.roots[index % len(forest.roots)]
         root = forest.tarray(r)
-        census = shape_census(root, forest.pool)
+        census = shape_census(root, forest.pool, {})
         _root_censuses[name, index] = (root, forest.pool, census)
     return _root_censuses[name, index]
 
@@ -391,8 +392,8 @@ class TestCensusKey:
         root, pool, base = _keyed_root(name, index)
         n = root.dim
         shift = DyadicPoint(offset[:n])
-        assert shape_census(*_moved(root, pool, 0, shift)) == base
-        stretched = shape_census(*_moved(root, pool, k, shift))
+        assert shape_census(*_moved(root, pool, 0, shift), {}) == base
+        stretched = shape_census(*_moved(root, pool, k, shift), {})
         assert (stretched.classes, stretched.generations, stretched.settled) == (
             base.classes,
             base.generations,
@@ -427,7 +428,7 @@ class TestCensusKey:
             ids.append(moved_pool.id_of(image + shift))
         h = len(root.horizontal)
         moved = TaggedSimplex(tuple(ids[:h]), tuple(ids[h:]), root.level, root.hyperlevel)
-        assert shape_census(moved, moved_pool) == base
+        assert shape_census(moved, moved_pool, {}) == base
 
 
 class TestCensusMemo:
@@ -437,7 +438,7 @@ class TestCensusMemo:
         memo = {}
         censuses = [shape_census(root, forest.pool, memo=memo) for root in roots]
         assert len(roots) == 24 and len(memo) == 1
-        assert censuses == [shape_census(roots[0], forest.pool)] * 24
+        assert censuses == [shape_census(roots[0], forest.pool, {})] * 24
 
     # agk seeds 2-5 are compared with unmemoized reference censuses in
     # TestCensusOracle
@@ -449,7 +450,7 @@ class TestCensusMemo:
         monkeypatch.setattr(
             harness,
             "shape_census",
-            lambda root, pool, memo=None: unmemoized(root, pool),
+            lambda root, pool, memo: unmemoized(root, pool, {}),
         )
         assert got == compute_constants(tri)
 
@@ -471,16 +472,16 @@ class TestCensusMemo:
             (TaggedSimplex(halved, ()), 5),
         ]
         memo = {}
-        assert shape_census(root, pool, memo=memo) == shape_census(root, pool)
+        assert shape_census(root, pool, memo=memo) == shape_census(root, pool, {})
         for variant, entries in variants:
-            assert shape_census(variant, pool, memo=memo) == shape_census(variant, pool)
+            assert shape_census(variant, pool, memo=memo) == shape_census(variant, pool, {})
             assert len(memo) == entries
 
 
-@pytest.mark.parametrize("memo", [None, {}])
-def test_zero_volume_root_is_rejected(memo):
+def test_zero_volume_root_is_rejected():
     pool = VertexPool()
     ids = tuple(pool.id_of(point(*q)) for q in ((0, 0), (1, 1), (2, 2)))
+    memo = {}
     with pytest.raises(ValueError, match="zero volume"):
         shape_census(TaggedSimplex(ids, ()), pool, memo=memo)
     assert not memo

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bisectmesh import Triangulation, VertexPool, point
+from bisectmesh import Triangulation, VertexPool
 from bisectmesh.inittags import (
     MarkingError,
     _barycentre,
@@ -24,6 +24,7 @@ from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
     fractions_of,
+    point,
     kuhn_cube_cells,
     kuhn_square,
     one_sided_square,

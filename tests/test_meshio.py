@@ -9,7 +9,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisectmesh import Triangulation, VertexPool, kuhn, point
+from bisectmesh import Triangulation, VertexPool, kuhn
 from bisectmesh.inittags import VertexPartition
 from bisectmesh.meshio import (
     MeshFormatError,
@@ -22,7 +22,7 @@ from bisectmesh.meshio import (
 from bisectmesh.refine import refine
 from bisectmesh.tarray import TaggedSimplex
 
-from conftest import kuhn_square
+from conftest import kuhn_square, point
 
 
 def test_roundtrip_identity(tmp_path):

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bisectmesh import Triangulation, VertexPool, point
-from bisectmesh.exactgeom import barycentric, orientation
-from bisectmesh.forest import verify_forest_characterisation
+from bisectmesh import Triangulation, VertexPool
+from bisectmesh.exactgeom import barycentric
 from bisectmesh.refine import (
     RefinementError,
     check_conforming,
@@ -27,14 +26,17 @@ from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
     find_hanging,
+    fractions_of,
     kuhn_cube_mesh,
     kuhn_square,
     naive_repair_oracle,
+    point,
     single_kuhn,
     staircase_mesh,
     tripled_tet,
     tripled_triangle_pair,
 )
+from lemmas import verify_forest_characterisation
 
 
 class TestRefine:
@@ -193,16 +195,24 @@ def reference_check_conforming(tri):
     return problems
 
 
+def _orientation(a, b, c):
+    """Sign of the cross product (b - a) x (c - a) of three plane points,
+    over Fractions."""
+    (ax, ay), (bx, by), (cx, cy) = map(fractions_of, (a, b, c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
 def reference_check_conforming_2d_exact(tri):
     """All-pairs plane oracle: the hanging-node scan, then every edge pair
-    of every leaf pair through ``orientation`` on points."""
+    of every leaf pair through Fraction orientations of points."""
     forest = tri.forest
     pool = forest.pool
 
     def cross(a, b, c, d):
-        if orientation((a, b, c)) * orientation((a, b, d)) >= 0:
+        if _orientation(a, b, c) * _orientation(a, b, d) >= 0:
             return False
-        return orientation((c, d, a)) * orientation((c, d, b)) < 0
+        return _orientation(c, d, a) * _orientation(c, d, b) < 0
 
     problems = reference_check_conforming(tri)
     leaves = sorted(tri.leaves)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import (
-    VertexPool, bisect, kuhn, point, refinement_edge, midpoint, simplex_volume,
+    VertexPool, bisect, kuhn, refinement_edge, midpoint, simplex_volume,
 )
 from bisectmesh.exactgeom import _rows, _solve
 from bisectmesh.tarray import (
@@ -17,7 +17,7 @@ from bisectmesh.tarray import (
     same_lattice,
 )
 
-from conftest import fractions_of
+from conftest import fractions_of, point
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:
