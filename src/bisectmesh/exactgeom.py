@@ -3,10 +3,11 @@
 Every vertex produced by edge bisection is a dyadic midpoint, so coordinates
 are dyadic rationals (integer numerator over a power of two) and vertex
 equality is bit-exact.  The one exact value type, :class:`DyadicPoint`, is an
-integer vector over one shared power of two, built from ints and dyadic
-``Fraction``s; every predicate (volume, barycentric coordinates, squared
-distance) is integer arithmetic on such vectors.  One fraction-free
-Bareiss elimination serves every linear-algebra question: determinants, the
+integer vector over one power of two, built from ints and dyadic
+``Fraction``s; :func:`midpoint` is its one operation.  All other arithmetic
+runs on integer rows, the points of one question (a simplex, a basis and its
+targets) at the largest exponent among them.  One fraction-free Bareiss
+elimination serves every linear-algebra question: determinants, the
 solve of vectors in the span of k rows, any number in one elimination
 (off-span and dependence tests included) and, through the signs of that
 solve, containment in a simplex.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -64,9 +65,9 @@ class DyadicPoint:
     """A point with exact dyadic coordinates ``nums[d] / 2**exp``.
 
     Canonical form: the exponent is 0 or some numerator is odd, so equal
-    points have equal ``(nums, exp)`` and every operation is integer-vector
-    arithmetic.  Build one from ints and ``Fraction``s with power-of-two
-    denominators.
+    points have equal ``(nums, exp)``.  Build one from ints and ``Fraction``s
+    with power-of-two denominators, or by :meth:`_of`; arithmetic runs on
+    integer rows (:func:`_rows`), not on points.
     """
 
     __slots__ = ("nums", "exp")
@@ -100,21 +101,6 @@ class DyadicPoint:
     def at_exp(self, exp: int) -> list:
         """Numerators over ``2**exp``, for any ``exp >= self.exp``."""
         return [x << (exp - self.exp) for x in self.nums]
-
-    def __add__(self, other: "DyadicPoint") -> "DyadicPoint":
-        e = max(self.exp, other.exp)
-        return DyadicPoint._of([x + y for x, y in zip(self.at_exp(e), other.at_exp(e))], e)
-
-    def __sub__(self, other: "DyadicPoint") -> "DyadicPoint":
-        e = max(self.exp, other.exp)
-        return DyadicPoint._of([x - y for x, y in zip(self.at_exp(e), other.at_exp(e))], e)
-
-    def half(self) -> "DyadicPoint":
-        return DyadicPoint._of(self.nums, self.exp + 1)
-
-    def scale_pow2(self, k: int) -> "DyadicPoint":
-        """Return self * 2**k (k may be negative)."""
-        return DyadicPoint._of(self.nums, self.exp - k)
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,16 +181,6 @@ def _eliminate(m: list, k: int) -> tuple[int, int]:
     return sign, prev
 
 
-def _det(rows: list) -> int:
-    """Determinant of a square integer matrix; 1 for the empty matrix."""
-    sign, piv = _eliminate([list(r) for r in rows], len(rows))
-    return sign * piv
-
-
-def _dot(u: list, v: list) -> int:
-    return sum(x * y for x, y in zip(u, v))
-
-
 def _solve_all(basis: list, targets: list) -> tuple[list, int]:
     """Exact coordinates of each integer vector in ``targets`` in the
     independent integer rows ``basis``, by one elimination on
@@ -230,16 +206,9 @@ def _solve_all(basis: list, targets: list) -> tuple[list, int]:
         nums = [0] * k
         for i in range(k - 1, -1, -1):
             row = m[i]
-            nums[i] = (den * row[j] - _dot(row[i + 1 : k], nums[i + 1 :])) // row[i]
+            nums[i] = (den * row[j] - sum(map(mul, row[i + 1 : k], nums[i + 1 :]))) // row[i]
         sols.append(nums if den > 0 else [-x for x in nums])
     return sols, abs(den)
-
-
-def _solve(basis: list, target: list):
-    """:func:`_solve_all` for one target: ``(nums, den)``, or None when
-    ``target`` is off the span of ``basis``."""
-    (nums,), den = _solve_all(basis, [target])
-    return None if nums is None else (nums, den)
 
 
 # --- predicates ---------------------------------------------------------------
@@ -253,7 +222,9 @@ def _cell_dets(simplices: Iterable[Sequence[DyadicPoint]]) -> Iterator[tuple[int
     There is no common frame: each simplex's points are shifted to its own
     ``exp``, so one vertex with a huge exponent lengthens only the
     determinants of the simplices that hold it.  The determinants are
-    computed as they are taken, so a caller may stop at any of them.
+    computed as they are taken, so a caller may stop at any of them.  The
+    loop shifts points itself, not through :func:`_rows`: every bdv-run's
+    end-of-run volume check runs it, and that route made it 30% slower.
     """
     for pts in simplices:
         exp = max([p.exp for p in pts])
@@ -304,11 +275,9 @@ def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
     embedded in n-space; a point off the affine hull counts as outside.
     """
     rows, _ = _rows([*simplex[1:], pt], simplex[0])
-    target = rows.pop()
-    sol = _solve(rows, target)
-    if sol is None:
+    (nums,), den = _solve_all(rows[:-1], rows[-1:])
+    if nums is None:
         return None
-    nums, den = sol
     coords = [den - sum(nums), *nums]
     if any(c < 0 for c in coords):
         return None

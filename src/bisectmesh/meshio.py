@@ -44,10 +44,11 @@ _INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 # engine's own runs stay below level 300.
 _MAX_LEVEL = 1 << 20
 
-# Largest accepted coordinate exponent.  Loading brings a point's
-# coordinates to one exponent and the checks bring every vertex to one, so
-# an unbounded exponent would build integers of that many bits; the
-# engine's own meshes stay near exponent 118 (adapt-deep, level 235).
+# Largest accepted coordinate exponent.  A point's coordinates share one
+# exponent, each determinant or solve takes its own points' largest, and the
+# conformity scan's box filter the mesh's largest, so an unbounded exponent
+# would build integers of that many bits; the engine's own meshes stay near
+# exponent 118 (adapt-deep, level 235).
 _MAX_EXP = 1 << 16
 
 

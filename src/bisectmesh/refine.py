@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
 
-from .exactgeom import _det, _solve_all
+from .exactgeom import _solve_all
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -106,39 +106,36 @@ def check_conforming(tri: Triangulation) -> list[str]:
     exact pairwise-intersection oracle for the plane lives in
     :func:`check_conforming_2d_exact`.
 
-    Cost: every leaf vertex is shifted once to a common exponent and the V
-    of them are sorted by first coordinate.  Per leaf, a binary search
-    finds the vertices in the x-range of its bounding box, one pass per
-    further coordinate keeps those inside the box, and one elimination
+    Cost: every leaf vertex is shifted once to the mesh's largest exponent
+    and the V of them are sorted by first coordinate.  Per leaf, a binary
+    search finds the vertices in the x-range of its bounding box, one pass
+    per further coordinate keeps those inside the box, and one elimination
     solves for the barycentric coordinates of all remaining vertices at
-    once (a leaf no vertex reaches is never solved, so a degenerate leaf
-    raises ValueError only when one does).  That is O(V log V + L log V +
-    K) box work for L leaves and K vertices in x-ranges, and at most L
-    eliminations, against the O(V L) of testing every vertex in every
-    leaf.  Problems are listed by vertex in ``tri.vertex_index`` order,
-    then by leaf in ``tri.leaves`` order.
+    once, on edge rows brought down to the largest exponent among the
+    leaf's vertices and those hits, so a deep vertex lengthens only the
+    eliminations it takes part in (a leaf no vertex reaches is never
+    solved, so a degenerate leaf raises ValueError only when one does).
+    That is O(V log V + L log V + K) box work for L leaves and K vertices
+    in x-ranges, and at most L eliminations, against the O(V L) of testing
+    every vertex in every leaf.  Problems are listed by vertex in
+    ``tri.vertex_index`` order, then by leaf in ``tri.leaves`` order.
     """
-    return _hanging(tri, _leaf_frame(tri))
+    return _hanging(tri, *_leaf_frame(tri))
 
 
-def _leaf_frame(tri: Triangulation) -> dict:
+def _leaf_frame(tri: Triangulation) -> tuple[dict, int]:
     """Every leaf vertex as an integer row over one common exponent, each
-    point shifted once: ``{vertex id: row}``."""
+    point shifted once: ``({vertex id: row}, exp)``."""
     points = tri.forest.pool.points
     exp = max((points[v].exp for v in tri.vertex_index), default=0)
-    return {v: points[v].at_exp(exp) for v in tri.vertex_index}
+    return {v: points[v].at_exp(exp) for v in tri.vertex_index}, exp
 
 
-def _edges(rows: dict, keys) -> list:
-    """Edge rows of the points ``keys`` in a :func:`_leaf_frame`: the row of
-    each later point minus the row of the first."""
-    p0, *others = [rows[k] for k in keys]
-    return [[x - y for x, y in zip(r, p0)] for r in others]
-
-
-def _hanging(tri: Triangulation, rows: dict) -> list[str]:
-    """The scan of :func:`check_conforming`, over the leaf frame ``rows``."""
+def _hanging(tri: Triangulation, rows: dict, exp: int) -> list[str]:
+    """The scan of :func:`check_conforming`, over the leaf frame ``rows``
+    at exponent ``exp``."""
     forest = tri.forest
+    points = forest.pool.points
     rank = {v: k for k, v in enumerate(rows)}
     by_x = sorted(rows, key=lambda v: rows[v][0])
     columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
@@ -152,7 +149,10 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
         boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
         if not boxed:
             continue
-        sols, den = _solve_all(_edges(rows, ids), _edges(rows, (ids[0], *boxed)))
+        shift = exp - max(points[v].exp for v in (*ids, *boxed))
+        p0, *others = [rows[v] for v in (*ids, *boxed)]
+        edges = [[(x - y) >> shift for x, y in zip(r, p0)] for r in others]
+        sols, den = _solve_all(edges[: len(ids) - 1], edges[len(ids) - 1 :])
         for vid, nums in zip(boxed, sols):
             if min(nums) >= 0 and sum(nums) <= den:
                 hits.append((rank[vid], pos, vid, leaf))
@@ -166,7 +166,7 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
 
 def _orient(a: list, b: list, c: list) -> int:
     """Sign of det(b - a, c - a) for integer rows in the plane."""
-    det = _det([[x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]])
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (det > 0) - (det < 0)
 
 
@@ -192,8 +192,8 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     with each of the other's edges, so it is skipped by the same rule.
     """
     forest = tri.forest
-    rows = _leaf_frame(tri)
-    problems = _hanging(tri, rows)
+    rows, exp = _leaf_frame(tri)
+    problems = _hanging(tri, rows, exp)
     if any(len(r) != 2 for r in rows.values()):
         raise ValueError("check_conforming_2d_exact needs a plane mesh")
     boxes, edges = {}, {}

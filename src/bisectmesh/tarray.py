@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .exactgeom import (
@@ -19,7 +20,7 @@ from .exactgeom import (
     midpoint,
     _eliminate,
     _rows,
-    _solve,
+    _solve_all,
     _unsigned,
 )
 
@@ -184,11 +185,11 @@ def kuhn(
         raise ValueError("signs must be +-1 of length n")
     if offset is None:
         offset = DyadicPoint([0] * n)
+    nums, exp = list(offset.nums), offset.exp
     pts = [offset]
-    for j in range(n):
-        step = [0] * n
-        step[permutation[j] - 1] = signs[j]
-        pts.append(pts[-1] + DyadicPoint(step))
+    for axis, sign in zip(permutation, signs):
+        nums[axis - 1] += sign << exp
+        pts.append(DyadicPoint._of(nums, exp))
     return TaggedSimplex(tuple(pool.id_of(p) for p in pts), ())
 
 
@@ -199,22 +200,22 @@ def lattice_of(s: TaggedSimplex, pool: VertexPool, width: int):
 
     The cube of the horizontal part is spanned by its successive differences;
     each vertical vertex extends the cube to the next dimension with itself
-    as the new centre.  The final cube's edge vectors, one step of length
-    ``2**-hyperlevel``, are scaled to step ``2**-width``.
+    as the new centre: on offset rows from ``origin`` its edge is twice its
+    row minus the sum of the edges so far, which is the previous row.  The
+    final cube's edge vectors, one step of length ``2**-hyperlevel``, are
+    scaled to step ``2**-width``.
     """
     pts = s.vertices(pool)
-    k = s.type
-    origin = pts[0]
-    edges = [pts[j] - pts[j - 1] for j in range(1, k + 1)]
-    for j in range(k, s.dim):
-        half_diag = origin
-        for e in edges:
-            half_diag = half_diag + e.half()
-        edges.append((pts[j + 1] - half_diag).scale_pow2(1))
-    rows, _ = _rows(edges)
-    if not _eliminate([list(col) for col in zip(*rows)], len(rows))[1]:
+    rows, e = _rows(pts[1:], pts[0])
+    edges, total = [], [0] * pts[0].dim
+    for j, row in enumerate(rows):
+        if j >= s.type:
+            row = [2 * x for x in row]
+        edges.append(list(map(sub, row, total)))
+        total = row
+    if not _eliminate([list(col) for col in zip(*edges)], len(edges))[1]:
         raise ValueError("degenerate T-array has no lattice")
-    return origin, [e.scale_pow2(s.hyperlevel - width) for e in edges]
+    return pts[0], [DyadicPoint._of(edge, e + width - s.hyperlevel) for edge in edges]
 
 
 def same_lattice(a: tuple, b: tuple) -> bool:
@@ -228,7 +229,6 @@ def same_lattice(a: tuple, b: tuple) -> bool:
     (oa, ba), (ob, bb) = a, b
     if {(_unsigned(v.nums), v.exp) for v in ba} != {(_unsigned(v.nums), v.exp) for v in bb}:
         return False
-    rows, _ = _rows([*ba, ob - oa])
-    target = rows.pop()
-    sol = _solve(rows, target)
-    return sol is not None and all(x % sol[1] == 0 for x in sol[0])
+    *rows, rb, ra = _rows([*ba, ob, oa])[0]
+    (nums,), den = _solve_all(rows, [list(map(sub, rb, ra))])
+    return nums is not None and all(x % den == 0 for x in nums)

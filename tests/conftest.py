@@ -32,6 +32,55 @@ def frac_diam_sq(pts):
     return max((frac_sq_dist(a, b) for a, b in combinations(pts, 2)), default=0)
 
 
+def frac_offset(p, origin):
+    """``p - origin`` for two DyadicPoints, as a tuple of Fractions."""
+    return tuple(x - y for x, y in zip(fractions_of(p), fractions_of(origin)))
+
+
+def scaled_point(p, scale, shift=None):
+    """The DyadicPoint ``scale * p + shift``, computed over Fractions; no
+    ``shift`` is the zero vector."""
+    shift = shift or [0] * p.dim
+    return DyadicPoint(scale * x + s for x, s in zip(fractions_of(p), shift))
+
+
+def frac_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def frac_solve(basis, t):
+    """Cramer's rule over Fractions on the Gram system: the coefficients of
+    ``t`` in the rows ``basis``, None off their span, "degenerate" for
+    dependent rows."""
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    gram = [[dot(u, v) for v in basis] for u in basis]
+    rhs = [dot(u, t) for u in basis]
+    den = frac_det(gram)
+    if den == 0:
+        return "degenerate"
+    sol = [
+        frac_det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)]) / den
+        for i in range(len(basis))
+    ]
+    if [sum(c * u[d] for c, u in zip(sol, basis)) for d in range(len(t))] != list(t):
+        return None
+    return sol
+
+
 def kuhn_square():
     """Unit square split along the diagonal; both refinement edges on it."""
     pool = VertexPool()

@@ -8,6 +8,7 @@ import math
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 from bisectmesh import Triangulation, VertexPool, kuhn
 from bisectmesh.forest import overlay, underlay
@@ -35,6 +36,7 @@ from conftest import (
     kuhn_cube_mesh,
     kuhn_square,
     point,
+    scaled_point,
     single_kuhn,
     tripled_tet,
     tripled_triangle_pair,
@@ -96,7 +98,7 @@ def test_c03_constants_table_isocochange():
     for n, (factor, approx) in rows.items():
         pool = VertexPool()
         k = kuhn(list(range(1, n + 1)), [1] * n, pool)
-        half = tuple(pool.id_of(pool.point(v).half()) for v in k.vertex_ids)
+        half = tuple(pool.id_of(scaled_point(pool.point(v), Fraction(1, 2))) for v in k.vertex_ids)
         tri = Triangulation.from_cells(pool, [TaggedSimplex(half, (), 0, 1)])
         consts = compute_constants(tri)
         good = (

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from bisectmesh.cli import _exact
 from bisectmesh.exactgeom import (
     _cell_dets,
-    _det,
+    _eliminate,
     _max_gap_sq,
     _rows,
-    _solve,
     _solve_all,
     DyadicPoint,
     barycentric,
@@ -22,7 +21,7 @@ from bisectmesh.exactgeom import (
 )
 from bisectmesh.meshio import MeshFormatError, mesh_from_dict
 
-from conftest import frac_sq_dist, fractions_of, point
+from conftest import frac_det, frac_solve, frac_sq_dist, fractions_of, point, scaled_point
 
 
 def dyadic_fractions(lo, hi, max_exp):
@@ -72,16 +71,17 @@ class TestDyadic:
 
     def test_repr_examples(self):
         assert repr(point(0, Fraction(-3, 8), 4)) == "DyadicPoint(0, -3/2^3, 4)"
-        assert repr(point(Fraction(1, 2), 2).half()) == "DyadicPoint(1/2^2, 1)"
+        assert repr(point(Fraction(1, 4), 1)) == "DyadicPoint(1/2^2, 1)"
 
-    @given(coordinates, coordinates)
-    def test_field_ops_match_fractions(self, a, b):
-        a, b = a[: len(b)], b[: len(a)]
-        p, q = DyadicPoint(a), DyadicPoint(b)
-        assert fractions_of(p + q) == tuple(x + y for x, y in zip(a, b))
-        assert fractions_of(p - q) == tuple(x - y for x, y in zip(a, b))
-        assert fractions_of(p.half()) == tuple(x / 2 for x in a)
-        assert fractions_of(p.scale_pow2(3)) == tuple(x * 8 for x in a)
+    @given(coordinates, st.integers(-8, 8))
+    def test_of_matches_fractions(self, fracs, k):
+        """``_of`` takes any integer vector over any exponent, negative ones
+        included, to the canonical point of the same Fraction values."""
+        p = DyadicPoint(fracs)
+        scale = Fraction(1, 2) ** k
+        q = DyadicPoint._of(p.nums, p.exp + k)
+        assert fractions_of(q) == tuple(x * scale for x in fracs)
+        assert q == DyadicPoint(x * scale for x in fracs)
 
     def test_dyadic_coercion(self):
         assert DyadicPoint([Fraction(3, 8)]) == DyadicPoint._of([3], 3)
@@ -148,7 +148,7 @@ class TestVolume:
 
     def test_translation_invariance(self):
         verts = [point(0, 0), point(2, 1), point(1, 3)]
-        moved = [p + point(7, -4) for p in verts]
+        moved = [scaled_point(p, 1, (7, -4)) for p in verts]
         assert simplex_volume(verts) == simplex_volume(moved)
 
 
@@ -289,7 +289,8 @@ class TestPointKernel:
         wide = DyadicPoint._of([x << k for x in p.nums], p.exp + k)
         assert wide == p and hash(wide) == hash(p)
         assert (wide.nums, wide.exp) == (p.nums, p.exp)
-        assert p.scale_pow2(k).scale_pow2(-k) == p
+        up = DyadicPoint._of(p.nums, p.exp - k)
+        assert DyadicPoint._of(up.nums, up.exp + k) == p
         assert midpoint(p, p) == p
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(points(n), points(n))))
@@ -302,50 +303,13 @@ class TestPointKernel:
         )
 
 
-def _frac_det(rows):
-    """Determinant by Gaussian elimination over Fractions."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            f = m[r][col] / m[col][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _oracle_solve(basis, t):
-    """Cramer's rule over Fractions on the Gram system: the coefficients of
-    ``t`` in the rows ``basis``, None off their span, "degenerate" for
-    dependent rows."""
-    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
-    gram = [[dot(u, v) for v in basis] for u in basis]
-    rhs = [dot(u, t) for u in basis]
-    den = _frac_det(gram)
-    if den == 0:
-        return "degenerate"
-    sol = [
-        _frac_det([row[:i] + [r] + row[i + 1 :] for row, r in zip(gram, rhs)]) / den
-        for i in range(len(basis))
-    ]
-    if [sum(c * u[d] for c, u in zip(sol, basis)) for d in range(len(t))] != list(t):
-        return None
-    return sol
-
-
 def _oracle_barycentric(pt, simplex):
-    """Barycentric coordinates by :func:`_oracle_solve`; "degenerate" for a
+    """Barycentric coordinates by :func:`frac_solve`; "degenerate" for a
     dependent simplex."""
     p0 = fractions_of(simplex[0])
     basis = [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
     t = [x - y for x, y in zip(fractions_of(pt), p0)]
-    sol = _oracle_solve(basis, t)
+    sol = frac_solve(basis, t)
     if sol is None or sol == "degenerate":
         return sol
     coords = [1 - sum(sol), *sol]
@@ -388,7 +352,7 @@ class TestKernelOracle:
     def test_volume_and_orientation(self, case):
         simplex, _ = case
         p0 = fractions_of(simplex[0])
-        det = _frac_det(
+        det = frac_det(
             [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
         )
         n = len(simplex) - 1
@@ -407,7 +371,7 @@ class TestKernelOracle:
         want = Fraction(0)
         for simplex in simplices:
             p0 = fractions_of(simplex[0])
-            det = _frac_det(
+            det = frac_det(
                 [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
             )
             want += abs(det) / math.factorial(len(simplex) - 1)
@@ -422,7 +386,7 @@ class TestKernelOracle:
 
 def _oracle_det(simplex):
     p0 = fractions_of(simplex[0])
-    return _frac_det([[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]])
+    return frac_det([[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]])
 
 
 def spread_simplices(rng, n, tops):
@@ -545,9 +509,9 @@ def test_containment_sign_test_matches_oracle(case):
     want = _oracle_barycentric(pt, simplex)
     if want == "degenerate":
         with pytest.raises(ValueError):
-            _solve(rows, offset)
+            _solve_all(rows, [offset])
     else:
-        nums, den = _solve(rows, offset)
+        (nums,), den = _solve_all(rows, [offset])
         assert (min(nums) >= 0 and sum(nums) <= den) == (want is not None)
 
 
@@ -574,14 +538,14 @@ def basis_and_target(draw):
 @given(basis_and_target())
 def test_solve_matches_gram_oracle(case):
     basis, target = case
-    want = _oracle_solve(basis, target)
+    want = frac_solve(basis, target)
     if want == "degenerate":
         with pytest.raises(ValueError):
-            _solve(basis, target)
+            _solve_all(basis, [target])
     elif want is None:
-        assert _solve(basis, target) is None
+        assert _solve_all(basis, [target])[0] == [None]
     else:
-        nums, den = _solve(basis, target)
+        (nums,), den = _solve_all(basis, [target])
         assert den > 0
         assert [sum(c * u[d] for c, u in zip(nums, basis)) for d in range(len(target))] == [
             den * t for t in target
@@ -597,7 +561,10 @@ def test_solve_matches_gram_oracle(case):
     )
 ))
 def test_det_matches_fraction_elimination(rows):
-    assert _det(rows) == _frac_det(rows)
+    """The determinant of a square matrix is the swap sign times the last
+    pivot of its elimination (1 for the empty matrix)."""
+    sign, pivot = _eliminate([list(r) for r in rows], len(rows))
+    assert sign * pivot == frac_det(rows)
 
 
 @st.composite
@@ -627,14 +594,14 @@ def test_multi_target_solve_matches_gram_oracle_per_column(case):
     """One elimination of ``[basis^T | t_1 ... t_m]`` answers each column
     as the oracle answers it alone, over one shared denominator."""
     basis, targets = case
-    if _oracle_solve(basis, []) == "degenerate":  # a property of the rows alone
+    if frac_solve(basis, []) == "degenerate":  # a property of the rows alone
         with pytest.raises(ValueError):
             _solve_all(basis, targets)
         return
     sols, den = _solve_all(basis, targets)
     assert den > 0 and len(sols) == len(targets)
     for target, nums in zip(targets, sols):
-        want = _oracle_solve(basis, target)
+        want = frac_solve(basis, target)
         if want is None:
             assert nums is None
         else:

@@ -32,11 +32,13 @@ from bisectmesh.tarray import TaggedSimplex, refinement_edge
 from conftest import (
     agk_cube,
     frac_diam_sq,
+    frac_offset,
     frac_sq_dist,
     fractions_of,
     kuhn_cube_mesh,
     kuhn_square,
     point,
+    scaled_point,
     single_kuhn,
 )
 from lemmas import hyperlevel_ancestor_vertices, tower, tower_patch_spotcheck
@@ -46,7 +48,7 @@ def half_kuhn_mesh(n):
     """One half-scaled Kuhn simplex of full type and hyperlevel 1."""
     pool = VertexPool()
     k = kuhn(list(range(1, n + 1)), [1] * n, pool)
-    half_ids = tuple(pool.id_of(pool.point(v).half()) for v in k.vertex_ids)
+    half_ids = tuple(pool.id_of(scaled_point(pool.point(v), Fraction(1, 2))) for v in k.vertex_ids)
     return Triangulation.from_cells(pool, [TaggedSimplex(half_ids, (), 0, 1)])
 
 
@@ -157,7 +159,7 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
     iso_scale_sq = Fraction(4) ** root.hyperlevel
     best_iso = iso_scale_sq * frac_diam_sq(pts)
     best_v = Fraction(0)
-    seen = {(root.type, tuple(p - pts[0] for p in pts[1:]))}
+    seen = {(root.type, tuple(frac_offset(p, pts[0]) for p in pts[1:]))}
     frontier = [(root.type, tuple(pts))]
     generations = 0
     while frontier and generations < max_generations and len(seen) < max_classes:
@@ -165,7 +167,7 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
         next_frontier = []
         for t, shape in frontier:
             if t == 0:
-                shape = tuple(p.scale_pow2(1) for p in shape)
+                shape = tuple(scaled_point(p, 2) for p in shape)
                 t = n
             new = midpoint(shape[0], shape[t])
             rest = (new, *shape[t + 1 :])
@@ -180,7 +182,7 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
                 )
                 if iso > best_iso:
                     best_iso = iso
-                key = (t - 1, tuple(p - child[0] for p in child[1:]))
+                key = (t - 1, tuple(frac_offset(p, child[0]) for p in child[1:]))
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append((t - 1, child))
@@ -357,7 +359,7 @@ def _moved(root, pool, k, shift):
     """``root`` with every vertex scaled by ``2**k`` and then translated by
     ``shift``, in a pool of its own."""
     moved_pool = VertexPool()
-    ids = [moved_pool.id_of(pool.point(v).scale_pow2(k) + shift) for v in root.vertex_ids]
+    ids = [moved_pool.id_of(scaled_point(pool.point(v), 2**k, shift)) for v in root.vertex_ids]
     h = len(root.horizontal)
     return (
         TaggedSimplex(tuple(ids[:h]), tuple(ids[h:]), root.level, root.hyperlevel),
@@ -391,7 +393,7 @@ class TestCensusKey:
     def test_translation_leaves_census_equal(self, name, index, offset, k):
         root, pool, base = _keyed_root(name, index)
         n = root.dim
-        shift = DyadicPoint(offset[:n])
+        shift = offset[:n]
         assert shape_census(*_moved(root, pool, 0, shift), {}) == base
         stretched = shape_census(*_moved(root, pool, k, shift), {})
         assert (stretched.classes, stretched.generations, stretched.settled) == (
@@ -419,13 +421,13 @@ class TestCensusKey:
         root, pool, base = _keyed_root(name, index)
         n = root.dim
         perm = [i for i in order if i < n]
-        shift = DyadicPoint(offset[:n])
+        shift = offset[:n]
         moved_pool = VertexPool()
         ids = []
         for v in root.vertex_ids:
             coords = fractions_of(pool.point(v))
             image = DyadicPoint([s * coords[i] for s, i in zip(signs, perm)])
-            ids.append(moved_pool.id_of(image + shift))
+            ids.append(moved_pool.id_of(scaled_point(image, 1, shift)))
         h = len(root.horizontal)
         moved = TaggedSimplex(tuple(ids[:h]), tuple(ids[h:]), root.level, root.hyperlevel)
         assert shape_census(moved, moved_pool, {}) == base
@@ -463,7 +465,7 @@ class TestCensusMemo:
         ids = root.vertex_ids
         pts = [pool.point(v) for v in ids]
         mirrored = tuple(pool.id_of(DyadicPoint([-p.nums[0], *p.nums[1:]])) for p in pts)
-        halved = tuple(pool.id_of(p.half()) for p in pts)
+        halved = tuple(pool.id_of(scaled_point(p, Fraction(1, 2))) for p in pts)
         variants = [
             (TaggedSimplex(mirrored, ()), 1),
             (TaggedSimplex(ids[:3], ids[3:]), 2),

@@ -19,7 +19,7 @@ from bisectmesh.meshio import (
     read_mesh,
     write_mesh,
 )
-from bisectmesh.refine import refine
+from bisectmesh.refine import check_conforming, refine
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import kuhn_square, point
@@ -248,6 +248,20 @@ def test_huge_exponent_vertex_loads_fast_in_a_large_mesh():
     assert time.perf_counter() - start < 0.6
     assert len(tri.leaves) == 2048
 
+
+def test_huge_exponent_vertex_scans_fast_in_a_large_mesh():
+    """The conformity scan decides each leaf on rows brought down to the
+    largest exponent among the leaf's vertices and its box hits, so one
+    vertex at exponent 2**16 lengthens only the few eliminations it takes
+    part in.  With every elimination at that exponent, this 2048-cell scan
+    took about 100 s; it takes about 0.4 s on a 2-vCPU Xeon VM."""
+    doc = _grid_doc(32)
+    i = doc["vertices"].index([["1", "1"], ["0", "0"]])  # (1/2, 0)
+    doc["vertices"][i] = [["1", "1"], ["-1", str(1 << 16)]]
+    tri, _, _ = mesh_from_dict(doc)
+    start = time.perf_counter()
+    assert check_conforming(tri) == []
+    assert time.perf_counter() - start < 1
 
 def test_first_zero_volume_cell_named_among_mixed_exponents():
     """The zero-volume check runs cell by cell, each cell at the largest

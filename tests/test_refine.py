@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bisectmesh import Triangulation, VertexPool
 from bisectmesh.exactgeom import barycentric
 from bisectmesh.refine import (
     RefinementError,
+    _orient,
+    _segments_cross,
     check_conforming,
     check_conforming_2d_exact,
     hyperlevel_uniform_refine,
@@ -26,6 +29,7 @@ from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
     find_hanging,
+    frac_det,
     fractions_of,
     kuhn_cube_mesh,
     kuhn_square,
@@ -314,6 +318,40 @@ class TestConformityScan1D:
             assert found == reference_check_conforming(tri)
             assert len(found) >= 2
             refine(tri, rng.choice(sorted(tri.leaves)))
+
+
+rows2 = st.lists(st.integers(-4, 4) | st.integers(-(1 << 70), 1 << 70), min_size=2, max_size=2)
+
+
+def frac_orient(a, b, c):
+    """Sign of det(b - a, c - a), by the Fraction determinant."""
+    det = frac_det([[x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]])
+    return (det > 0) - (det < 0)
+
+
+class TestPlanePredicates:
+    """The 2D oracle's orientation and proper-crossing tests against the
+    sign of a Fraction determinant."""
+
+    @given(rows2, rows2, rows2)
+    def test_orient(self, a, b, c):
+        assert _orient(a, b, c) == frac_orient(a, b, c)
+
+    @given(rows2, rows2, rows2, rows2)
+    def test_segments_cross(self, a, b, c, d):
+        want = frac_orient(a, b, c) * frac_orient(a, b, d) < 0 and (
+            frac_orient(c, d, a) * frac_orient(c, d, b) < 0
+        )
+        assert _segments_cross(a, b, c, d) == want
+
+    def test_examples(self):
+        assert _orient([0, 0], [1, 0], [0, 1]) == 1
+        assert _orient([0, 0], [0, 1], [1, 0]) == -1
+        assert _orient([0, 0], [1, 1], [3, 3]) == 0
+        assert _segments_cross([0, 0], [2, 2], [0, 2], [2, 0])  # an X
+        assert not _segments_cross([0, 0], [2, 0], [1, 0], [1, 2])  # a T
+        assert not _segments_cross([0, 0], [2, 0], [1, 0], [3, 0])  # collinear overlap
+        assert not _segments_cross([0, 0], [1, 0], [2, -1], [2, 1])  # apart
 
 
 class TestUniform:

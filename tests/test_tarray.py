@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bisectmesh import (
     VertexPool, bisect, kuhn, refinement_edge, midpoint, simplex_volume,
 )
-from bisectmesh.exactgeom import _rows, _solve
+from bisectmesh.exactgeom import DyadicPoint
 from bisectmesh.tarray import (
     TaggedSimplex,
     canonicalize,
@@ -17,7 +17,7 @@ from bisectmesh.tarray import (
     same_lattice,
 )
 
-from conftest import fractions_of, point
+from conftest import frac_offset, frac_solve, fractions_of, point
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:
@@ -329,6 +329,30 @@ class TestKuhn:
                 cheb = max(abs(a - b) for a, b in zip(pts[i], pts[j]))
                 assert cheb == 1
 
+    def test_dyadic_offsets_match_fractions(self):
+        """Each vertex is the previous one plus a signed unit step, over
+        Fractions, in canonical form; no offset is the zero offset."""
+        rng = random.Random(5)
+        for n in range(1, 5):
+            for _ in range(12):
+                perm = rng.sample(range(1, n + 1), n)
+                signs = [rng.choice((1, -1)) for _ in range(n)]
+                offset = [Fraction(rng.randrange(-64, 65), 1 << rng.randrange(12)) for _ in range(n)]
+                want = [tuple(offset)]
+                for axis, sign in zip(perm, signs):
+                    step = [0] * n
+                    step[axis - 1] = sign
+                    want.append(tuple(x + y for x, y in zip(want[-1], step)))
+                pool = VertexPool()
+                got = kuhn(perm, signs, pool, offset=DyadicPoint(offset)).vertices(pool)
+                assert [fractions_of(p) for p in got] == want
+                assert got == [DyadicPoint(w) for w in want]
+                plain = VertexPool()
+                zero = VertexPool()
+                assert kuhn(perm, signs, plain).vertices(plain) == kuhn(
+                    perm, signs, zero, offset=DyadicPoint([0] * n)
+                ).vertices(zero)
+
     def test_validation(self):
         pool = VertexPool()
         with pytest.raises(ValueError):
@@ -338,14 +362,11 @@ class TestKuhn:
 
 
 def _coefficients(basis, vector):
-    """Exact coefficients of ``vector`` in ``basis``, or None off the span."""
-    rows, _ = _rows([*basis, vector])
-    target = rows.pop()
-    sol = _solve(rows, target)
-    if sol is None:
-        return None
-    nums, den = sol
-    return [Fraction(c, den) for c in nums]
+    """Exact coefficients of the Fraction vector ``vector`` in the
+    independent DyadicPoints ``basis``, or None off their span."""
+    sol = frac_solve([fractions_of(b) for b in basis], vector)
+    assert sol != "degenerate"
+    return sol
 
 
 def signed_permutation_equal(a, b) -> bool:
@@ -358,18 +379,75 @@ def signed_permutation_equal(a, b) -> bool:
         return False
     used = set()
     for v in bb:
-        coeff = _coefficients(ba, v)
+        coeff = _coefficients(ba, fractions_of(v))
         if coeff is None:
             return False
         nonzero = [(i, c) for i, c in enumerate(coeff) if c != 0]
         if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0][0] in used:
             return False
         used.add(nonzero[0][0])
-    shift = _coefficients(ba, ob - oa)
+    shift = _coefficients(ba, frac_offset(ob, oa))
     return shift is not None and all(c.denominator == 1 for c in shift)
 
 
+def frac_lattice(s, pool, width):
+    """Reference :func:`lattice_of` over Fractions: ``(origin, basis)`` as
+    Fraction tuples, or None for a degenerate T-array.  Horizontal edges are
+    successive differences; each vertical vertex adds twice its offset from
+    the centre of the cube spanned so far, the origin plus half the sum of
+    the edges."""
+    origin, *pts = [fractions_of(p) for p in s.vertices(pool)]
+    edges = []
+    for j, q in enumerate(pts):
+        if j < s.type:
+            prev = pts[j - 1] if j else origin
+            edges.append(tuple(x - y for x, y in zip(q, prev)))
+        else:
+            centre = [o + sum(e[d] for e in edges) / 2 for d, o in enumerate(origin)]
+            edges.append(tuple(2 * (x - c) for x, c in zip(q, centre)))
+    if frac_solve(edges, [0] * len(origin)) == "degenerate":
+        return None
+    scale = Fraction(2) ** (s.hyperlevel - width)
+    return origin, [tuple(scale * x for x in e) for e in edges]
+
+
 class TestLattice:
+    def test_matches_fraction_oracle(self):
+        """Seeded T-arrays of every type in n = 1..4, at hyperlevels 0-2,
+        and their restrictions down to single vertices (as the isocochange
+        check builds for cells sharing one vertex), at widths 0-3; some are
+        degenerate and must raise ValueError."""
+        rng = random.Random(17)
+        seen = set()
+        for n in range(1, 5):
+            for draw in range(6):
+                pool = VertexPool()
+                ids = set()
+                while len(ids) < n + 1:
+                    ids.add(pool.id_of(DyadicPoint(
+                        Fraction(rng.randrange(-6, 7), 1 << rng.randrange(4)) for _ in range(n)
+                    )))
+                    if draw == 0 and len(ids) == n > 1:  # flat: the midpoint of two
+                        a, b = sorted(ids)[:2]
+                        ids.add(pool.midpoint_id(a, b))
+                ids = rng.sample(sorted(ids), n + 1)
+                for k in range(n + 1):
+                    for h in range(3):
+                        s = TaggedSimplex(tuple(ids[: k + 1]), tuple(ids[k + 1 :]), 0, h)
+                        subsets = [rng.sample(ids, rng.randrange(1, n + 1)) for _ in range(2)]
+                        for t in [s, *(restrict(s, sub) for sub in subsets), restrict(s, ids[-1:])]:
+                            for width in range(4):
+                                want = frac_lattice(t, pool, width)
+                                seen.add((t.dim, want is None))
+                                if want is None:
+                                    with pytest.raises(ValueError):
+                                        lattice_of(t, pool, width)
+                                    continue
+                                origin, basis = lattice_of(t, pool, width)
+                                assert fractions_of(origin) == want[0]
+                                assert [fractions_of(v) for v in basis] == want[1]
+        assert {(0, False), (4, False), (2, True), (4, True)} <= seen
+
     def test_kuhn_lattice_is_unit(self):
         pool = VertexPool()
         s = kuhn([1, 2], [1, 1], pool)
@@ -406,7 +484,7 @@ class TestLattice:
             frontier = nxt[:6]
             for s in frontier:
                 a, b = sorted(refinement_edge(s))
-                vec = pool.point(b) - pool.point(a)
+                vec = frac_offset(pool.point(b), pool.point(a))
                 cheb = max(abs(c) for c in _coefficients(basis, vec))
                 assert cheb == Fraction(1, 2**s.edge_hyperlevel)
 
