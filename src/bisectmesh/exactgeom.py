@@ -204,7 +204,9 @@ def _solve_all(basis: list, targets: list) -> tuple[list, int]:
             sols.append(None)
             continue
         nums = [0] * k
-        for i in range(k - 1, -1, -1):
+        if k:  # the last pivot is den itself, so that unknown is the entry
+            nums[k - 1] = m[k - 1][j]
+        for i in range(k - 2, -1, -1):
             row = m[i]
             nums[i] = (den * row[j] - sum(map(mul, row[i + 1 : k], nums[i + 1 :]))) // row[i]
         sols.append(nums if den > 0 else [-x for x in nums])

@@ -138,7 +138,8 @@ class Triangulation:
         nodes = self.forest.nodes
         seen = set(self.forest.roots)
         for nid in self.leaves:
-            while nid is not None and nid not in seen:
+            # the walk ends at the latest at a root, and every root is seen
+            while nid not in seen:
                 seen.add(nid)
                 nid = nodes[nid].parent
         return frozenset(seen)

@@ -29,9 +29,8 @@ def unit_ball_volume(m: int) -> float:
 
 
 def _exact_nth_root(value: Fraction, k: int) -> Optional[Fraction]:
+    """The k-th root of ``value >= 0`` if it is rational, else None."""
     def iroot(x: int) -> Optional[int]:
-        if x < 0:
-            return None
         if x < 2:
             return x
         # Integer Newton iteration from above ends at floor(x ** (1/k)).

@@ -19,7 +19,7 @@ from .tarray import (
     TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict, same_lattice,
 )
 from .forest import Triangulation
-from .refine import check_conforming, edge_disagreement, uniform_refine
+from .refine import _bisect_all, check_conforming, edge_disagreement
 
 
 @dataclass
@@ -230,7 +230,7 @@ def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:
                 f"refinement edge of {len(owners)} of {len(sharers)} sharers"
             )
             return problems
-        stage = uniform_refine(stage)
+        _bisect_all(stage)
         hanging = check_conforming(stage)
         if hanging:
             problems.append(f"uniform refinement {d + 1} not conforming")
@@ -268,14 +268,10 @@ def check_retahyco(tri: Triangulation) -> list[str]:
             continue
         if t.hyperlevel == 1 and t.type != n:
             problems.append(f"cell {leaf}: hyperlevel 1 but type {t.type} != {n}")
-        for v in t.horizontal:
-            h = t.hyperlevel
-            if vertex_h.setdefault(v, h) != h:
-                problems.append(f"vertex {v}: inconsistent hyperlevel assignment")
-        for v in t.vertical:
-            h = t.hyperlevel + 1
-            if vertex_h.setdefault(v, h) != h:
-                problems.append(f"vertex {v}: inconsistent hyperlevel assignment")
+        for part, h in ((t.horizontal, t.hyperlevel), (t.vertical, t.hyperlevel + 1)):
+            for v in part:
+                if vertex_h.setdefault(v, h) != h:
+                    problems.append(f"vertex {v}: inconsistent hyperlevel assignment")
     for a, b, sa, sb, shared in _cell_pairs(tri):
         ra = restrict(sa, shared)
         rb = restrict(sb, shared)

@@ -46,18 +46,11 @@ class Pile:
 
     bricks: set = field(default_factory=set)
 
-    def __contains__(self, brick: Brick) -> bool:
-        return brick[0] == 0 or brick in self.bricks
-
-    def is_legal_child(self, brick: Brick) -> bool:
-        level, index = brick
-        return level >= 1 and brick not in self.bricks and (level - 1, index >> 1) in self
-
     def add_brick(self, chosen: Brick) -> int:
         """Add a chosen child brick and its demand closure; returns the
-        number of bricks added this round."""
-        if not self.is_legal_child(chosen):
-            raise ValueError(f"brick {chosen} is not a child of the pile")
+        number of bricks added this round.  ``chosen`` must be a new child
+        of the pile (level >= 1, not in it, over a brick in it); the move
+        generators of :func:`play` ensure this, and it is not tested."""
         # A brick joins the pile when it is pushed, so each is tested once.
         # A level-l brick demands the level-(l-1) brick below it and the
         # corner neighbour on the side of its off-centre half; a level-1
@@ -131,7 +124,7 @@ def _quasitower_moves(n_rounds: int):
     the whole pile, pushing the bricks-per-round ratio towards 4.
     """
     m = max(1, n_rounds - 3)
-    for j in range(1, min(m, n_rounds) + 1):
+    for j in range(1, m + 1):
         yield (j, -1)
     if n_rounds >= m + 1:
         yield (m, -2)

@@ -249,6 +249,11 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
             f"mismatched refinement edges on shared edge {set(edge)}: "
             f"leaves {min(owners)} and {min(sharers - owners)}"
         )
+    return _bisect_all(tri)
+
+
+def _bisect_all(tri: Triangulation) -> Triangulation:
+    """Bisect every leaf of ``tri`` once, in place, with no closure."""
     for leaf in list(tri.leaves):
         tri.bisect_leaf(leaf)
     return tri
@@ -265,8 +270,7 @@ def _sweep(tri: Triangulation, wanted, failure: str) -> Triangulation:
         if not work:
             return tri
         for leaf in work:
-            if leaf in tri.leaves:
-                tri.bisect_leaf(leaf)
+            tri.bisect_leaf(leaf)
     raise RefinementError(failure)
 
 

@@ -58,17 +58,21 @@ def _edge(a: int, b: int) -> frozenset:
 
 @dataclass(frozen=True, slots=True)
 class TaggedSimplex:
+    """A T-array: a non-empty horizontal row and a vertical column of
+    distinct vertex ids.  Its makers keep this invariant; the class does
+    not check it.  The mesh loader rejects an empty row and repeated ids,
+    naming the JSON path.  :func:`bisect` drops one end of a row of two or
+    more ids and adds the midpoint of an edge, which in a non-degenerate
+    simplex is not a vertex.  :func:`restrict` keeps a subsequence, moved
+    to the row when the row would be empty; :func:`canonicalize` reorders
+    the ids; :func:`kuhn` steps along distinct axes; ``inittags.agk_init``
+    splits a cell's ids between row and column; ``initial_division`` adds
+    each marked point (one per type) to a face it does not lie on."""
+
     horizontal: tuple[int, ...]
     vertical: tuple[int, ...]
     level: int = 0
     hyperlevel: int = 0
-
-    def __post_init__(self):
-        if not self.horizontal:
-            raise ValueError("horizontal part must not be empty")
-        ids = self.horizontal + self.vertical
-        if len(set(ids)) != len(ids):
-            raise ValueError("repeated vertex in T-array")
 
     @property
     def type(self) -> int:

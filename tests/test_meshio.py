@@ -431,6 +431,8 @@ MALFORMED = {
     "top level: expected an object": lambda doc: [doc],
     "cells: expected a non-empty list": lambda doc: doc.update(cells=[]),
     "cells[0]: expected an object": lambda doc: doc["cells"].__setitem__(0, [0, 1, 2]),
+    "cells[0].horizontal: expected a non-empty list":
+        lambda doc: doc["cells"][0].update(horizontal=[], vertical=[0, 1, 2]),
     "cells[0].vertical: expected a list": lambda doc: doc["cells"][0].update(vertical=2),
     "cells[0]: need dim+1 = 3 vertices": lambda doc: doc["cells"][0].update(horizontal=[0, 1]),
     "marking: expected an object": lambda doc: doc.update(marking=[]),

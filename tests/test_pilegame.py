@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisectmesh.pilegame import (
     Brick,
@@ -29,6 +29,18 @@ def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
     below = index >> 1
     side = below - 1 if index % 2 == 0 else below + 1
     return (level - 1, below), (level - 1, side)
+
+
+def in_pile(pile: Pile, brick: Brick) -> bool:
+    """Membership oracle: basement bricks are always there."""
+    return brick[0] == 0 or brick in pile.bricks
+
+
+def is_legal_child(pile: Pile, brick: Brick) -> bool:
+    """Legality oracle for ``Pile.add_brick``'s precondition: a brick of
+    level >= 1, not in the pile yet, over a brick that is."""
+    level, index = brick
+    return level >= 1 and brick not in pile.bricks and in_pile(pile, (level - 1, index >> 1))
 
 
 def choice_moves(pile: Pile, n_rounds: int, rng: random.Random):
@@ -78,11 +90,11 @@ class TestPile:
         for _ in range(50):
             base = rng.choice(sorted(pile.bricks))
             child = brick_children(base)[rng.randrange(2)]
-            if pile.is_legal_child(child):
+            if is_legal_child(pile, child):
                 pile.add_brick(child)
             for b in pile.bricks:
                 for dem in brick_demands(b):
-                    assert dem in pile
+                    assert in_pile(pile, dem)
 
     def test_add_brick_matches_pop_then_test_closure(self):
         """Reference: the closure that tests each brick when it is popped."""
@@ -91,7 +103,7 @@ class TestPile:
             new, stack = set(), [chosen]
             while stack:
                 b = stack.pop()
-                if b in pile or b in new:
+                if in_pile(pile, b) or b in new:
                     continue
                 new.add(b)
                 stack.extend(d for d in brick_demands(b) if d[0] >= 1)
@@ -102,7 +114,7 @@ class TestPile:
         for _ in range(400):
             base = rng.choice([(0, rng.randrange(-6, 6))] + sorted(pile.bricks))
             child = brick_children(base)[rng.randrange(2)]
-            if pile.is_legal_child(child):
+            if is_legal_child(pile, child):
                 new = closure(pile, child)
                 want = pile.bricks | new
                 assert pile.add_brick(child) == len(new)
@@ -122,10 +134,38 @@ class TestPile:
             demanded.update(brick_demands(b))
         assert demanded == {(1, i) for i in (-2, -1, 0, 1)}
 
-    def test_illegal_placement_rejected(self):
-        pile = Pile()
-        with pytest.raises(ValueError):
-            pile.add_brick((2, 0))  # no supporting level-1 brick yet
+
+def short_games(test):
+    """Every strategy at N = 1..5, where quasitower plays its short forms."""
+    for strategy in ("tower", "quasitower", "random"):
+        for n_rounds in range(1, 6):
+            test = example(strategy, n_rounds, 0)(test)
+    return test
+
+
+class TestMovesAreLegal:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["tower", "quasitower", "random"]),
+        st.integers(1, 300),
+        st.integers(0, 2**64),
+    )
+    @short_games
+    def test_play_applies_only_new_children(self, strategy, n_rounds, seed):
+        """``add_brick`` does not test its precondition, so ``play`` must
+        only apply moves the legality oracle accepts."""
+        applied = []
+        add_brick = Pile.add_brick
+
+        def checked(pile, chosen):
+            assert is_legal_child(pile, chosen), (strategy, applied, chosen)
+            applied.append(chosen)
+            return add_brick(pile, chosen)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Pile, "add_brick", checked)
+            trace = play(strategy, n_rounds, seed)
+        assert len(applied) == len(trace.rounds) == n_rounds
 
 
 class TestRandomDraws:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from bisectmesh import (
     VertexPool, bisect, kuhn, refinement_edge, midpoint, simplex_volume,
 )
+from bisectmesh import inittags
 from bisectmesh.exactgeom import DyadicPoint
+from bisectmesh.inittags import VertexPartition, agk_init, initial_division
+from bisectmesh.refine import refine
 from bisectmesh.tarray import (
     TaggedSimplex,
     canonicalize,
@@ -17,7 +20,17 @@ from bisectmesh.tarray import (
     same_lattice,
 )
 
-from conftest import frac_offset, frac_solve, fractions_of, point
+from conftest import (
+    agk_cube,
+    frac_offset,
+    frac_solve,
+    fractions_of,
+    kuhn_cube_cells,
+    kuhn_cube_mesh,
+    point,
+    tripled_tet,
+    tripled_triangle_pair,
+)
 
 
 def transpose(s: TaggedSimplex) -> TaggedSimplex:
@@ -163,8 +176,6 @@ class TestRefinementEdge:
         assert repr(refinement_edge(fwd)) == repr(frozenset((3, 11)))
         assert repr(refinement_edge(rev)) == repr(frozenset((3, 11)))
         assert set(map(repr, fwd.edges())) == set(map(repr, rev.edges()))
-        with pytest.raises(ValueError):
-            TaggedSimplex((4, 4), ())
 
 
 class TestReflectCanonicalize:
@@ -558,3 +569,93 @@ class TestInvariants:
             cur = c1 if take_first else c2
             assert Fraction(2) ** cur.level * simplex_volume(cur.vertices(pool)) == root_vol
             assert cur.hyperlevel == wraps
+
+
+def assert_well_formed(arrays):
+    """The invariant ``TaggedSimplex`` leaves to its makers: a non-empty
+    horizontal row and distinct vertex ids."""
+    for s in arrays:
+        ids = s.vertex_ids
+        assert s.horizontal and len(set(ids)) == len(ids), s
+
+
+def refined_meshes():
+    """Kuhn 2-, 3- and 4-cubes and agk cubes after seeded refine rounds."""
+    rng = random.Random(7)
+    meshes = []
+    for make, rounds in (
+        (lambda: kuhn_cube_mesh(2), 40),
+        (lambda: kuhn_cube_mesh(3), 25),
+        (lambda: kuhn_cube_mesh(4), 8),
+        (lambda: agk_cube(1), 25),
+        (lambda: agk_cube(2), 25),
+    ):
+        tri = make()
+        for _ in range(rounds):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        meshes.append(tri)
+    return meshes
+
+
+class TestMadeTArraysWellFormed:
+    """Every T-array the engine builds keeps the invariant that
+    ``TaggedSimplex`` does not check."""
+
+    def test_refined_children(self):
+        for tri in refined_meshes():
+            assert len(tri.forest.nodes) > len(tri.forest.roots)
+            assert_well_formed(node.tarray for node in tri.forest.nodes)
+
+    def test_restrictions_and_canonical_forms_in_the_verifiers(self, monkeypatch):
+        """Each restriction and canonical form the five verifiers make of
+        the T-arrays of cell pairs, on refined, agk-tagged and divided
+        meshes."""
+        made = []
+
+        def recording(fn):
+            def wrapper(*args):
+                made.append(fn(*args))
+                return made[-1]
+            return wrapper
+
+        monkeypatch.setattr(inittags, "restrict", recording(restrict))
+        monkeypatch.setattr(inittags, "canonicalize", recording(canonicalize))
+        meshes = [
+            *refined_meshes(), kuhn_cube_mesh(2), agk_cube(1), agk_cube(2),
+            initial_division(*tripled_tet()),
+        ]
+        for tri in meshes:
+            for check in (
+                inittags.check_sic, inittags.check_retaco, inittags.check_retahyco,
+                inittags.check_pc, inittags.check_isocochange,
+            ):
+                check(tri)
+        assert {s.type for s in made} >= {0, 1, 2}
+        assert_well_formed(made)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_kuhn_simplex(self, n):
+        pool = VertexPool()
+        assert_well_formed(
+            kuhn(list(perm), signs, pool)
+            for perm in permutations(range(1, n + 1))
+            for signs in product((1, -1), repeat=n)
+        )
+
+    def test_initialiser_outputs(self):
+        rng = random.Random(11)
+        for n in (2, 3):
+            pool, cells = kuhn_cube_cells(n)
+            verts = sorted({v for c in cells for v in c})
+            for _ in range(12):
+                rng.shuffle(verts)
+                k = rng.randrange(len(verts) + 1)
+                part = VertexPartition(frozenset(verts[:k]), frozenset(verts[k:]))
+                assert_well_formed(agk_init(pool, cells, part).cells())
+        for pool, cells in (tripled_triangle_pair()[:2], tripled_tet()):
+            assert_well_formed(initial_division(pool, cells).cells())
+        # marked points on a vertex, on an edge and inside the triangle
+        for q in ((0, 0), (2, 0), (1, 1)):
+            pool = VertexPool()
+            cell = tuple(pool.id_of(point(*p)) for p in ((0, 0), (4, 0), (0, 4)))
+            assert_well_formed(initial_division(pool, [cell], {2: [point(*q)]}).cells())
