@@ -178,7 +178,9 @@ def _embed_refinement(base: Triangulation, other: Triangulation):
     refine the same initial cells.
 
     The walk descends into the node that contains every vertex of the
-    target cell; those vertices are dyadic, so the test is exact.
+    target cell; those vertices are dyadic, so the test is exact.  It ends:
+    each step halves the node's volume, and a node that holds the cell has
+    at least the cell's volume, with equality only at the cell itself.
     """
     forest = base.forest
     pool = forest.pool
@@ -198,14 +200,10 @@ def _embed_refinement(base: Triangulation, other: Triangulation):
         node = next((r for r in forest.roots if contains(r, pts)), None)
         if node is None:
             return None
-        for _ in range(64 * cell.dim * (cell.level + 2)):
-            if frozenset(forest.tarray(node).vertices(pool)) == target_points:
-                break
+        while frozenset(forest.tarray(node).vertices(pool)) != target_points:
             node = next((c for c in forest.ensure_children(node) if contains(c, pts)), None)
             if node is None:
                 return None
-        else:
-            return None
         mapped.append(node)
     return mapped
 

@@ -139,12 +139,14 @@ def midpoint(a: DyadicPoint, b: DyadicPoint) -> DyadicPoint:
 
 def _rows(pts: Sequence[DyadicPoint], origin: Optional[DyadicPoint] = None):
     """Integer rows of ``p - origin`` (of ``p`` without an origin) for each
-    point, all over one ``2**exp``; returns ``(rows, exp)``."""
+    point, all over one ``2**exp``; returns ``(rows, exp)``.  A point
+    already at ``exp`` lends its own numerators, so rows are read-only."""
     e = max([p.exp for p in pts] + ([] if origin is None else [origin.exp]), default=0)
+    rows = [p.nums if p.exp == e else p.at_exp(e) for p in pts]
     if origin is None:
-        return [p.at_exp(e) for p in pts], e
-    o = origin.at_exp(e)
-    return [[x - y for x, y in zip(p.at_exp(e), o)] for p in pts], e
+        return rows, e
+    o = origin.nums if origin.exp == e else origin.at_exp(e)
+    return [list(map(sub, r, o)) for r in rows], e
 
 
 def _eliminate(m: list, k: int) -> tuple[int, int]:

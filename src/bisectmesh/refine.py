@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
 
-from .exactgeom import _solve_all
+from .exactgeom import _cell_dets, _rows, _solve_all
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -106,13 +106,13 @@ def check_conforming(tri: Triangulation) -> list[str]:
     exact pairwise-intersection oracle for the plane lives in
     :func:`check_conforming_2d_exact`.
 
-    Cost: every leaf vertex is shifted once to the mesh's largest exponent
-    and the V of them are sorted by first coordinate.  Per leaf, a binary
-    search finds the vertices in the x-range of its bounding box, one pass
-    per further coordinate keeps those inside the box, and one elimination
-    solves for the barycentric coordinates of all remaining vertices at
-    once, on edge rows brought down to the largest exponent among the
-    leaf's vertices and those hits, so a deep vertex lengthens only the
+    Cost: every leaf vertex is shifted once to the mesh's largest exponent,
+    a frame that only filters, and the V rows are sorted by first
+    coordinate.  Per leaf, a binary search finds the vertices in the
+    x-range of its bounding box, one pass per further coordinate keeps
+    those inside the box, and one elimination solves for the barycentric
+    coordinates of all remaining vertices at once, on the rows of the
+    leaf's own points and those hits, so a deep vertex lengthens only the
     eliminations it takes part in (a leaf no vertex reaches is never
     solved, so a degenerate leaf raises ValueError only when one does).
     That is O(V log V + L log V + K) box work for L leaves and K vertices
@@ -120,20 +120,20 @@ def check_conforming(tri: Triangulation) -> list[str]:
     every vertex in every leaf.  Problems are listed by vertex in
     ``tri.vertex_index`` order, then by leaf in ``tri.leaves`` order.
     """
-    return _hanging(tri, *_leaf_frame(tri))
+    return _hanging(tri, _leaf_frame(tri))
 
 
-def _leaf_frame(tri: Triangulation) -> tuple[dict, int]:
+def _leaf_frame(tri: Triangulation) -> dict:
     """Every leaf vertex as an integer row over one common exponent, each
-    point shifted once: ``({vertex id: row}, exp)``."""
+    point shifted once, for box filters only: ``{vertex id: row}``."""
     points = tri.forest.pool.points
     exp = max((points[v].exp for v in tri.vertex_index), default=0)
-    return {v: points[v].at_exp(exp) for v in tri.vertex_index}, exp
+    return {v: points[v].at_exp(exp) for v in tri.vertex_index}
 
 
-def _hanging(tri: Triangulation, rows: dict, exp: int) -> list[str]:
-    """The scan of :func:`check_conforming`, over the leaf frame ``rows``
-    at exponent ``exp``."""
+def _hanging(tri: Triangulation, rows: dict) -> list[str]:
+    """The scan of :func:`check_conforming`: boxes on the leaf frame
+    ``rows``, each solve on the rows of its own points."""
     forest = tri.forest
     points = forest.pool.points
     rank = {v: k for k, v in enumerate(rows)}
@@ -149,9 +149,8 @@ def _hanging(tri: Triangulation, rows: dict, exp: int) -> list[str]:
         boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
         if not boxed:
             continue
-        shift = exp - max(points[v].exp for v in (*ids, *boxed))
-        p0, *others = [rows[v] for v in (*ids, *boxed)]
-        edges = [[(x - y) >> shift for x, y in zip(r, p0)] for r in others]
+        p0, *others = [points[v] for v in (*ids, *boxed)]
+        edges, _ = _rows(others, p0)
         sols, den = _solve_all(edges[: len(ids) - 1], edges[len(ids) - 1 :])
         for vid, nums in zip(boxed, sols):
             if min(nums) >= 0 and sum(nums) <= den:
@@ -164,17 +163,13 @@ def _hanging(tri: Triangulation, rows: dict, exp: int) -> list[str]:
     ]
 
 
-def _orient(a: list, b: list, c: list) -> int:
-    """Sign of det(b - a, c - a) for integer rows in the plane."""
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (det > 0) - (det < 0)
-
-
 def _segments_cross(a, b, c, d) -> bool:
-    """Exact proper-crossing test for segments ab and cd of integer rows."""
-    if _orient(a, b, c) * _orient(a, b, d) >= 0:
-        return False
-    return _orient(c, d, a) * _orient(c, d, b) < 0
+    """Exact proper-crossing test for segments ab and cd of plane points:
+    the kernel's orientation signs of abc and abd differ strictly, then
+    those of cda and cdb, each taken only while still needed."""
+    dets = _cell_dets([(a, b, c), (a, b, d), (c, d, a), (c, d, b)])
+    # zip draws both of a pair from the one generator: (abc, abd), then (cda, cdb)
+    return all(p * q < 0 for (p, _), (q, _) in zip(dets, dets))
 
 
 def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
@@ -190,20 +185,20 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     meeting boxes and no common endpoint, reach the orientation tests.  An
     edge of one triangle with both ends in the other shares an endpoint
     with each of the other's edges, so it is skipped by the same rule.
+    Boxes are read on the leaf frame, every verdict by the kernel on its own
+    points.  A mesh outside the plane raises ValueError before any scan.
     """
     forest = tri.forest
-    rows, exp = _leaf_frame(tri)
-    problems = _hanging(tri, rows, exp)
-    if any(len(r) != 2 for r in rows.values()):
+    at = forest.pool.points.__getitem__
+    if any(at(v).dim != 2 for v in tri.vertex_index):
         raise ValueError("check_conforming_2d_exact needs a plane mesh")
+    rows = _leaf_frame(tri)
+    problems = _hanging(tri, rows)
     boxes, edges = {}, {}
     for s in tri.leaves:
         cell = forest.tarray(s)
         boxes[s] = _box([rows[v] for v in cell.vertex_ids])
-        edges[s] = []
-        for e in cell.edges():
-            pa, pb = (rows[v] for v in e)
-            edges[s].append((e, pa, pb, _box([pa, pb])))
+        edges[s] = [(e, _box([rows[v] for v in e])) for e in cell.edges()]
     by_left = sorted(boxes, key=lambda s: boxes[s][0][0])
     pairs = []
     for i, s in enumerate(by_left):
@@ -214,11 +209,11 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
                 pairs.append((min(s, t), max(s, t)))
     pairs.sort()
     for s, t in pairs:
-        for ea, pa, pb, box_a in edges[s]:
-            for et, qa, qb, box_b in edges[t]:
+        for ea, box_a in edges[s]:
+            for et, box_b in edges[t]:
                 if not ea.isdisjoint(et):
                     continue  # a common endpoint is no proper crossing
-                if _boxes_meet(box_a, box_b) and _segments_cross(pa, pb, qa, qb):
+                if _boxes_meet(box_a, box_b) and _segments_cross(*map(at, ea), *map(at, et)):
                     problems.append(
                         f"leaves {s} and {t}: edges {ea} and {et} "
                         "cross outside a common subsimplex"

@@ -32,7 +32,7 @@ from bisectmesh import Triangulation, refine
 from bisectmesh.cli import main
 from bisectmesh.harness import STRATEGIES
 from bisectmesh.inittags import VertexPartition
-from bisectmesh.meshio import write_mesh
+from bisectmesh.meshio import mesh_from_dict, mesh_to_dict, write_mesh
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
@@ -94,6 +94,102 @@ BROKEN_TEXTS = {
     "deep.json": "[" * 100_000,
     "empty.json": "",
 }
+
+
+def _doc(**fields) -> str:
+    """The unit triangle's document with ``fields`` replaced (a None value
+    drops the field)."""
+    doc = {
+        "dim": 2,
+        "vertices": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        "cells": [{"horizontal": [0, 1, 2]}],
+        **fields,
+    }
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+def _ints(*points) -> list:
+    """Integer points as document coordinates."""
+    return [[[str(x), "0"] for x in p] for p in points]
+
+
+_CHECK = (["check", "conforming"],)
+
+# Documents that reach the CLI's failure branches, each with the argv forms
+# (before ``--mesh``) that it is run with.  The loader refuses the first
+# group; the rest load and fail later.
+FAILING_DOCS = {
+    "reject-top.json": ("[]", _CHECK),
+    "reject-duplicate.json": (_doc(vertices=_ints((0, 0), (1, 0), (0, 0))), _CHECK),
+    "reject-nocells.json": (_doc(cells=None), _CHECK),
+    "reject-emptycells.json": (_doc(cells=[]), _CHECK),
+    "reject-cellarray.json": (_doc(cells=[[0, 1, 2]]), _CHECK),
+    "reject-vertical.json": (_doc(cells=[{"horizontal": [0, 1, 2], "vertical": 0}]), _CHECK),
+    "reject-count.json": (_doc(cells=[{"horizontal": [0, 1]}]), _CHECK),
+    "reject-repeat.json": (_doc(cells=[{"horizontal": [0, 1, 1]}]), _CHECK),
+    "reject-level.json": (_doc(cells=[{"horizontal": [0, 1, 2], "level": -1}]), _CHECK),
+    "reject-hyperlevel.json": (
+        _doc(cells=[{"horizontal": [0, 1, 2], "hyperlevel": 1.5}]), _CHECK),
+    "reject-flat.json": (_doc(vertices=_ints((0, 0), (1, 0), (2, 0))), _CHECK),
+    "reject-marking.json": (_doc(marking=[]), _CHECK),
+    "reject-markingpoints.json": (_doc(marking={"2": {}}), _CHECK),
+    "reject-partition.json": (_doc(partition=[]), _CHECK),
+    "reject-partitionids.json": (_doc(partition={"v0": [0], "v1": "12"}), _CHECK),
+    "reject-order.json": (
+        _doc(partition={"v0": [0, 1], "v1": [2], "order0": [0, 0]}), _CHECK),
+    "reject-even.json": (_doc(vertices=[*_ints((0, 0), (1, 0)), [["0", "0"], ["2", "1"]]]),
+                         _CHECK),
+    # a type-2 point outside the triangle, beside the one inside it
+    "extra-point.json": (
+        _doc(vertices=_ints((0, 0), (4, 0), (0, 4)), marking={"2": _ints((1, 1), (5, 5))}),
+        (["init-division"],)),
+    "partition-overlap.json": (_doc(partition={"v0": [0, 1], "v1": [1, 2]}), (["agk-init"],)),
+    # two tetrahedra whose refinement edges both lie in the shared face
+    "pc-violation.json": (
+        json.dumps({
+            "dim": 3,
+            "vertices": _ints((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, -2)),
+            "cells": [{"horizontal": [0, 1], "vertical": [2, 3]},
+                      {"horizontal": [0, 2], "vertical": [1, 4]}],
+        }),
+        (["check", "retaco"], ["check", "pc"], ["check", "sic"], ["refine", "--cell", "0"])),
+    "hyperlevel-2.json": (_doc(cells=[{"horizontal": [0, 1, 2], "hyperlevel": 2}]),
+                          (["check", "retahyco"],)),
+    # the unit square's two triangles, one at hyperlevel 0 and one at 1
+    "hyperlevel-mix.json": (
+        _doc(vertices=_ints((0, 0), (1, 0), (1, 1), (0, 1)),
+             cells=[{"horizontal": [0, 1, 2]}, {"horizontal": [0, 3, 2], "hyperlevel": 1}]),
+        (["check", "retahyco"],)),
+    # two triangles on the same side of their shared edge, which the
+    # hanging-node scan passes; uniform refinement then leaves one hanging
+    "same-side.json": (
+        _doc(vertices=_ints((0, 0), (4, 0), (1, 4), (3, 4)),
+             cells=[{"horizontal": [0], "vertical": [1, 2]},
+                    {"horizontal": [0], "vertical": [1, 3]}]),
+        (["check", "sic"],)),
+    # legs of length 2**-600: the volume floor is below the float range
+    "tiny.json": (_doc(vertices=[[["0", "0"], ["0", "0"]], [["1", "600"], ["0", "0"]],
+                                 [["0", "0"], ["1", "600"]]]),
+                  (["constants"], ["bdv-run", "-N", "2"])),
+}
+
+# A numerator past the interpreter's digit limit; the message is the
+# interpreter's, so only the exit code is recorded.
+DIGITS_TEXT = _doc(vertices=[*_ints((0, 0), (1, 0)), [["0", "0"], ["1" * 5000, "0"]]])
+
+INTERVAL_TEXT = _doc(dim=1, vertices=_ints((0,), (1,)), cells=[{"horizontal": [0, 1]}])
+
+
+def deep_interval_text() -> str:
+    """The unit interval bisected 140 times at its deepest leaf (141
+    cells), written without the optional ``level`` fields."""
+    tri, _, _ = mesh_from_dict(json.loads(INTERVAL_TEXT))
+    for _ in range(140):
+        refine(tri, max(tri.leaves, key=lambda t: (tri.forest.tarray(t).level, t)))
+    doc = mesh_to_dict(tri)
+    for cell in doc["cells"]:
+        del cell["level"]
+    return json.dumps(doc)
 
 
 def refined(make, seed: int, rounds: int) -> Triangulation:
@@ -240,7 +336,10 @@ def build_corpus(folder: Path) -> dict:
     for name, (tri, marking, partition) in valid_meshes().items():
         write_mesh(folder / f"{name}.json", tri, marking, partition)
         bases[name] = (folder / f"{name}.json").read_text()
-    texts = {**CI_MESHES, **BROKEN_TEXTS, **mutated_documents(bases)}
+    texts = {**CI_MESHES, **BROKEN_TEXTS, **mutated_documents(bases),
+             **{name: text for name, (text, _) in FAILING_DOCS.items()},
+             "reject-digits.json": DIGITS_TEXT, "interval.json": INTERVAL_TEXT,
+             "interval-deep.json": deep_interval_text()}
     for name, text in texts.items():
         (folder / name).write_text(text)
     (folder / "outdir").mkdir()
@@ -317,6 +416,11 @@ def cases() -> list[dict]:
         for target in ("nodir/x.json", "outdir"):
             out.append({"argv": [*form, "--mesh", "square.json", "--out", target]})
     out.append({"argv": ["pile-game", "-N", "3", "--out", "nodir/x.csv"]})
+    for name, (_, forms) in FAILING_DOCS.items():
+        out.extend({"argv": [*form, "--mesh", name]} for form in forms)
+    # a descent as deep as the cells, with no level to bound it
+    out.append({"argv": ["overlay", "--mesh", "interval.json", "--mesh2", "interval-deep.json",
+                         "--out", "overlay.interval.deep.json"]})
     exit_only = [
         [], ["--help"], ["nosuch"], ["check"], ["pile-game", "-N", "0"],
         ["pile-game", "--strategy", "nosuch"], ["check", "bogus", "--mesh", "square.json"],
@@ -328,6 +432,7 @@ def cases() -> list[dict]:
         ["overlay", "--mesh", "square.json"],
         ["check", "sic", "--mesh", "missing.json"],
         ["overlay", "--mesh", "square.json", "--mesh2", "missing.json"],
+        ["check", "conforming", "--mesh", "reject-digits.json"],
         *[[cmd, "--help"] for cmd in ("init-division", "agk-init", "check", "refine",
                                       "uniform", "hyper-uniform", "quasi-uniform",
                                       "constants", "bdv-run", "pile-game", "overlay")],

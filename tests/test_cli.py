@@ -22,6 +22,7 @@ from bisectmesh.forest import overlay
 from bisectmesh.meshio import mesh_hash, mesh_to_dict, read_mesh, write_mesh
 from bisectmesh.pilegame import play
 
+from make_cli_manifest import INTERVAL_TEXT, deep_interval_text
 from conftest import (
     agk_cube,
     fractions_of,
@@ -437,6 +438,17 @@ def test_overlay_either_order_3d(tmp_path):
         assert main(argv) == 0
         results.append(_cell_coordinates(read_mesh(out)[0]))
     assert results[0] == results[1] == _cell_coordinates(fine)
+
+
+def test_overlay_descends_as_deep_as_the_cells(tmp_path):
+    """The unit interval bisected 140 times at its deepest leaf, written
+    without its optional levels: the embedding descends by geometry alone,
+    so nothing bounds it by a level the file does not hold."""
+    unit, deep, out = tmp_path / "unit.json", tmp_path / "deep.json", tmp_path / "ov.json"
+    unit.write_text(INTERVAL_TEXT)
+    deep.write_text(deep_interval_text())
+    assert main(["overlay", "--mesh", str(unit), "--mesh2", str(deep), "--out", str(out)]) == 0
+    assert _cell_coordinates(read_mesh(out)[0]) == _cell_coordinates(read_mesh(deep)[0])
 
 
 def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):

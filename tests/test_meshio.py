@@ -19,7 +19,7 @@ from bisectmesh.meshio import (
     read_mesh,
     write_mesh,
 )
-from bisectmesh.refine import check_conforming, refine
+from bisectmesh.refine import check_conforming, check_conforming_2d_exact, refine
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import kuhn_square, point
@@ -262,6 +262,22 @@ def test_huge_exponent_vertex_scans_fast_in_a_large_mesh():
     start = time.perf_counter()
     assert check_conforming(tri) == []
     assert time.perf_counter() - start < 1
+
+
+def test_huge_exponent_vertex_stays_local_in_the_plane_oracle():
+    """The same grid through the exact 2D oracle: every orientation sign is
+    a kernel determinant on its own three points, so the deep vertex
+    lengthens only the tests it takes part in.  With every orientation on
+    the frame of the deepest vertex, this took about 19 s; it takes about
+    1.3 s on a 2-vCPU Xeon VM."""
+    doc = _grid_doc(32)
+    i = doc["vertices"].index([["1", "1"], ["0", "0"]])  # (1/2, 0)
+    doc["vertices"][i] = [["1", "1"], ["-1", str(1 << 16)]]
+    tri, _, _ = mesh_from_dict(doc)
+    start = time.perf_counter()
+    assert check_conforming_2d_exact(tri) == []
+    assert time.perf_counter() - start < 5
+
 
 def test_first_zero_volume_cell_named_among_mixed_exponents():
     """The zero-volume check runs cell by cell, each cell at the largest

@@ -3,13 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bisectmesh import Triangulation, VertexPool
+from bisectmesh import DyadicPoint, Triangulation, VertexPool
 from bisectmesh.exactgeom import barycentric
 from bisectmesh.refine import (
     RefinementError,
-    _orient,
     _segments_cross,
     check_conforming,
     check_conforming_2d_exact,
@@ -30,6 +29,7 @@ from bisectmesh.tarray import TaggedSimplex
 from conftest import (
     find_hanging,
     frac_det,
+    frac_offset,
     fractions_of,
     kuhn_cube_mesh,
     kuhn_square,
@@ -157,8 +157,10 @@ class TestCheckConforming:
         assert check_conforming(tri) == []
         assert check_conforming_2d_exact(tri) != []
 
-    def test_2d_exact_rejects_other_dimensions(self):
-        with pytest.raises(ValueError):
+    def test_2d_exact_rejects_other_dimensions(self, monkeypatch):
+        """The refusal comes before any scan."""
+        monkeypatch.setattr(importlib.import_module("bisectmesh.refine"), "_hanging", None)
+        with pytest.raises(ValueError, match="needs a plane mesh"):
             check_conforming_2d_exact(kuhn_cube_mesh(3))
 
     def test_random_suite(self):
@@ -297,6 +299,60 @@ class TestConformityScansMatchReference:
         assert [bool(p) for p in found] == [False, True] * 3 + [True, True]
 
 
+def mesh_copy(tri, shift, extra_coords=(), extra_cells=()):
+    """The leaves of ``tri`` as a fresh mesh, every vertex moved by
+    ``shift``, with ``extra_coords`` (moved too) and ``extra_cells``
+    appended; cell ``k`` of ``extra_cells`` indexes the vertices as
+    ``tri``'s leaf vertices in id order, then the extra ones."""
+    pool = tri.forest.pool
+    order = sorted(tri.vertex_index)
+    at = {v: k for k, v in enumerate(order)}
+    coords = [fractions_of(pool.point(v)) for v in order] + list(extra_coords)
+    cells = [tuple(at[v] for v in tri.forest.tarray(leaf).vertex_ids) for leaf in tri.leaves]
+    moved = [[Fraction(x) + s for x, s in zip(c, shift)] for c in coords]
+    return plain_mesh(moved, cells + list(extra_cells))
+
+
+class TestConformityUnderDeepShifts:
+    """Both conformity checks read every verdict on the points it is about,
+    so moving a mesh by a dyadic offset at an exponent up to 4096 changes
+    no report, whether the mesh conforms, holds an unclosed bisection or
+    an extra pair of crossing triangles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 1 << 16),
+        st.sampled_from(["conforming", "unclosed", "crossing"]),
+        st.lists(st.integers(-(1 << 20), 1 << 20), min_size=2, max_size=2),
+        st.lists(st.integers(0, 4096), min_size=2, max_size=2),
+    )
+    def test_reports_do_not_move(self, seed, kind, nums, exps):
+        rng = random.Random(seed)
+        tri = kuhn_square()
+        for _ in range(rng.randrange(4, 12)):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        extra_coords, extra_cells = [], []
+        if kind == "unclosed":
+            tri.bisect_leaf(rng.choice(sorted(tri.leaves)))
+        elif kind == "crossing":
+            # a six-pointed star at a random spot near the square
+            x, y = (Fraction(rng.randrange(-8, 9), 4) for _ in range(2))
+            star = [(0, 0), (2, 0), (1, 2), (0, 1), (2, 1), (1, -1)]
+            extra_coords = [(x + a, y + b) for a, b in star]
+            v = len(tri.vertex_index)
+            extra_cells = [(v, v + 1, v + 2), (v + 3, v + 4, v + 5)]
+        shift = [Fraction(n, 1 << e) for n, e in zip(nums, exps)]
+        here = mesh_copy(tri, [0, 0], extra_coords, extra_cells)
+        there = mesh_copy(tri, shift, extra_coords, extra_cells)
+        found = check_conforming_2d_exact(here)
+        assert check_conforming_2d_exact(there) == found
+        assert check_conforming(there) == check_conforming(here)
+        if kind == "conforming":
+            assert found == []
+        elif kind == "crossing":
+            assert any("cross outside" in p for p in found)
+
+
 class TestConformityScan1D:
     """On a line the leaf box is its x-range alone: no further coordinate
     filters the candidates before the solve."""
@@ -320,24 +376,26 @@ class TestConformityScan1D:
             refine(tri, rng.choice(sorted(tri.leaves)))
 
 
-rows2 = st.lists(st.integers(-4, 4) | st.integers(-(1 << 70), 1 << 70), min_size=2, max_size=2)
+plane_coordinates = st.builds(
+    lambda n, e: Fraction(n, 1 << e),
+    st.integers(-4, 4) | st.integers(-(1 << 70), 1 << 70),
+    st.integers(0, 80),
+)
+plane_points = st.lists(plane_coordinates, min_size=2, max_size=2).map(DyadicPoint)
 
 
 def frac_orient(a, b, c):
-    """Sign of det(b - a, c - a), by the Fraction determinant."""
-    det = frac_det([[x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]])
+    """Sign of det(b - a, c - a) for plane points, by the Fraction
+    determinant."""
+    det = frac_det([frac_offset(b, a), frac_offset(c, a)])
     return (det > 0) - (det < 0)
 
 
 class TestPlanePredicates:
-    """The 2D oracle's orientation and proper-crossing tests against the
-    sign of a Fraction determinant."""
+    """The 2D oracle's proper-crossing test against the signs of Fraction
+    determinants."""
 
-    @given(rows2, rows2, rows2)
-    def test_orient(self, a, b, c):
-        assert _orient(a, b, c) == frac_orient(a, b, c)
-
-    @given(rows2, rows2, rows2, rows2)
+    @given(plane_points, plane_points, plane_points, plane_points)
     def test_segments_cross(self, a, b, c, d):
         want = frac_orient(a, b, c) * frac_orient(a, b, d) < 0 and (
             frac_orient(c, d, a) * frac_orient(c, d, b) < 0
@@ -345,13 +403,12 @@ class TestPlanePredicates:
         assert _segments_cross(a, b, c, d) == want
 
     def test_examples(self):
-        assert _orient([0, 0], [1, 0], [0, 1]) == 1
-        assert _orient([0, 0], [0, 1], [1, 0]) == -1
-        assert _orient([0, 0], [1, 1], [3, 3]) == 0
-        assert _segments_cross([0, 0], [2, 2], [0, 2], [2, 0])  # an X
-        assert not _segments_cross([0, 0], [2, 0], [1, 0], [1, 2])  # a T
-        assert not _segments_cross([0, 0], [2, 0], [1, 0], [3, 0])  # collinear overlap
-        assert not _segments_cross([0, 0], [1, 0], [2, -1], [2, 1])  # apart
+        o, e = point(0, 0), Fraction(1, 1 << 80)
+        assert _segments_cross(o, point(2, 2), point(0, 2), point(2, 0))  # an X
+        assert _segments_cross(o, point(e, e), point(0, e), point(e, 0))  # a deep X
+        assert not _segments_cross(o, point(2, 0), point(1, 0), point(1, 2))  # a T
+        assert not _segments_cross(o, point(2, 0), point(1, 0), point(3, 0))  # collinear overlap
+        assert not _segments_cross(o, point(1, 0), point(2, -1), point(2, 1))  # apart
 
 
 class TestUniform:
