@@ -12,7 +12,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .exactgeom import barycentric
+from .exactgeom import _locate
 from .forest import Triangulation, overlay as overlay_tris
 from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
@@ -174,36 +174,47 @@ def _cmd_pile_game(args):
 
 
 def _embed_refinement(base: Triangulation, other: Triangulation):
-    """Map every leaf of ``other`` to a node of ``base``'s forest; both must
-    refine the same initial cells.
+    """Map every leaf of ``other`` to a node of ``base``'s forest, or None
+    unless both refine the same initial cells.
 
-    The walk descends into the node that contains every vertex of the
-    target cell; those vertices are dyadic, so the test is exact.  It ends:
-    each step halves the node's volume, and a node that holds the cell has
-    at least the cell's volume, with equality only at the cell itself.
+    A leaf's vertices are located once, as barycentric numerators ``lam``,
+    in the first root that holds them all, and below it by the bisection
+    rule alone: as ``a = 2m - b`` at ``m = (a + b) / 2``, a point
+    ``lam[a] a + lam[b] b + ...`` is ``2 lam[a] m + (lam[b] - lam[a]) b +
+    ...``, with the same sum, so the child without ``a`` holds exactly the
+    points with ``lam[a] <= lam[b]``, at ``lam[m] = 2 lam[a]`` and
+    ``lam[b] - lam[a]``; the other child mirrors this.  The walk ends when
+    the cell's vertices are the node's: each step halves the volume, and a
+    node holding the cell has at least its volume, equal only at the cell.
     """
     forest = base.forest
-    pool = forest.pool
-    opool = other.forest.pool
-    if pool.point(0).dim != opool.point(0).dim:
+    if forest.pool.point(0).dim != other.forest.pool.point(0).dim:
         return None
-
-    def contains(nid, pts):
-        simplex = forest.tarray(nid).vertices(pool)
-        return all(barycentric(p, simplex) is not None for p in pts)
-
     mapped = []
     for leaf in sorted(other.leaves):
-        cell = other.forest.tarray(leaf)
-        pts = [opool.point(v) for v in cell.vertex_ids]
-        target_points = frozenset(pts)
-        node = next((r for r in forest.roots if contains(r, pts)), None)
-        if node is None:
+        pts = other.forest.tarray(leaf).vertices(other.forest.pool)
+        for node in forest.roots:
+            ids = forest.tarray(node).vertex_ids
+            located = _locate(forest.tarray(node).vertices(forest.pool), pts)
+            if None not in located:
+                break
+        else:
             return None
-        while frozenset(forest.tarray(node).vertices(pool)) != target_points:
-            node = next((c for c in forest.ensure_children(node) if contains(c, pts)), None)
-            if node is None:
+        coords = [dict(zip(ids, c)) for c in located]
+        den = sum(located[0])
+        while not all(den in lam.values() for lam in coords):
+            children = forest.ensure_children(node)
+            drops = [(set(ids) - set(forest.tarray(c).vertex_ids)).pop() for c in children]
+            for node, a, b in zip(children, drops, drops[::-1]):
+                if all(lam[a] <= lam[b] for lam in coords):
+                    break
+            else:
                 return None
+            m = forest.nodes[node].v_new
+            for lam in coords:
+                lam[m] = 2 * lam[a]
+                lam[b] -= lam.pop(a)
+            ids = forest.tarray(node).vertex_ids
         mapped.append(node)
     return mapped
 

@@ -7,12 +7,10 @@ integer vector over one power of two, built from ints and dyadic
 ``Fraction``s; :func:`midpoint` is its one operation.  All other arithmetic
 runs on integer rows, the points of one question (a simplex, a basis and its
 targets) at the largest exponent among them.  One fraction-free Bareiss
-elimination serves every linear-algebra question: determinants, the
-solve of vectors in the span of k rows, any number in one elimination
-(off-span and dependence tests included) and, through the signs of that
-solve, containment in a simplex.
-Results that leave the dyadics (volumes, barycentric coordinates) are
-returned as ``fractions.Fraction``; floats appear only in reporting.
+elimination serves every linear-algebra question: determinants, the solve
+of any number of vectors in the span of k rows (off-span and dependence
+tests included) and, through its signs, point location (:func:`_locate`).
+Volumes are returned as ``Fraction``s; floats appear only in reporting.
 """
 
 from __future__ import annotations
@@ -271,21 +269,21 @@ def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
     return Fraction(total, (1 << (n * top)) * math.factorial(n))
 
 
-def barycentric(pt: DyadicPoint, simplex: Sequence[DyadicPoint]):
-    """Exact barycentric coordinates of ``pt`` w.r.t. a non-degenerate simplex.
-
-    Returns the list of Fractions (all >= 0, summing to 1) when the point lies
-    in the simplex, or None when it lies outside.  Works for a k-simplex
-    embedded in n-space; a point off the affine hull counts as outside.
-    """
-    rows, _ = _rows([*simplex[1:], pt], simplex[0])
-    (nums,), den = _solve_all(rows[:-1], rows[-1:])
-    if nums is None:
-        return None
-    coords = [den - sum(nums), *nums]
-    if any(c < 0 for c in coords):
-        return None
-    return [Fraction(c, den) for c in coords]
+def _locate(simplex: Sequence[DyadicPoint], pts: Sequence[DyadicPoint]) -> list:
+    """Which of ``pts`` lie in the closed ``simplex``, by one elimination
+    for all of them (none for no points): per point, its barycentric
+    coordinates as integer numerators over one positive denominator, their
+    sum, or None outside, off the affine hull of a k-simplex in n-space
+    included.  A degenerate simplex raises ValueError."""
+    if not pts:
+        return []
+    rows, _ = _rows([*simplex[1:], *pts], simplex[0])
+    sols, den = _solve_all(rows[: len(simplex) - 1], rows[len(simplex) - 1 :])
+    out = []
+    for nums in sols:
+        inside = nums is not None and min(nums, default=0) >= 0 and sum(nums) <= den
+        out.append([den - sum(nums), *nums] if inside else None)
+    return out
 
 
 def _max_gap_sq(rows: list) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .exactgeom import DyadicPoint, _rows, barycentric
+from .exactgeom import DyadicPoint, _locate, _rows
 from .tarray import (
     TaggedSimplex, VertexPool, canonicalize, lattice_of, refinement_edge, restrict, same_lattice,
 )
@@ -69,17 +69,13 @@ def resolve_marking(
         free = {
             s
             for s in _subsimplices(cells, m)
-            if not any(barycentric(q, [pool.point(v) for v in s]) is not None for q in higher)
+            if all(c is None for c in _locate([pool.point(v) for v in s], higher))
         }
         used = [False] * len(points)
         for s in free:
             ids = sorted(s)
-            simplex = [pool.point(v) for v in ids]
-            inside = [
-                (i, coords)
-                for i, q in enumerate(points)
-                if (coords := barycentric(q, simplex)) is not None
-            ]
+            located = _locate([pool.point(v) for v in ids], points)
+            inside = [(i, coords) for i, coords in enumerate(located) if coords is not None]
             if len(inside) != 1:
                 raise MarkingError(
                     f"type-{m} marking gives {len(inside)} points in subsimplex "

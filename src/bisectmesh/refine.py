@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import le
 
-from .exactgeom import _cell_dets, _rows, _solve_all
+from .exactgeom import _cell_dets, _locate
 from .tarray import refinement_edge, restrict
 from .forest import Triangulation
 
@@ -31,6 +31,15 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
     the bisection happened in.  A guard bounds the closure work in this
     round (``64 * dim * #cells`` loop steps) and turns a non-refineable
     tagging into a :class:`RefinementError` instead of divergence.
+
+    Every stack entry is a leaf: the target is one, a pushed entry is a
+    leaf sharer, and a bisection removes only the sharers of the top's
+    refinement edge ``e`` whose refinement edge is ``e``.  Were a lower
+    entry ``s_j`` one, the entry ``s_{j+1}`` above it, pushed as a sharer
+    of ``e`` whose refinement edge is not ``e``, is still a leaf.  It is
+    not the top, whose refinement edge is ``e``, so it is an incompatible
+    sharer of the top's edge, and the top would push, not bisect.
+    Pairwise compatibility is not used.
     """
     if target not in tri.leaves:
         raise ValueError(f"node {target} is not a leaf")
@@ -46,11 +55,7 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
                 "closure budget exhausted; tagging is not refineable"
             )
         budget -= 1
-        t = stack[-1]
-        if t not in tri.leaves:
-            stack.pop()
-            continue
-        edge = refinement_edge(forest.tarray(t))
+        edge = refinement_edge(forest.tarray(stack[-1]))
         sharers = tri.edge_sharers(edge)
         incompatible = [
             u
@@ -96,29 +101,23 @@ def _boxes_meet(a: tuple, b: tuple) -> bool:
 def check_conforming(tri: Triangulation) -> list[str]:
     """Report hanging nodes: leaf vertices lying in a leaf they do not span.
 
-    An empty report (PASS) means exactly that no leaf vertex lies in a leaf
-    it does not span.  It does not prove the mesh conforming: two cells on
-    the same side of a shared facet overlap without a hanging vertex, and
-    they pass.
+    An empty report (PASS) means exactly that.  It does not prove the mesh
+    conforming: two cells on the same side of a shared facet overlap
+    without a hanging vertex, and they pass.  Under pairwise compatibility
+    the absence of hanging nodes is equivalent to regularity, which the
+    engine relies on for dimensions above 2; the exact pairwise oracle for
+    the plane is :func:`check_conforming_2d_exact`.
 
-    Under pairwise compatibility the absence of hanging nodes is equivalent
-    to regularity, which the engine relies on for dimensions above 2; the
-    exact pairwise-intersection oracle for the plane lives in
-    :func:`check_conforming_2d_exact`.
-
-    Cost: every leaf vertex is shifted once to the mesh's largest exponent,
-    a frame that only filters, and the V rows are sorted by first
-    coordinate.  Per leaf, a binary search finds the vertices in the
-    x-range of its bounding box, one pass per further coordinate keeps
-    those inside the box, and one elimination solves for the barycentric
-    coordinates of all remaining vertices at once, on the rows of the
-    leaf's own points and those hits, so a deep vertex lengthens only the
-    eliminations it takes part in (a leaf no vertex reaches is never
-    solved, so a degenerate leaf raises ValueError only when one does).
-    That is O(V log V + L log V + K) box work for L leaves and K vertices
-    in x-ranges, and at most L eliminations, against the O(V L) of testing
-    every vertex in every leaf.  Problems are listed by vertex in
-    ``tri.vertex_index`` order, then by leaf in ``tri.leaves`` order.
+    Cost: the V leaf vertices are shifted once to the mesh's largest
+    exponent, for the box filters only, and sorted by first coordinate.
+    Per leaf, a binary search and one pass per further coordinate find the
+    vertices in its bounding box, and one :func:`_locate` on the leaf's own
+    points and those hits decides them all, so a deep vertex lengthens only
+    the eliminations it takes part in.  That is O(V log V + L log V + K)
+    box work for L leaves and K vertices in x-ranges, and at most L
+    eliminations, against the O(V L) of testing every vertex in every leaf.
+    Problems are listed by vertex in ``tri.vertex_index`` order, then by
+    leaf in ``tri.leaves`` order.
     """
     return _hanging(tri, _leaf_frame(tri))
 
@@ -147,13 +146,9 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
         for col, a, b in zip(columns[1:], lo[1:], hi[1:]):
             near = [k for k in near if a <= col[k] <= b]
         boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
-        if not boxed:
-            continue
-        p0, *others = [points[v] for v in (*ids, *boxed)]
-        edges, _ = _rows(others, p0)
-        sols, den = _solve_all(edges[: len(ids) - 1], edges[len(ids) - 1 :])
-        for vid, nums in zip(boxed, sols):
-            if min(nums) >= 0 and sum(nums) <= den:
+        located = _locate([points[v] for v in ids], [points[v] for v in boxed])
+        for vid, coords in zip(boxed, located):
+            if coords is not None:
                 hits.append((rank[vid], pos, vid, leaf))
     hits.sort()
     return [

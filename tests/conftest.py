@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from bisectmesh import DyadicPoint, VertexPool, Triangulation, kuhn
-from bisectmesh.exactgeom import barycentric
+from bisectmesh.exactgeom import _rows, _solve_all
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.tarray import TaggedSimplex
 
@@ -20,6 +20,21 @@ def point(*coords):
 def fractions_of(p):
     """Independent oracle: the coordinates of a DyadicPoint as Fractions."""
     return tuple(Fraction(x, 1 << p.exp) for x in p.nums)
+
+
+def barycentric(pt, simplex):
+    """Exact barycentric coordinates of ``pt`` in a non-degenerate simplex,
+    as Fractions, or None when it lies outside (off the affine hull too).
+    A reference for the scans below: one kernel solve per point and its
+    own sign test, not the package's point location."""
+    rows, _ = _rows([*simplex[1:], pt], simplex[0])
+    (nums,), den = _solve_all(rows[:-1], rows[-1:])
+    if nums is None:
+        return None
+    coords = [den - sum(nums), *nums]
+    if any(c < 0 for c in coords):
+        return None
+    return [Fraction(c, den) for c in coords]
 
 
 def frac_sq_dist(a, b):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisectmesh import cli
+from bisectmesh import cli, exactgeom
 from bisectmesh.cli import main
 from bisectmesh.forest import overlay
 from bisectmesh.meshio import mesh_hash, mesh_to_dict, read_mesh, write_mesh
@@ -388,23 +388,48 @@ def _canonical_hash(tri):
     return mesh_hash(Triangulation.from_cells(new_pool, cells))
 
 
-@pytest.mark.parametrize("seed", [1, 5])
-def test_overlay_matches_in_process_overlay_3d(tmp_path, seed):
+def _overlay_case(case):
+    """``(coarse, fine)`` refinements of one initial mesh: the Kuhn 3-cube
+    refined at seeded random leaves, or the Kuhn square refined 120 times
+    at its deepest leaf (1388 cells, levels up to 120)."""
+    if case == "square-120":
+        coarse = kuhn_square()
+        fine = coarse.copy()
+        level = lambda nid: fine.forest.tarray(nid).level
+        for _ in range(120):
+            refine(fine, max(sorted(fine.leaves), key=level))
+        return coarse, fine
     pool = VertexPool()
     base = Triangulation.from_cells(
         pool, [kuhn(list(p), [1, 1, 1], pool) for p in permutations((1, 2, 3))]
     )
-    rng = random.Random(seed)
+    rng = random.Random(int(case.removeprefix("cube-")))
     coarse = base.copy()
     for _ in range(4):
         refine(coarse, rng.choice(sorted(coarse.leaves)))
     fine = coarse.copy()
     for _ in range(6):
         refine(fine, rng.choice(sorted(fine.leaves)))
+    return coarse, fine
+
+
+@pytest.mark.parametrize("case", ["cube-1", "cube-5", "square-120"])
+def test_overlay_matches_in_process_overlay(tmp_path, case, monkeypatch):
+    """The CLI overlay equals the in-process one, and it locates each finer
+    leaf by at most one elimination per cell of the coarser mesh, the roots
+    of its forest as loaded: below its root the walk follows the bisection
+    rule without solving."""
+    coarse, fine = _overlay_case(case)
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ov.json"
     write_mesh(a, coarse)
     write_mesh(b, fine)
+    solves = []
+    solve_all = exactgeom._solve_all
+    monkeypatch.setattr(
+        exactgeom, "_solve_all", lambda *args: solves.append(1) or solve_all(*args)
+    )
     assert main(["overlay", "--mesh", str(a), "--mesh2", str(b), "--out", str(out)]) == 0
+    assert len(solves) <= len(fine.leaves) * len(coarse.leaves)
     result, _, _ = read_mesh(out)
     assert _canonical_hash(result) == _canonical_hash(overlay(coarse, fine))
 

@@ -10,11 +10,11 @@ from bisectmesh.cli import _exact
 from bisectmesh.exactgeom import (
     _cell_dets,
     _eliminate,
+    _locate,
     _max_gap_sq,
     _rows,
     _solve_all,
     DyadicPoint,
-    barycentric,
     midpoint,
     simplex_volume,
     volume_sum,
@@ -218,25 +218,26 @@ class TestBarycentric:
 
     def test_centroid(self):
         third = Fraction(1, 3)
-        assert barycentric(point(1, 1), self.tri) == [third, third, third]
+        assert located_fractions(self.tri, [point(1, 1)]) == [[third, third, third]]
 
     def test_vertex_is_basis_vector(self):
-        for i, v in enumerate(self.tri):
-            coords = barycentric(v, self.tri)
-            assert coords == [Fraction(int(i == j)) for j in range(3)]
+        coords = located_fractions(self.tri, self.tri)
+        assert coords == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
     def test_outside(self):
-        assert barycentric(point(2, 2), self.tri) is None
-        assert barycentric(point(-1, 0), self.tri) is None
+        assert _locate(self.tri, [point(2, 2), point(-1, 0)]) == [None, None]
 
     def test_lower_dimensional_simplex(self):
         edge = [point(0, 0), point(2, 2)]
-        assert barycentric(point(1, 1), edge) == [Fraction(1, 2), Fraction(1, 2)]
-        assert barycentric(point(1, 0), edge) is None
+        half = Fraction(1, 2)
+        assert located_fractions(edge, [point(1, 1), point(1, 0)]) == [[half, half], None]
 
     def test_degenerate_raises(self):
         with pytest.raises(ValueError):
-            barycentric(point(0, 0), [point(0, 0), point(1, 1), point(2, 2)])
+            _locate([point(0, 0), point(1, 1), point(2, 2)], [point(0, 0)])
+
+    def test_no_points_no_elimination(self):
+        assert _locate([point(0, 0), point(1, 1), point(2, 2)], []) == []
 
 
 class TestDistances:
@@ -317,38 +318,51 @@ def _oracle_barycentric(pt, simplex):
 
 
 @st.composite
-def simplex_and_point(draw, full=False):
-    """A random dyadic k-simplex in n-space (often degenerate) and a point,
-    drawn half the time as a dyadic convex combination of the vertices."""
+def simplex_and_points(draw, full=False, most=1):
+    """A random dyadic k-simplex in n-space (often degenerate) and one to
+    ``most`` points, each drawn half the time as a dyadic convex
+    combination of the vertices."""
     n = draw(st.integers(1, 3))
     k = n if full else draw(st.integers(0, n))
     simplex = draw(st.lists(points(n), min_size=k + 1, max_size=k + 1))
-    if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(0, 4), min_size=k + 1, max_size=k + 1))
-        total = sum(weights)
-        scale = 1 << total.bit_length()  # keep the weights dyadic
-        weights[0] += scale - total
-        pt = DyadicPoint(
-            sum(Fraction(w, scale) * fractions_of(v)[d] for w, v in zip(weights, simplex))
-            for d in range(n)
-        )
-    else:
-        pt = draw(points(n))
-    return simplex, pt
+    pts = []
+    for _ in range(draw(st.integers(1, most))):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 4), min_size=k + 1, max_size=k + 1))
+            total = sum(weights)
+            scale = 1 << total.bit_length()  # keep the weights dyadic
+            weights[0] += scale - total
+            pts.append(DyadicPoint(
+                sum(Fraction(w, scale) * fractions_of(v)[d] for w, v in zip(weights, simplex))
+                for d in range(n)
+            ))
+        else:
+            pts.append(draw(points(n)))
+    return simplex, pts
+
+
+def located_fractions(simplex, pts):
+    """``_locate``'s verdicts, each point's numerators over their sum, after
+    checking that the sum is one positive denominator for all points."""
+    located = _locate(simplex, pts)
+    assert len({sum(c) for c in located if c is not None}) <= 1
+    assert all(sum(c) > 0 for c in located if c is not None)
+    return [None if c is None else [Fraction(x, sum(c)) for x in c] for c in located]
 
 
 class TestKernelOracle:
-    @given(simplex_and_point())
+    @given(simplex_and_points(most=3))
     def test_barycentric(self, case):
-        simplex, pt = case
-        want = _oracle_barycentric(pt, simplex)
-        if want == "degenerate":
+        """All points of a draw in one call: each verdict is the oracle's."""
+        simplex, pts = case
+        want = [_oracle_barycentric(pt, simplex) for pt in pts]
+        if "degenerate" in want:
             with pytest.raises(ValueError):
-                barycentric(pt, simplex)
+                _locate(simplex, pts)
         else:
-            assert barycentric(pt, simplex) == want
+            assert located_fractions(simplex, pts) == want
 
-    @given(simplex_and_point(full=True))
+    @given(simplex_and_points(full=True))
     def test_volume_and_orientation(self, case):
         simplex, _ = case
         p0 = fractions_of(simplex[0])
@@ -500,19 +514,16 @@ def placed_point(draw):
 
 @given(placed_point())
 def test_containment_sign_test_matches_oracle(case):
-    """``check_conforming``'s test: a vertex lies in a closed n-simplex iff
-    the solve of its offset in the edge rows has ``nums >= 0`` and
-    ``sum(nums) <= den``."""
+    """The sign test of ``_locate``, which every containment verdict uses,
+    on points at a vertex, on a facet, inside or anywhere: a point lies in
+    the closed n-simplex iff every numerator is nonnegative."""
     simplex, pt = case
-    rows, _ = _rows([*simplex[1:], pt], simplex[0])
-    offset = rows.pop()
     want = _oracle_barycentric(pt, simplex)
     if want == "degenerate":
         with pytest.raises(ValueError):
-            _solve_all(rows, [offset])
+            _locate(simplex, [pt])
     else:
-        (nums,), den = _solve_all(rows, [offset])
-        assert (min(nums) >= 0 and sum(nums) <= den) == (want is not None)
+        assert located_fractions(simplex, [pt]) == [want]
 
 
 @st.composite

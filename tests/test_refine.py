@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import DyadicPoint, Triangulation, VertexPool
-from bisectmesh.exactgeom import barycentric
 from bisectmesh.refine import (
     RefinementError,
     _segments_cross,
@@ -27,6 +26,7 @@ from bisectmesh.inittags import (
 from bisectmesh.tarray import TaggedSimplex
 
 from conftest import (
+    barycentric,
     find_hanging,
     frac_det,
     frac_offset,
@@ -178,7 +178,7 @@ class TestCheckConforming:
 
 def reference_check_conforming(tri):
     """All-pairs hanging-node scan: every leaf vertex against every leaf's
-    bounding box, then the exact ``barycentric``."""
+    bounding box, then the reference ``barycentric``."""
     forest = tri.forest
     pool = forest.pool
     problems = []
