@@ -26,7 +26,7 @@ from .inittags import (
     initial_division,
 )
 from .meshio import read_mesh, write_mesh
-from .pilegame import play
+from .pilegame import STRATEGIES as GAMES, play
 from .refine import (
     RefinementError,
     check_conforming,
@@ -168,9 +168,9 @@ def _cmd_bdv_run(args):
 def _cmd_pile_game(args):
     trace = play(args.strategy, args.rounds, args.seed)
     _emit_csv(args, trace.csv_lines())
-    total = trace.total_added
-    print(f"# total added {total} <= 4N = {4 * args.rounds}: {total <= 4 * args.rounds}")
-    return EXIT_OK if total <= 4 * args.rounds else EXIT_VERIFY
+    total, bound = trace.total_added, 4 * args.rounds
+    print(f"# total added {total} <= 4N = {bound}: {total <= bound}")
+    return EXIT_OK if total <= bound else EXIT_VERIFY
 
 
 def _embed_refinement(base: Triangulation, other: Triangulation):
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     p.add_argument("--mode", choices=["sic", "iso"], default="sic")
     p.set_defaults(fn=_cmd_bdv_run)
     p = sub.add_parser("pile-game", parents=[out])
-    p.add_argument("--strategy", default="random", choices=["tower", "quasitower", "random"])
+    p.add_argument("--strategy", default="random", choices=GAMES)
     p.add_argument("--rounds", "-N", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_pile_game)

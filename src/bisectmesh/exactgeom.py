@@ -119,7 +119,10 @@ class DyadicPoint:
 
 
 def midpoint(a: DyadicPoint, b: DyadicPoint) -> DyadicPoint:
-    """Exact midpoint (a + b) / 2 of two points of equal dimension."""
+    """Exact midpoint (a + b) / 2 of two points of equal dimension.
+
+    It shifts the point of smaller exponent itself: through :func:`_rows` a
+    midpoint took 2.61 us against 1.27 us (CPython 3.11, 2-vCPU Xeon)."""
     if len(a.nums) != len(b.nums):
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     if a.exp < b.exp:
@@ -226,7 +229,10 @@ def _cell_dets(simplices: Iterable[Sequence[DyadicPoint]]) -> Iterator[tuple[int
     determinants of the simplices that hold it.  The determinants are
     computed as they are taken, so a caller may stop at any of them.  The
     loop shifts points itself, not through :func:`_rows`: every bdv-run's
-    end-of-run volume check runs it, and that route made it 30% slower.
+    end-of-run volume check runs it, and through :func:`_rows` it took 2-10%
+    longer on the leaves of seeded bdv-runs (9.66 against 10.59 ms for 2768
+    triangles, 3.23 against 3.45 ms for 643 tetrahedra, 12.74 against 13.04
+    ms for 1776 4-simplices; CPython 3.11 on a 2-vCPU Xeon).
     """
     for pts in simplices:
         exp = max([p.exp for p in pts])

@@ -128,10 +128,8 @@ class Triangulation:
 
     def total_volume(self) -> Fraction:
         """Exact total leaf volume, as one integer sum (:func:`volume_sum`)."""
-        nodes, points = self.forest.nodes, self.forest.pool.points
-        return volume_sum(
-            [points[v] for v in nodes[nid].tarray.vertex_ids] for nid in self.leaves
-        )
+        nodes, pool = self.forest.nodes, self.forest.pool
+        return volume_sum(nodes[nid].tarray.vertices(pool) for nid in self.leaves)
 
     def node_set(self) -> frozenset:
         """fo(P): the leaves together with all their ancestors and all roots."""

@@ -130,7 +130,7 @@ def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
     ``Constants.classes``.  Raises ValueError for a root of zero volume.
     """
     n = root.dim
-    pts = [pool.point(v) for v in root.vertex_ids]
+    pts = root.vertices(pool)
     w = len(pts[0].nums)
     rows, e = _rows(pts[1:], pts[0])
     offsets, e = _canonical([x for r in rows for x in r], e)

@@ -10,6 +10,9 @@ Schema::
      "partition": {"v0": [...], "v1": [...],
                    "order0": [...]?, "order1": [...]?}?}
 
+The writer emits ``vertices``, ``cells`` and ``partition``; ``marking``
+(typed division points, the input of ``init-division``) is only read.
+
 A coordinate ``num / 2**exp`` serialises as a pair of decimal strings in
 lowest terms (odd numerator, or exponent 0; zero is ``["0","0"]``).  Number
 text (coordinates and ``marking`` type keys) is canonical: ``0`` or ASCII
@@ -52,8 +55,8 @@ _MAX_LEVEL = 1 << 20
 _MAX_EXP = 1 << 16
 
 
-def _point_to_json(p: DyadicPoint, where: str, i: int) -> list:
-    """``p`` as JSON pairs; a failure names the path ``where[i]``."""
+def _point_to_json(p: DyadicPoint, i: int) -> list:
+    """``p`` as JSON pairs; a failure names the path ``vertices[i]``."""
     pairs = [_reduced(x, p.exp) for x in p.nums]
     try:
         return [[str(num), str(exp)] for num, exp in pairs]
@@ -61,7 +64,7 @@ def _point_to_json(p: DyadicPoint, where: str, i: int) -> list:
         limit = sys.get_int_max_str_digits()
         digits = max(Decimal(num).adjusted() + 1 for num, _ in pairs)
         raise ValueError(
-            f"{where}[{i}]: numerator has {digits} digits, more than the {limit} "
+            f"vertices[{i}]: numerator has {digits} digits, more than the {limit} "
             "digits the loader reads back"
         ) from None
 
@@ -103,18 +106,14 @@ def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
     return DyadicPoint._of([num << (exp - e) for num, e in pairs], exp)
 
 
-def mesh_to_dict(
-    tri: Triangulation,
-    marking: Optional[dict[int, list[DyadicPoint]]] = None,
-    partition: Optional[VertexPartition] = None,
-) -> dict:
+def mesh_to_dict(tri: Triangulation, partition: Optional[VertexPartition] = None) -> dict:
     pool = tri.forest.pool
     cells = tri.cells()
     used: list[int] = sorted({v for c in cells for v in c.vertex_ids})
     remap = {v: i for i, v in enumerate(used)}
     doc = {
         "dim": cells[0].dim,
-        "vertices": [_point_to_json(pool.point(v), "vertices", i) for i, v in enumerate(used)],
+        "vertices": [_point_to_json(pool.point(v), i) for i, v in enumerate(used)],
         "cells": [
             {
                 "horizontal": [remap[v] for v in c.horizontal],
@@ -125,11 +124,6 @@ def mesh_to_dict(
             for c in cells
         ],
     }
-    if marking is not None:
-        doc["marking"] = {
-            str(m): [_point_to_json(p, f"marking.{m}", i) for i, p in enumerate(pts)]
-            for m, pts in marking.items()
-        }
     if partition is not None:
         doc["partition"] = {
             "v0": sorted(remap[v] for v in partition.v0),
@@ -198,8 +192,7 @@ def mesh_from_dict(doc: dict):
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
     tri = Triangulation.from_cells(pool, cells)
-    points = pool.points
-    dets = _cell_dets([points[v] for v in c.vertex_ids] for c in cells)
+    dets = _cell_dets(c.vertices(pool) for c in cells)
     for i, (det, _) in enumerate(dets):
         if not det:
             raise MeshFormatError(f"cells[{i}]: zero volume (degenerate cell)")
@@ -255,18 +248,18 @@ def _block(items: list, depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * depth}{brackets[1]}"
 
 
-def _points_text(points: list, depth: int) -> str:
-    """A list of points, each a list of ``["num","exp"]`` string pairs,
-    through one ``%`` template per point length."""
+def _points_text(points: list) -> str:
+    """The ``vertices`` list, each point a list of ``["num","exp"]`` string
+    pairs, through one ``%`` template per point length."""
     forms: dict[int, str] = {}
     rendered = []
     for p in points:
         form = forms.get(len(p))
         if form is None:
-            pair = _block(['"%s"', '"%s"'], depth + 2)
-            form = forms[len(p)] = _block([pair] * len(p), depth + 1)
+            pair = _block(['"%s"', '"%s"'], 3)
+            form = forms[len(p)] = _block([pair] * len(p), 2)
         rendered.append(form % tuple(chain.from_iterable(p)))
-    return _block(rendered, depth)
+    return _block(rendered, 1)
 
 
 def _cells_text(cells: list) -> str:
@@ -298,12 +291,9 @@ def _mesh_text(doc: dict) -> str:
     ``indent`` selects."""
     parts = [
         f'"dim": {doc["dim"]}',
-        f'"vertices": {_points_text(doc["vertices"], 1)}',
+        f'"vertices": {_points_text(doc["vertices"])}',
         f'"cells": {_cells_text(doc["cells"])}',
     ]
-    if "marking" in doc:
-        marks = [f'"{m}": {_points_text(pts, 2)}' for m, pts in doc["marking"].items()]
-        parts.append(f'"marking": {_block(marks, 1, "{}")}')
     if "partition" in doc:
         blocks = [
             f'"{key}": {_block(list(map(str, ids)), 2)}' for key, ids in doc["partition"].items()
@@ -312,12 +302,12 @@ def _mesh_text(doc: dict) -> str:
     return _block(parts, 0, "{}")
 
 
-def write_mesh(path, tri: Triangulation, marking=None, partition=None):
+def write_mesh(path, tri: Triangulation, partition=None):
     """Write the mesh as ``json.dumps(mesh_to_dict(...), indent=1)`` plus a
     newline; that byte layout is part of the format."""
     # serialise first: a failure (such as a numerator past the digit limit)
     # must not leave ``path`` truncated
-    text = _mesh_text(mesh_to_dict(tri, marking, partition))
+    text = _mesh_text(mesh_to_dict(tri, partition))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -22,6 +22,9 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 
 Brick = tuple[int, int]  # (level, index)
 
+# the games :func:`play` plays, by name
+STRATEGIES = ("tower", "quasitower", "random")
+
 # Decimal arithmetic that never rounds and never overflows
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # Rows shorter than this print with str(): on CPython 3.11, str() of a
@@ -35,43 +38,34 @@ def brick_children(brick: Brick) -> tuple[Brick, Brick]:
     return (level + 1, 2 * index), (level + 1, 2 * index + 1)
 
 
-@dataclass
-class Pile:
-    """Demand-closed set of bricks over an unbounded basement.
+def _add_brick(bricks: set, chosen: Brick) -> int:
+    """Add a chosen child brick and its demand closure to the pile
+    ``bricks``; returns the number of bricks added this round.
 
-    Only bricks of level >= 1 are stored; every basement brick ``(0, i)``
-    is implicit.  Every brick of a game :func:`play` plays lies over
-    basement cells -2..2 (see the module docstring).
-    """
-
-    bricks: set = field(default_factory=set)
-
-    def add_brick(self, chosen: Brick) -> int:
-        """Add a chosen child brick and its demand closure; returns the
-        number of bricks added this round.  ``chosen`` must be a new child
-        of the pile (level >= 1, not in it, over a brick in it); the move
-        generators of :func:`play` ensure this, and it is not tested."""
-        # A brick joins the pile when it is pushed, so each is tested once.
-        # A level-l brick demands the level-(l-1) brick below it and the
-        # corner neighbour on the side of its off-centre half; a level-1
-        # brick demands only basement bricks, which are always there.
-        bricks = self.bricks
-        bricks.add(chosen)
-        added = 1
-        stack = [chosen]
-        while stack:
-            level, index = stack.pop()
-            if level > 1:
-                below = index >> 1
-                for dem in (
-                    (level - 1, below),
-                    (level - 1, below + 1 if index & 1 else below - 1),
-                ):
-                    if dem not in bricks:
-                        bricks.add(dem)
-                        added += 1
-                        stack.append(dem)
-        return added
+    A pile is the set of its bricks of level >= 1; every basement brick
+    ``(0, i)`` is implicit.  ``chosen`` must be a new child of the pile
+    (level >= 1, not in it, over a brick in it); the move generators of
+    :func:`play` ensure this, and it is not tested."""
+    # A brick joins the pile when it is pushed, so each is tested once.
+    # A level-l brick demands the level-(l-1) brick below it and the
+    # corner neighbour on the side of its off-centre half; a level-1
+    # brick demands only basement bricks, which are always there.
+    bricks.add(chosen)
+    added = 1
+    stack = [chosen]
+    while stack:
+        level, index = stack.pop()
+        if level > 1:
+            below = index >> 1
+            for dem in (
+                (level - 1, below),
+                (level - 1, below + 1 if index & 1 else below - 1),
+            ):
+                if dem not in bricks:
+                    bricks.add(dem)
+                    added += 1
+                    stack.append(dem)
+    return added
 
 
 @dataclass
@@ -134,7 +128,7 @@ def _quasitower_moves(n_rounds: int):
         yield (m, 1)
 
 
-def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
+def _random_moves(bricks: set, n_rounds: int, rng: random.Random):
     """Draw a supply brick and one of its children until the child is new.
 
     The supply is three basement bricks and every chosen brick: all are in
@@ -151,7 +145,7 @@ def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
     supply = [(0, 0), (0, -1), (0, 1)]
     size = len(supply)
     width = size.bit_length()
-    bricks, bits = pile.bricks, rng.getrandbits
+    bits = rng.getrandbits
     while produced < n_rounds:
         r = bits(width)
         while r >= size:
@@ -170,22 +164,23 @@ def _random_moves(pile: Pile, n_rounds: int, rng: random.Random):
 
 
 def play(strategy: str, n_rounds: int, seed: int | None = None) -> PileTrace:
-    """Run an N-round pile game and record the per-round trace."""
+    """Run an N-round game of :data:`STRATEGIES` on a pile held as the set
+    of its bricks, and record the per-round trace."""
     if n_rounds < 1:
         raise ValueError("need at least one round")
-    pile = Pile()
+    bricks: set = set()
     trace = PileTrace()
     if strategy == "tower":
         moves = _tower_moves(n_rounds)
     elif strategy == "quasitower":
         moves = _quasitower_moves(n_rounds)
     elif strategy == "random":
-        moves = _random_moves(pile, n_rounds, random.Random(seed))
+        moves = _random_moves(bricks, n_rounds, random.Random(seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     cumulative = 0
     for rnd, chosen in enumerate(moves, start=1):
-        added = pile.add_brick(chosen)
+        added = _add_brick(bricks, chosen)
         cumulative += added
         trace.rounds.append((rnd, chosen[0], chosen[1], added, cumulative))
     return trace

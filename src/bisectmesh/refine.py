@@ -134,19 +134,23 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
     """The scan of :func:`check_conforming`: boxes on the leaf frame
     ``rows``, each solve on the rows of its own points."""
     forest = tri.forest
-    points = forest.pool.points
+    pool = forest.pool
+    points = pool.points
     rank = {v: k for k, v in enumerate(rows)}
     by_x = sorted(rows, key=lambda v: rows[v][0])
     columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
     hits = []
     for pos, leaf in enumerate(tri.leaves):
-        ids = forest.tarray(leaf).vertex_ids
+        cell = forest.tarray(leaf)
+        ids = cell.vertex_ids
         lo, hi = _box([rows[v] for v in ids])
         near = range(bisect_left(columns[0], lo[0]), bisect_right(columns[0], hi[0]))
         for col, a, b in zip(columns[1:], lo[1:], hi[1:]):
             near = [k for k in near if a <= col[k] <= b]
         boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
-        located = _locate([points[v] for v in ids], [points[v] for v in boxed])
+        if not boxed:
+            continue
+        located = _locate(cell.vertices(pool), [points[v] for v in boxed])
         for vid, coords in zip(boxed, located):
             if coords is not None:
                 hits.append((rank[vid], pos, vid, leaf))
@@ -294,7 +298,7 @@ def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
         for triple in combinations(t.vertex_ids, 3):
             sub = restrict(t, set(triple))
             if sub.type == 1:
-                mid = pool.midpoint_id(sub.horizontal[0], sub.horizontal[1])
+                mid = pool.midpoint_id(*refinement_edge(sub))
                 targets.add(frozenset((mid, sub.vertical[0])))
     return _sweep(
         tri, lambda t: refinement_edge(t) in targets,

@@ -87,7 +87,9 @@ class TaggedSimplex:
         return self.horizontal + self.vertical
 
     def vertices(self, pool: VertexPool) -> list[DyadicPoint]:
-        return [pool.point(v) for v in self.vertex_ids]
+        """The cell's points, in ``vertex_ids`` order."""
+        points = pool.points
+        return [points[v] for v in self.vertex_ids]
 
     @property
     def edge_hyperlevel(self) -> int:

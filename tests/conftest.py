@@ -1,5 +1,6 @@
 """Shared mesh factories and independent test oracles."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -9,6 +10,7 @@ import pytest
 from bisectmesh import DyadicPoint, VertexPool, Triangulation, kuhn
 from bisectmesh.exactgeom import _rows, _solve_all
 from bisectmesh.inittags import VertexPartition, agk_init
+from bisectmesh.meshio import mesh_to_dict
 from bisectmesh.tarray import TaggedSimplex
 
 
@@ -20,6 +22,25 @@ def point(*coords):
 def fractions_of(p):
     """Independent oracle: the coordinates of a DyadicPoint as Fractions."""
     return tuple(Fraction(x, 1 << p.exp) for x in p.nums)
+
+
+def dyadic_text(p):
+    """A DyadicPoint as document coordinates, ``["num", "exp"]`` in lowest
+    terms, computed over Fractions."""
+    return [[str(q.numerator), str(q.denominator.bit_length() - 1)] for q in fractions_of(p)]
+
+
+def marked_text(tri, marking, partition=None):
+    """A mesh file with a ``{type: points}`` marking, which the writer does
+    not emit: the document of ``tri`` and ``partition`` with ``marking``
+    before ``partition``, laid out as ``write_mesh`` lays out a document,
+    ``json.dumps(doc, indent=1)`` plus a newline."""
+    doc = mesh_to_dict(tri, partition)
+    part = doc.pop("partition", None)
+    doc["marking"] = {str(m): [dyadic_text(p) for p in pts] for m, pts in marking.items()}
+    if part is not None:
+        doc["partition"] = part
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def barycentric(pt, simplex):

@@ -39,6 +39,7 @@ from conftest import (
     agk_cube,
     kuhn_cube_mesh,
     kuhn_square,
+    marked_text,
     one_sided_square,
     point,
     single_kuhn,
@@ -171,6 +172,12 @@ FAILING_DOCS = {
     "tiny.json": (_doc(vertices=[[["0", "0"], ["0", "0"]], [["1", "600"], ["0", "0"]],
                                  [["0", "0"], ["1", "600"]]]),
                   (["constants"], ["bdv-run", "-N", "2"])),
+    # a triangle inside the coarse one that its bisection line x + y = 1
+    # splits, so it is no node of the coarse forest: overlay in both orders
+    "straddle-coarse.json": (_doc(vertices=_ints((0, 0), (1, 0), (1, 1))),
+                             (["overlay", "--mesh2", "straddle-fine.json"],)),
+    "straddle-fine.json": (_doc(vertices=[*_ints((0, 0), (1, 0)), [["3", "2"], ["1", "1"]]]),
+                           (["overlay", "--mesh2", "straddle-coarse.json"],)),
 }
 
 # A numerator past the interpreter's digit limit; the message is the
@@ -334,8 +341,12 @@ def build_corpus(folder: Path) -> dict:
     """Write every input file into ``folder``; returns ``{name: sha256}``."""
     bases = {}
     for name, (tri, marking, partition) in valid_meshes().items():
-        write_mesh(folder / f"{name}.json", tri, marking, partition)
-        bases[name] = (folder / f"{name}.json").read_text()
+        path = folder / f"{name}.json"
+        if marking is None:
+            write_mesh(path, tri, partition)
+        else:
+            path.write_text(marked_text(tri, marking, partition))
+        bases[name] = path.read_text()
     texts = {**CI_MESHES, **BROKEN_TEXTS, **mutated_documents(bases),
              **{name: text for name, (text, _) in FAILING_DOCS.items()},
              "reject-digits.json": DIGITS_TEXT, "interval.json": INTERVAL_TEXT,

@@ -21,7 +21,7 @@ from bisectmesh.inittags import (
     check_sic,
     initial_division,
 )
-from bisectmesh.pilegame import Pile, _tower_moves, play
+from bisectmesh.pilegame import _add_brick, _tower_moves, play
 from bisectmesh.refine import (
     check_conforming,
     check_conforming_2d_exact,
@@ -62,9 +62,9 @@ def test_c01_pile_game_bounds():
         if trace.total_added > 4 * n_rounds:
             violations += 1
         games += 1
-    pile = Pile()
-    tower_total = sum(pile.add_brick(m) for m in _tower_moves(1000))
-    per_level_ok = max(Counter(level for level, _ in pile.bricks).values()) <= 3
+    pile = set()
+    tower_total = sum(_add_brick(pile, m) for m in _tower_moves(1000))
+    per_level_ok = max(Counter(level for level, _ in pile).values()) <= 3
     elapsed = time.time() - t0
     ok = violations == 0 and tower_total <= 3000 and per_level_ok and elapsed < 10
     report(

@@ -18,17 +18,18 @@ from hypothesis import given, settings, strategies as st
 
 from bisectmesh import cli, exactgeom
 from bisectmesh.cli import main
-from bisectmesh.forest import overlay
+from bisectmesh.forest import Forest, overlay
 from bisectmesh.meshio import mesh_hash, mesh_to_dict, read_mesh, write_mesh
 from bisectmesh.pilegame import play
 
-from make_cli_manifest import INTERVAL_TEXT, deep_interval_text
+from make_cli_manifest import FAILING_DOCS, INTERVAL_TEXT, deep_interval_text
 from conftest import (
     agk_cube,
     fractions_of,
     kuhn_cube_cells,
     kuhn_cube_mesh,
     kuhn_square,
+    marked_text,
     one_sided_square,
     point,
     single_kuhn,
@@ -491,6 +492,26 @@ def test_overlay_of_different_roots_exit_1(tmp_path, square_path, capsys):
         assert "not refinements of one common initial mesh" in capsys.readouterr().err
 
 
+def test_overlay_of_a_cell_across_a_bisection_exit_1(tmp_path, capsys, monkeypatch):
+    """The fine triangle lies in the coarse one, but the coarse root's
+    bisection line x + y = 1 splits it, so it is no node of the coarse
+    forest: the walk below the root finds no child holding all its
+    vertices, in either argument order."""
+    paths = [tmp_path / name for name in ("straddle-coarse.json", "straddle-fine.json")]
+    for path in paths:
+        path.write_text(FAILING_DOCS[path.name][0])
+    descents = []
+    ensure = Forest.ensure_children
+    monkeypatch.setattr(
+        Forest, "ensure_children", lambda self, nid: descents.append(nid) or ensure(self, nid)
+    )
+    for first, second in (paths, paths[::-1]):
+        descents.clear()
+        assert main(["overlay", "--mesh", str(first), "--mesh2", str(second)]) == 1
+        assert "not refinements of one common initial mesh" in capsys.readouterr().err
+        assert descents == [0]
+
+
 # `constants` stdout of Kuhn simplices, the Kuhn 4-cube and agk-tagged cubes,
 # pinned as text.
 CONSTANTS_GOLDEN = {
@@ -743,13 +764,8 @@ def _fuzz_documents():
     untagged = Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells])
     marking = {2: [point(3, 1), point(6, 2)]}
     partition = VertexPartition(frozenset(ids[:2]), frozenset(ids[2:]), ids[1::-1], None)
-    docs = [
-        mesh_to_dict(kuhn_square()),
-        mesh_to_dict(one_sided_square()),
-        mesh_to_dict(single_kuhn(3)),
-        mesh_to_dict(untagged, marking, partition),
-    ]
-    return [json.dumps(d) for d in docs]
+    docs = [mesh_to_dict(m) for m in (kuhn_square(), one_sided_square(), single_kuhn(3))]
+    return [json.dumps(d) for d in docs] + [marked_text(untagged, marking, partition)]
 
 
 FUZZ_DOCUMENTS = _fuzz_documents()

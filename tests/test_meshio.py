@@ -22,7 +22,7 @@ from bisectmesh.meshio import (
 from bisectmesh.refine import check_conforming, check_conforming_2d_exact, refine
 from bisectmesh.tarray import TaggedSimplex
 
-from conftest import kuhn_square, point
+from conftest import kuhn_square, marked_text, point
 
 
 def test_roundtrip_identity(tmp_path):
@@ -43,7 +43,7 @@ def test_roundtrip_marking_and_partition(tmp_path):
     marking = {2: [point(1, 1)]}
     partition = VertexPartition(frozenset({0, 1}), frozenset({2, 3}), order0=[1, 0])
     path = tmp_path / "mesh.json"
-    write_mesh(path, tri, marking, partition)
+    path.write_text(marked_text(tri, marking, partition))
     _, marking2, partition2 = read_mesh(path)
     assert marking2 == {2: [point(1, 1)]}
     assert partition2.v0 == frozenset({0, 1})
@@ -146,8 +146,6 @@ def test_numerator_past_digit_limit_names_its_path(tmp_path):
         mesh_hash(tri)
     with pytest.raises(ValueError, match=r"^vertices\[2\]: "):
         write_mesh(tmp_path / "m.json", tri)
-    with pytest.raises(ValueError, match=r"^marking\.2\[1\]: numerator has 4933 digits, "):
-        mesh_to_dict(kuhn_square(), {2: [point(1, 1), far]})
     assert not (tmp_path / "m.json").exists()
 
 
@@ -340,7 +338,7 @@ def test_huge_level_rejected_fast(tmp_path, capsys, field):
 
 def golden_mesh():
     """A Kuhn 3-cube shifted by a dyadic offset, refined to about 300
-    leaves, with a marking and a partition."""
+    leaves, with a partition."""
     pool = VertexPool()
     offset = point(Fraction(-37, 8), Fraction(5, 1024), 3)
     cells = [kuhn(list(p), [1, 1, 1], pool, offset=offset) for p in permutations((1, 2, 3))]
@@ -349,30 +347,26 @@ def golden_mesh():
     while len(tri.leaves) < 300:
         refine(tri, rng.choice(sorted(tri.leaves)))
     verts = sorted(tri.vertex_index)
-    marking = {
-        2: [pool.point(v) for v in verts[::37]],
-        3: [point(Fraction(-3, 2), 0, Fraction(7, 4096)), point(-5, 1, 0)],
-    }
     partition = VertexPartition(
         frozenset(verts[::2]), frozenset(verts[1::2]), verts[::2][::-1], None
     )
-    return tri, marking, partition
+    return tri, partition
 
 
 def test_golden_json_text(tmp_path):
     """Pins the serialised bytes and the digest of a written corpus mesh."""
-    tri, marking, partition = golden_mesh()
+    tri, partition = golden_mesh()
     path = tmp_path / "mesh.json"
-    write_mesh(path, tri, marking, partition)
+    write_mesh(path, tri, partition)
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "0ca238bae06fe099b2e7e981789d7e0cd748ecc56b08757e37a8a100be688760"
+        "994ff0a96688f375826d3c561905e88ff51e4164aa6dea69bb42f254dd64031d"
     )
     assert mesh_hash(tri) == "5658d3490f84b689"
     tri2, marking2, partition2 = read_mesh(path)
     assert mesh_hash(tri2) == mesh_hash(tri)
-    assert marking2 == marking
-    write_mesh(tmp_path / "again.json", tri2, marking2, partition2)
+    assert marking2 is None
+    write_mesh(tmp_path / "again.json", tri2, partition2)
     assert (tmp_path / "again.json").read_bytes() == data
 
 
@@ -491,8 +485,7 @@ def test_unreadable_file_is_malformed_json(tmp_path, capsys, kind):
 def written_meshes(draw):
     """A seeded refinement of the Kuhn n-cube, n = 1..4, moved by a dyadic
     offset that may be negative or have numerators above 2**64, with or
-    without a marking (empty point lists included) and a partition.  Roots
-    left unrefined keep an empty ``vertical``."""
+    without a partition.  Roots left unrefined keep an empty ``vertical``."""
     n = draw(st.integers(1, 4))
     nums = st.integers(-9, 9) | st.integers(-(1 << 80), 1 << 80)
     offset = point(*(Fraction(draw(nums), 1 << draw(st.integers(0, 6))) for _ in range(n)))
@@ -503,11 +496,7 @@ def written_meshes(draw):
     for _ in range(draw(st.integers(0, 12 // n))):
         refine(tri, rng.choice(sorted(tri.leaves)))
     verts = sorted(tri.vertex_index)
-    marking = partition = None
-    if draw(st.booleans()):
-        types = draw(st.lists(st.integers(2, max(n, 2)), unique=True, max_size=3))
-        picks = st.lists(st.sampled_from(verts), max_size=3)
-        marking = {m: [pool.point(v) for v in draw(picks)] for m in types}
+    partition = None
     if draw(st.booleans()):
         k = draw(st.integers(0, len(verts)))
         v0, v1 = verts[:k], verts[k:]
@@ -517,7 +506,7 @@ def written_meshes(draw):
             v0[::-1] if draw(st.booleans()) else None,
             v1 if draw(st.booleans()) else None,
         )
-    return tri, marking, partition
+    return tri, partition
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,8 +514,8 @@ def written_meshes(draw):
 def test_written_text_is_json_dumps_indent_1(tmp_path_factory, case):
     """``write_mesh`` lays the text out itself; the interpreter's encoder
     stays the oracle for every byte."""
-    tri, marking, partition = case
+    tri, partition = case
     path = tmp_path_factory.mktemp("written") / "mesh.json"
-    write_mesh(path, tri, marking, partition)
-    want = json.dumps(mesh_to_dict(tri, marking, partition), indent=1) + "\n"
+    write_mesh(path, tri, partition)
+    want = json.dumps(mesh_to_dict(tri, partition), indent=1) + "\n"
     assert path.read_bytes() == want.encode()

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bisectmesh.pilegame import (
+    STRATEGIES,
     Brick,
-    Pile,
     PileTrace,
     brick_children,
     play,
+    _add_brick,
     _random_moves,
     _tower_moves,
 )
@@ -22,7 +23,7 @@ from bisectmesh.pilegame import (
 def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
     """Demand oracle: the two level-(l-1) bricks a brick rests on, directly
     below, and the corner neighbour on the side of its off-centre half.
-    ``Pile.add_brick`` works them out inline."""
+    ``_add_brick`` works them out inline."""
     level, index = brick
     if level < 1:
         raise ValueError("basement bricks demand nothing")
@@ -31,26 +32,26 @@ def brick_demands(brick: Brick) -> tuple[Brick, Brick]:
     return (level - 1, below), (level - 1, side)
 
 
-def in_pile(pile: Pile, brick: Brick) -> bool:
+def in_pile(pile: set, brick: Brick) -> bool:
     """Membership oracle: basement bricks are always there."""
-    return brick[0] == 0 or brick in pile.bricks
+    return brick[0] == 0 or brick in pile
 
 
-def is_legal_child(pile: Pile, brick: Brick) -> bool:
-    """Legality oracle for ``Pile.add_brick``'s precondition: a brick of
+def is_legal_child(pile: set, brick: Brick) -> bool:
+    """Legality oracle for ``_add_brick``'s precondition: a brick of
     level >= 1, not in the pile yet, over a brick that is."""
     level, index = brick
-    return level >= 1 and brick not in pile.bricks and in_pile(pile, (level - 1, index >> 1))
+    return level >= 1 and brick not in pile and in_pile(pile, (level - 1, index >> 1))
 
 
-def choice_moves(pile: Pile, n_rounds: int, rng: random.Random):
+def choice_moves(pile: set, n_rounds: int, rng: random.Random):
     """Reference for ``_random_moves``: the same game drawn by ``rng.choice``."""
     produced = 0
     supply = [(0, 0), (0, -1), (0, 1)]
     while produced < n_rounds:
         level, index = rng.choice(supply)
         child = (level + 1, 2 * index + rng.choice((0, 1)))
-        if child not in pile.bricks:
+        if child not in pile:
             supply.append(child)
             produced += 1
             yield child
@@ -84,15 +85,15 @@ class TestBrickDemands:
 class TestPile:
     def test_closure_after_every_round(self):
         rng = random.Random(0)
-        pile = Pile()
-        added = pile.add_brick((1, 0))
+        pile = set()
+        added = _add_brick(pile, (1, 0))
         assert added == 1
         for _ in range(50):
-            base = rng.choice(sorted(pile.bricks))
+            base = rng.choice(sorted(pile))
             child = brick_children(base)[rng.randrange(2)]
             if is_legal_child(pile, child):
-                pile.add_brick(child)
-            for b in pile.bricks:
+                _add_brick(pile, child)
+            for b in pile:
                 for dem in brick_demands(b):
                     assert in_pile(pile, dem)
 
@@ -110,24 +111,22 @@ class TestPile:
             return new
 
         rng = random.Random(5)
-        pile = Pile()
+        pile = set()
         for _ in range(400):
-            base = rng.choice([(0, rng.randrange(-6, 6))] + sorted(pile.bricks))
+            base = rng.choice([(0, rng.randrange(-6, 6))] + sorted(pile))
             child = brick_children(base)[rng.randrange(2)]
             if is_legal_child(pile, child):
                 new = closure(pile, child)
-                want = pile.bricks | new
-                assert pile.add_brick(child) == len(new)
-                assert pile.bricks == want
-        assert len(pile.bricks) > 100
+                want = pile | new
+                assert _add_brick(pile, child) == len(new)
+                assert pile == want
+        assert len(pile) > 100
 
     def test_level_one_brick_adds_exactly_one(self):
-        pile = Pile()
-        assert pile.add_brick((1, 5)) == 1
+        assert _add_brick(set(), (1, 5)) == 1
 
     def test_four_brick_row_is_demand_stable(self):
         """Four bricks demand four subjacent bricks and nothing more."""
-        pile = Pile()
         row = [(2, i) for i in (-2, -1, 0, 1)]
         demanded = set()
         for b in row:
@@ -137,7 +136,7 @@ class TestPile:
 
 def short_games(test):
     """Every strategy at N = 1..5, where quasitower plays its short forms."""
-    for strategy in ("tower", "quasitower", "random"):
+    for strategy in STRATEGIES:
         for n_rounds in range(1, 6):
             test = example(strategy, n_rounds, 0)(test)
     return test
@@ -146,7 +145,7 @@ def short_games(test):
 class TestMovesAreLegal:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(["tower", "quasitower", "random"]),
+        st.sampled_from(STRATEGIES),
         st.integers(1, 300),
         st.integers(0, 2**64),
     )
@@ -154,16 +153,17 @@ class TestMovesAreLegal:
     def test_play_applies_only_new_children(self, strategy, n_rounds, seed):
         """``add_brick`` does not test its precondition, so ``play`` must
         only apply moves the legality oracle accepts."""
+        from bisectmesh import pilegame
+
         applied = []
-        add_brick = Pile.add_brick
 
         def checked(pile, chosen):
             assert is_legal_child(pile, chosen), (strategy, applied, chosen)
             applied.append(chosen)
-            return add_brick(pile, chosen)
+            return _add_brick(pile, chosen)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Pile, "add_brick", checked)
+            mp.setattr(pilegame, "_add_brick", checked)
             trace = play(strategy, n_rounds, seed)
         assert len(applied) == len(trace.rounds) == n_rounds
 
@@ -173,10 +173,10 @@ class TestRandomDraws:
     def game(moves, n_rounds, seed):
         """The moves a generator makes, each added to its pile, and the
         generator's state afterwards."""
-        pile, rng = Pile(), random.Random(seed)
+        pile, rng = set(), random.Random(seed)
         chosen = []
         for move in moves(pile, n_rounds, rng):
-            pile.add_brick(move)
+            _add_brick(pile, move)
             chosen.append(move)
         return chosen, rng.getstate()
 
@@ -196,9 +196,9 @@ class TestStrategies:
         for n_rounds in (10, 100, 500):
             trace = play("tower", n_rounds)
             assert trace.total_added <= 3 * n_rounds
-        pile = Pile()
-        total = sum(pile.add_brick(m) for m in _tower_moves(200))
-        assert max(Counter(level for level, _ in pile.bricks).values()) <= 3
+        pile = set()
+        total = sum(_add_brick(pile, m) for m in _tower_moves(200))
+        assert max(Counter(level for level, _ in pile).values()) <= 3
 
     def test_any_strategy_bound(self):
         for seed in range(30):
@@ -232,10 +232,10 @@ class TestStrategies:
     def test_bench_games_stay_over_cells_minus_two_to_two(self, strategy, n_rounds, seed):
         """The lemma of the module docstring on the bench's games: replayed
         round by round, every brick lies over basement cells -2..2."""
-        pile = Pile()
+        pile = set()
         for _, level, index, added, _ in play(strategy, n_rounds, seed).rounds:
-            assert pile.add_brick((level, index)) == added
-        assert {index >> level for level, index in pile.bricks} <= {-2, -1, 0, 1, 2}
+            assert _add_brick(pile, (level, index)) == added
+        assert {index >> level for level, index in pile} <= {-2, -1, 0, 1, 2}
 
     def test_trace_csv_shape(self):
         trace = play("tower", 5)
