@@ -49,9 +49,9 @@ _MAX_LEVEL = 1 << 20
 
 # Largest accepted coordinate exponent.  A point's coordinates share one
 # exponent, each determinant or solve takes its own points' largest, and the
-# conformity scan's box filter the mesh's largest, so an unbounded exponent
-# would build integers of that many bits; the engine's own meshes stay near
-# exponent 118 (adapt-deep, level 235).
+# conformity scans' slab filter holds n² values per vertex at the mesh's
+# largest, so an unbounded exponent would build integers of that many bits;
+# the engine's own meshes stay near exponent 118 (adapt-deep, level 235).
 _MAX_EXP = 1 << 16
 
 
@@ -69,39 +69,49 @@ def _point_to_json(p: DyadicPoint, i: int) -> list:
         ) from None
 
 
-def _int_from_text(text: str, path: str) -> int:
+def _int_from_text(text: str) -> int:
+    """The integer ``text`` spells; a failure's message leaves out the JSON
+    path, which the caller puts in front of it."""
     if not _INT_TEXT.fullmatch(text):
-        raise MeshFormatError(f"{path}: non-canonical integer text")
+        raise MeshFormatError("non-canonical integer text")
     try:
         return int(text)
     except ValueError as exc:  # past the interpreter's digit limit
-        raise MeshFormatError(f"{path}: {exc}") from exc
+        raise MeshFormatError(str(exc)) from exc
 
 
-def _dyadic_from_json(obj, path: str) -> tuple[int, int]:
-    """The canonical ``(num, exp)`` of one ``["num","exp"]`` pair."""
+def _dyadic_from_json(obj) -> tuple[int, int]:
+    """The canonical ``(num, exp)`` of one ``["num","exp"]`` pair; messages
+    as in :func:`_int_from_text`."""
     if (
         not isinstance(obj, list)
         or len(obj) != 2
         or not all(isinstance(x, str) for x in obj)
     ):
-        raise MeshFormatError(f"{path}: expected a [\"num\",\"exp\"] string pair")
-    num, exp = _int_from_text(obj[0], path), _int_from_text(obj[1], path)
+        raise MeshFormatError("expected a [\"num\",\"exp\"] string pair")
+    num, exp = _int_from_text(obj[0]), _int_from_text(obj[1])
     if exp < 0:
-        raise MeshFormatError(f"{path}: negative exponent")
+        raise MeshFormatError("negative exponent")
     if exp > _MAX_EXP:
-        raise MeshFormatError(f"{path}: exponent {exp} is above the limit {_MAX_EXP}")
+        raise MeshFormatError(f"exponent {exp} is above the limit {_MAX_EXP}")
     if num == 0 and exp != 0:
-        raise MeshFormatError(f"{path}: zero must be encoded as [\"0\",\"0\"]")
+        raise MeshFormatError("zero must be encoded as [\"0\",\"0\"]")
     if num % 2 == 0 and num != 0 and exp != 0:
-        raise MeshFormatError(f"{path}: non-canonical dyadic (even numerator)")
+        raise MeshFormatError("non-canonical dyadic (even numerator)")
     return num, exp
 
 
-def _point_from_json(obj, dim: int, path: str) -> DyadicPoint:
+def _point_from_json(obj, dim: int, where: str, i: int) -> DyadicPoint:
+    """The point at the JSON path ``where[i]``; a path is formatted only
+    for a message."""
     if not isinstance(obj, list) or len(obj) != dim:
-        raise MeshFormatError(f"{path}: expected {dim} coordinates")
-    pairs = [_dyadic_from_json(c, f"{path}[{i}]") for i, c in enumerate(obj)]
+        raise MeshFormatError(f"{where}[{i}]: expected {dim} coordinates")
+    pairs = []
+    for j, c in enumerate(obj):
+        try:
+            pairs.append(_dyadic_from_json(c))
+        except MeshFormatError as exc:
+            raise MeshFormatError(f"{where}[{i}][{j}]: {exc}") from exc.__cause__
     exp = max(e for _, e in pairs)
     return DyadicPoint._of([num << (exp - e) for num, e in pairs], exp)
 
@@ -151,7 +161,7 @@ def mesh_from_dict(doc: dict):
         raise MeshFormatError("vertices: expected a non-empty list")
     pool = VertexPool()
     for i, v in enumerate(vertices):
-        if pool.id_of(_point_from_json(v, dim, f"vertices[{i}]")) != i:
+        if pool.id_of(_point_from_json(v, dim, "vertices", i)) != i:
             raise MeshFormatError(f"vertices[{i}]: duplicate coordinates")
     n_ids = len(vertices)
     raw_cells = doc.get("cells")
@@ -160,34 +170,33 @@ def mesh_from_dict(doc: dict):
     cells = []
     first_with: dict[frozenset, int] = {}
     for i, c in enumerate(raw_cells):
-        path = f"cells[{i}]"
         if not isinstance(c, dict):
-            raise MeshFormatError(f"{path}: expected an object")
+            raise MeshFormatError(f"cells[{i}]: expected an object")
         hor = c.get("horizontal")
         ver = c.get("vertical", [])
         if not isinstance(hor, list) or not hor:
-            raise MeshFormatError(f"{path}.horizontal: expected a non-empty list")
+            raise MeshFormatError(f"cells[{i}].horizontal: expected a non-empty list")
         if not isinstance(ver, list):
-            raise MeshFormatError(f"{path}.vertical: expected a list")
+            raise MeshFormatError(f"cells[{i}].vertical: expected a list")
         for field, lst in (("horizontal", hor), ("vertical", ver)):
             for v in lst:
                 if type(v) is not int or not 0 <= v < n_ids:
-                    raise MeshFormatError(f"{path}.{field}: bad vertex id {v!r}")
+                    raise MeshFormatError(f"cells[{i}].{field}: bad vertex id {v!r}")
         if len(hor) + len(ver) != dim + 1:
-            raise MeshFormatError(f"{path}: need dim+1 = {dim + 1} vertices")
+            raise MeshFormatError(f"cells[{i}]: need dim+1 = {dim + 1} vertices")
         vset = frozenset(hor + ver)
         if len(vset) != dim + 1:
-            raise MeshFormatError(f"{path}: repeated vertex")
+            raise MeshFormatError(f"cells[{i}]: repeated vertex")
         if vset in first_with:
-            raise MeshFormatError(f"{path}: same vertices as cells[{first_with[vset]}]")
+            raise MeshFormatError(f"cells[{i}]: same vertices as cells[{first_with[vset]}]")
         first_with[vset] = i
         level = c.get("level", 0)
         hyper = c.get("hyperlevel", 0)
         for field, value in (("level", level), ("hyperlevel", hyper)):
             if type(value) is not int or value < 0:
-                raise MeshFormatError(f"{path}.{field}: expected a non-negative integer")
+                raise MeshFormatError(f"cells[{i}].{field}: expected a non-negative integer")
             if value > _MAX_LEVEL:
-                raise MeshFormatError(f"{path}.{field}: {value} is above the limit {_MAX_LEVEL}")
+                raise MeshFormatError(f"cells[{i}].{field}: {value} is above the limit {_MAX_LEVEL}")
         cells.append(
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
@@ -202,11 +211,14 @@ def mesh_from_dict(doc: dict):
         if not isinstance(doc["marking"], dict):
             raise MeshFormatError("marking: expected an object")
         for key, pts in doc["marking"].items():
-            m = _int_from_text(key, f"marking.{key}")
+            try:
+                m = _int_from_text(key)
+            except MeshFormatError as exc:
+                raise MeshFormatError(f"marking.{key}: {exc}") from exc.__cause__
             if not isinstance(pts, list):
                 raise MeshFormatError(f"marking.{key}: expected a list of points")
             marking[m] = [
-                _point_from_json(p, dim, f"marking.{key}[{i}]")
+                _point_from_json(p, dim, f"marking.{key}", i)
                 for i, p in enumerate(pts)
             ]
     partition = None

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -152,6 +152,27 @@ def kuhn_cube_cells(n, pool=None):
 def kuhn_cube_mesh(n):
     pool, cells = kuhn_cube_cells(n)
     return Triangulation.from_cells(pool, [TaggedSimplex(c, ()) for c in cells])
+
+
+def kuhn_grid(n, k, side=1):
+    """The ``k**n`` cubes of edge ``side / k`` filling ``[0, side]**n``
+    (``k`` a power of two), each cut into its n! Kuhn simplices, which walk
+    from the cube's low corner to its high one, one axis at a time.  Vertex
+    ids run over the grid points in lexicographic order; in the plane, the
+    cells of square (i, j) come lower-right first."""
+    pool = VertexPool()
+    ids = {
+        c: pool.id_of(DyadicPoint([Fraction(x * side, k) for x in c]))
+        for c in product(range(k + 1), repeat=n)
+    }
+    cells = []
+    for corner in product(range(k), repeat=n):
+        for perm in permutations(range(n)):
+            walk = [corner]
+            for axis in perm:
+                walk.append(tuple(x + (i == axis) for i, x in enumerate(walk[-1])))
+            cells.append(TaggedSimplex(tuple(map(ids.__getitem__, walk)), ()))
+    return Triangulation.from_cells(pool, cells)
 
 
 def agk_cube(seed):

@@ -1,11 +1,13 @@
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bisectmesh import DyadicPoint, Triangulation, VertexPool
+from bisectmesh.forest import overlay, underlay
 from bisectmesh.refine import (
     RefinementError,
     _segments_cross,
@@ -23,7 +25,7 @@ from bisectmesh.inittags import (
     check_retaco,
     initial_division,
 )
-from bisectmesh.tarray import TaggedSimplex
+from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 from conftest import (
     barycentric,
@@ -32,6 +34,7 @@ from conftest import (
     frac_offset,
     fractions_of,
     kuhn_cube_mesh,
+    kuhn_grid,
     kuhn_square,
     naive_repair_oracle,
     point,
@@ -374,6 +377,131 @@ class TestConformityScan1D:
             assert found == reference_check_conforming(tri)
             assert len(found) >= 2
             refine(tri, rng.choice(sorted(tri.leaves)))
+
+
+def _counted_solves(monkeypatch):
+    """Patch the conformity scans' point location with a call counter; the
+    returned list gets one entry per call, the number of points asked."""
+    module = importlib.import_module("bisectmesh.refine")
+    calls, real = [], module._locate
+
+    def counted(simplex, pts):
+        calls.append(len(pts))
+        return real(simplex, pts)
+
+    monkeypatch.setattr(module, "_locate", counted)
+    return calls
+
+
+class TestSlabFilter:
+    """The scans filter on slabs across the planes ``x_i = c`` and
+    ``x_i ± x_j = c``, on which every facet of a Kuhn-cube refinement lies,
+    so there no candidate but a true hit reaches the exact solve."""
+
+    @pytest.mark.parametrize("n, rounds", [(2, 30), (3, 10), (4, 3)])
+    def test_only_true_hits_are_solved(self, monkeypatch, n, rounds):
+        rng = random.Random(n)
+        base = kuhn_square() if n == 2 else kuhn_cube_mesh(n)
+        a, b = base.copy(), base.copy()
+        for tri in (a, b):
+            for _ in range(rounds):
+                refine(tri, rng.choice(sorted(tri.leaves)))
+        solves = _counted_solves(monkeypatch)
+        for tri in (a, b, overlay(a, b), underlay(a, b)):
+            assert check_conforming(tri) == []
+            if n == 2:
+                assert check_conforming_2d_exact(tri) == []
+        assert solves == []
+        # one unclosed bisection of a leaf whose refinement edge has other
+        # sharers: each leaf solved is a leaf the report names
+        leaf = next(
+            s for s in sorted(a.leaves)
+            if len(a.edge_sharers(refinement_edge(a.forest.tarray(s)))) > 1
+        )
+        a.bisect_leaf(leaf)
+        found = check_conforming(a)
+        assert found
+        assert len(solves) == len(set(re.findall(r"in leaf (\d+)", "\n".join(found))))
+
+    def test_deep_kuhn_grid_is_solved_nowhere(self, monkeypatch):
+        """The frame keeps the mesh's exact largest exponent, so the slabs
+        of the 32x32 grid scaled by 2**-600 are as tight as at scale 1."""
+        tri = kuhn_grid(2, 32, Fraction(1, 1 << 600))
+        solves = _counted_solves(monkeypatch)
+        assert check_conforming(tri) == []
+        assert solves == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["sum", "difference"])
+    def test_vertex_on_a_diagonal_facet_hangs(self, n, kind):
+        """A vertex on a facet ``x_k - x_{k+1} = 0`` of the Kuhn simplex
+        ``4 >= x_0 >= ... >= x_{n-1} >= 0`` (or, with ``x_k`` flipped to
+        ``4 - x_k``, on a facet ``x_k + x_{k+1} = 4``) takes that slab's
+        bound exactly, so it is found only by closed comparisons."""
+        k = n - 2
+        corners = [[4] * m + [0] * (n - m) for m in range(n + 1)]
+        facet = [c for m, c in enumerate(corners) if m != k + 1]  # x_k = x_{k+1}
+        weights = [Fraction(1, 2 ** (i + 1)) for i in range(n - 1)]
+        weights.append(1 - sum(weights))
+        hanging = [sum(w * c[d] for w, c in zip(weights, facet)) for d in range(n)]
+        # a cell on the other side of the facet, with the hanging vertex as
+        # its only point on the facet's plane
+        out = [int(d == k + 1) - int(d == k) for d in range(n)]
+        beyond = [[x + 8 * o + (d == i) for d, (x, o) in enumerate(zip(hanging, out))]
+                  for i in range(n)]
+        coords = corners + [hanging] + beyond
+        if kind == "sum":
+            coords = [[4 - x if d == k else x for d, x in enumerate(c)] for c in coords]
+        tri = plain_mesh(coords, [tuple(range(n + 1)), tuple(range(n + 1, 2 * n + 2))])
+        cell = tri.forest.roots[0]
+        want = [f"hanging node: vertex {n + 1} lies in leaf {cell} without being one of its vertices"]
+        assert check_conforming(tri) == reference_check_conforming(tri) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 1 << 16),
+        st.sampled_from([2, 3]),
+        st.integers(0, 4096),
+        st.integers(0, 4096),
+    )
+    def test_generic_meshes_match_reference(self, seed, n, scale_exp, jitter_exp):
+        """Cells on random points, with facets in any direction, and cells
+        with a vertex on a face of an earlier cell: both scans report as
+        the all-pairs references do."""
+        rng = random.Random(seed)
+        coords = []
+        for _ in range(rng.randrange(n + 2, 9)):
+            c = [Fraction(rng.randrange(-6, 7)) for _ in range(n)]
+            if rng.random() < 0.3:
+                c = [x + Fraction(rng.randrange(-3, 4), 1 << jitter_exp) for x in c]
+            coords.append(c)
+        cells, seen = [], set()
+
+        def add(cell):
+            key = frozenset(tuple(coords[i]) for i in cell)
+            edges = [[x - y for x, y in zip(coords[i], coords[cell[0]])] for i in cell[1:]]
+            if len(key) == n + 1 and key not in seen and frac_det(edges):
+                seen.add(key)
+                cells.append(cell)
+
+        for _ in range(rng.randrange(2, 8)):
+            add(tuple(rng.sample(range(len(coords)), n + 1)))
+        for _ in range(rng.randrange(0, 4) if cells else 0):
+            # a point of a face (edge included) of a cell, at dyadic weights,
+            # as a vertex of a new cell
+            face = rng.sample(rng.choice(cells), rng.randrange(2, n + 1))
+            cuts = [0, *sorted(rng.sample(range(1, 8), len(face) - 1)), 8]
+            weights = [Fraction(b - a, 8) for a, b in zip(cuts, cuts[1:])]
+            coords.append([
+                sum(w * coords[i][d] for w, i in zip(weights, face)) for d in range(n)
+            ])
+            add((len(coords) - 1, *rng.sample(range(len(coords) - 1), n)))
+        assume(cells)
+        scale = Fraction(1, 1 << scale_exp)
+        tri = plain_mesh([[x * scale for x in c] for c in coords], cells)
+        assert check_conforming(tri) == reference_check_conforming(tri)
+        if n == 2:
+            assert check_conforming_2d_exact(tri) == reference_check_conforming_2d_exact(tri)
 
 
 plane_coordinates = st.builds(
