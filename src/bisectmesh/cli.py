@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactgeom import _locate
 from .forest import Triangulation, overlay as overlay_tris
-from .harness import STRATEGIES, compute_constants, run_sequence, verify_bdv
+from .harness import MODES, STRATEGIES, compute_constants, run_sequence, verify_bdv
 from .inittags import (
     VertexPartition,
     agk_init,
@@ -150,8 +150,7 @@ def _cmd_bdv_run(args):
     consts = compute_constants(tri)
     trace = run_sequence(tri, args.strategy, args.rounds, args.seed)
     problems = verify_bdv(trace, consts, args.mode)
-    bound = consts.C_sic if args.mode == "sic" else consts.C_iso
-    _emit_csv(args, trace.csv_lines(bound))
+    _emit_csv(args, trace.csv_lines(consts.closure(args.mode)[0]))
     grown = trace.final_cells - trace.initial_cells
     print(
         f"# strategy={args.strategy} rounds={trace.rounds} grown={grown} "
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
     p.add_argument("--strategy", default="random-leaf", choices=STRATEGIES)
     p.add_argument("--rounds", "-N", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["sic", "iso"], default="sic")
+    p.add_argument("--mode", choices=MODES, default="sic")
     p.set_defaults(fn=_cmd_bdv_run)
     p = sub.add_parser("pile-game", parents=[out])
     p.add_argument("--strategy", default="random", choices=GAMES)

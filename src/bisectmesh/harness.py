@@ -28,35 +28,18 @@ def unit_ball_volume(m: int) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
 
 
-def _exact_nth_root(value: Fraction, k: int) -> Optional[Fraction]:
-    """The k-th root of ``value >= 0`` if it is rational, else None."""
-    def iroot(x: int) -> Optional[int]:
-        if x < 2:
-            return x
-        # Integer Newton iteration from above ends at floor(x ** (1/k)).
-        r = 1 << ((x.bit_length() + k - 1) // k)
-        while True:
-            nr = ((k - 1) * r + x // r ** (k - 1)) // k
-            if nr >= r:
-                break
-            r = nr
-        return r if r**k == x else None
-
-    num, den = iroot(value.numerator), iroot(value.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class ShapeCensus:
-    """Certificate of the shape-class enumeration of one root (frozen: the
-    memo of :func:`compute_constants` hands one census to congruent roots)."""
+    """Certificate of the shape-class enumeration of one root, with its volume
+    and ceilings (frozen: the memo of :func:`compute_constants` hands one
+    census to congruent roots, which have equal volumes)."""
 
     classes: int
     generations: int
     settled: bool
+    volume: Fraction  # of the root
     max_v_pow_2n: Fraction  # sup over descendants of (2^(l/n) dist(V_new))^(2n)
+    max_d_sq: Optional[Fraction]  # its n-th root if that is rational, else None
     max_iso_sq: Fraction  # sup over the tree of (2^h diam)^2
 
 
@@ -119,6 +102,11 @@ def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
       child.  In the second child's frame, ``x0`` is the origin, the rows
       of the second child are S and ``xn`` is the last doubled row.
 
+    The root's volume is the determinant its zero test takes.  The best
+    value is ``far**n * 2**e``, ``e = 2 (level + t_root) - 2t - 2n exp``,
+    so its n-th root, the ceiling ``D**2 == far * 2**(e/n)`` with ``far`` a
+    positive integer, is rational exactly when n divides e (else None).
+
     ``memo``, a dict that lives for one :func:`compute_constants` call, maps
     ``(type, level, hyperlevel, exp, columns)`` to a census, where the
     columns of the root's canonical offset rows are sign-flipped to a
@@ -139,12 +127,12 @@ def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
     memo_key = (root.type, root.level, root.hyperlevel, e, columns)
     if memo_key in memo:
         return memo[memo_key]
-    if not simplex_volume(pts):
+    if not (volume := simplex_volume(pts)):
         raise ValueError("root simplex has zero volume")
     nm = n * w
     spans = range(0, nm, w)
-    # the best value is v_num / 2**v_shift, the best diameter d_num / 2**d_shift
-    v_num = v_shift = 0
+    # the best value is v_far**n / 2**v_shift, the best diameter d_num / 2**d_shift
+    v_num = v_far = v_shift = 0
     d_num, d_shift = _max_gap_sq([(0,) * w, *rows]), 2 * e
     root_key = (root.type, offsets, e)
     seen = {root_key}
@@ -178,7 +166,7 @@ def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
                     far = s
             value, shift = far**n, 2 * t + 2 * n * exp
             if value << v_shift > v_num << shift:
-                v_num, v_shift = value, shift
+                v_num, v_far, v_shift = value, far, shift
             if transposed:
                 shared = [second[i : i + w] for i in spans]
                 end = doubled[nm - w :]
@@ -194,11 +182,14 @@ def shape_census(root: TaggedSimplex, pool, memo: dict) -> ShapeCensus:
                     seen.add(key)
                     next_frontier.append(key)
         frontier = next_frontier
+    e = 2 * (root.level + root.type) - v_shift
     census = ShapeCensus(
         classes=len(seen),
         generations=generations,
         settled=not frontier,
-        max_v_pow_2n=Fraction(v_num << 2 * (root.level + root.type), 1 << v_shift),
+        volume=volume,
+        max_v_pow_2n=v_num * Fraction(2) ** e,
+        max_d_sq=v_far * Fraction(2) ** (e // n) if e % n == 0 else None,
         max_iso_sq=Fraction(d_num << 2 * root.hyperlevel, 1 << d_shift),
     )
     memo[memo_key] = census
@@ -224,13 +215,20 @@ def c_iso(d: Fraction, D: float, n: int) -> tuple[float, int]:
     #T_N <= 2^(n h0) #T_0 + C N.
     """
     h0 = _h0(n)
+    try:
+        ratio = D**n / float(d)
+    except OverflowError:  # float ** raises where * and / give inf
+        ratio = math.inf
     two_c = (
-        (D**n / float(d))
+        ratio
         * (2**n - 1)
         * 2 ** (n * h0 + 1)
         * ((n + 2**n) * unit_ball_volume(n) + 2 * unit_ball_volume(n - 1))
     )
     return two_c / 2, 2 ** (n * h0)
+
+
+MODES = ("sic", "iso")
 
 
 @dataclass
@@ -251,6 +249,15 @@ class Constants:
     classes: int
     generations: int
 
+    def closure(self, mode: str) -> tuple[float, int]:
+        """``(C, factor)`` of the bound #T_k <= factor #T_0 + C k in a mode of
+        :data:`MODES`: ``sic`` (factor 1), or ``iso`` (factor 2^(n h0))."""
+        if mode == "sic":
+            return self.C_sic, 1
+        if mode == "iso":
+            return self.C_iso, self.first_summand_factor
+        raise ValueError(f"unknown mode {mode!r}")
+
 
 def _require_float(what: str, value, cells: list) -> None:
     """Raise ValueError naming ``cells`` unless ``value`` is a finite nonzero float."""
@@ -270,15 +277,15 @@ def compute_constants(tri: Triangulation) -> Constants:
     forest = tri.forest
     roots = [forest.tarray(r) for r in forest.roots]
     n = roots[0].dim
-    # 2^level |S| is invariant under bisection and 2^(n h + n - t) |S| also
-    # under transposition: their minima over the initial cells are d, d_iso
-    vols = [simplex_volume(t.vertices(forest.pool)) for t in roots]
-    floors = [Fraction(2) ** t.level * v for t, v in zip(roots, vols)]
-    iso_floors = [
-        Fraction(2) ** (n * t.hyperlevel + n - t.type) * v for t, v in zip(roots, vols)
-    ]
     memo: dict = {}
     censuses = [shape_census(t, forest.pool, memo=memo) for t in roots]
+    # 2^level |S| is invariant under bisection and 2^(n h + n - t) |S| also
+    # under transposition: their minima over the initial cells are d, d_iso
+    floors = [Fraction(2) ** t.level * c.volume for t, c in zip(roots, censuses)]
+    iso_floors = [
+        Fraction(2) ** (n * t.hyperlevel + n - t.type) * c.volume
+        for t, c in zip(roots, censuses)
+    ]
     cells = range(len(roots))
     d_at = min(cells, key=floors.__getitem__)
     d_iso_at = min(cells, key=iso_floors.__getitem__)
@@ -291,7 +298,6 @@ def compute_constants(tri: Triangulation) -> Constants:
     _require_float("distance ceiling D^(2n)", v2n, [v_at])
     _require_float("distance ceiling D_iso^2", iso_sq, [iso_at])
     D = float(v2n) ** (1 / (2 * n))
-    D_sq = _exact_nth_root(v2n, n)
     D_iso = math.sqrt(float(iso_sq))
     C = c_sic(d, D, n)
     Ci, factor = c_iso(d_iso, D_iso, n)
@@ -301,7 +307,7 @@ def compute_constants(tri: Triangulation) -> Constants:
         n=n,
         d=d,
         D=D,
-        D_squared=D_sq,
+        D_squared=censuses[v_at].max_d_sq,
         D_pow_2n=v2n,
         C_sic=C,
         d_iso=d_iso,
@@ -508,22 +514,16 @@ def _full_invariants(tri: Triangulation, initial_volume: Fraction, bisections: i
 
 
 def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:
-    """Check the closure estimate for every prefix of the trace.
-
-    ``sic``: #T_k - #T_0 <= C_sic k.  ``iso``: #T_k - #T_0 <=
-    (factor - 1) #T_0 + C_iso k.  Returns violations (empty = pass).
+    """Check the closure estimate of ``mode`` for every prefix of the trace:
+    #T_k - #T_0 <= (factor - 1) #T_0 + C k, with ``(C, factor)`` from
+    :meth:`Constants.closure`.  Returns violations (empty = pass).
 
     The constant C is rounded up once, to the exact ``C (1 + 10**-9)``, and
     each round's bound is the integer ``ceil(C (1 + 10**-9) k)``, so an
     exact count comparing <= against it can never be falsely flagged.
     """
-    if mode == "sic":
-        constant, first = constants.C_sic, 0
-    elif mode == "iso":
-        constant = constants.C_iso
-        first = (constants.first_summand_factor - 1) * trace.initial_cells
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    constant, factor = constants.closure(mode)
+    first = (factor - 1) * trace.initial_cells
     num, den = (Fraction(constant) * (1 + Fraction(1, 10**9))).as_integer_ratio()
     problems = []
     for rnd, _, _, total, _, _ in trace.rows:

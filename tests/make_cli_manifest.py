@@ -115,10 +115,22 @@ def _ints(*points) -> list:
 
 
 _CHECK = (["check", "conforming"],)
+_CONSTANT_FORMS = (
+    ["constants"], ["bdv-run", "--mode", "sic", "-N", "3"], ["bdv-run", "--mode", "iso", "-N", "3"],
+)
+
+
+def _thin_tetrahedron(hyperlevel: int) -> str:
+    """The unit right tetrahedron with its apex moved to height 2**-100."""
+    vertices = [*_ints((0, 0, 0), (1, 0, 0), (1, 1, 0)), [["1", "0"], ["1", "0"], ["1", "100"]]]
+    return json.dumps({"dim": 3, "vertices": vertices,
+                       "cells": [{"horizontal": [0, 1, 2, 3], "hyperlevel": hyperlevel}]})
+
 
 # Documents that reach the CLI's failure branches, each with the argv forms
 # (before ``--mesh``) that it is run with.  The loader refuses the first
-# group; the rest load and fail later.
+# group; the rest load and fail later, except thin-340.json, the in-range
+# twin of thin-367.json.
 FAILING_DOCS = {
     "reject-top.json": ("[]", _CHECK),
     "reject-duplicate.json": (_doc(vertices=_ints((0, 0), (1, 0), (0, 0))), _CHECK),
@@ -172,6 +184,12 @@ FAILING_DOCS = {
     "tiny.json": (_doc(vertices=[[["0", "0"], ["0", "0"]], [["1", "600"], ["0", "0"]],
                                  [["0", "0"], ["1", "600"]]]),
                   (["constants"], ["bdv-run", "-N", "2"])),
+    # legs of length 2**600: the volume floor overflows the float range
+    "huge.json": (_doc(vertices=_ints((0, 0), (2**600, 0), (0, 2**600))), _CONSTANT_FORMS),
+    # a tetrahedron of height 2**-100 at hyperlevel 367: D_iso^3 overflows a
+    # float although C_iso, which does not depend on the hyperlevel, would
+    # not; at hyperlevel 340 every constant is in range and the runs pass
+    **{f"thin-{h}.json": (_thin_tetrahedron(h), _CONSTANT_FORMS) for h in (367, 340)},
     # a triangle inside the coarse one that its bisection line x + y = 1
     # splits, so it is no node of the coarse forest: overlay in both orders
     "straddle-coarse.json": (_doc(vertices=_ints((0, 0), (1, 0), (1, 1))),

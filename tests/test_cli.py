@@ -662,6 +662,42 @@ def test_constants_outside_float_range_exit_1(argv, exp, message, tmp_path, caps
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["constants"], ["bdv-run", "--mode", "sic"], ["bdv-run", "--mode", "iso"]],
+    ids=["constants", "bdv-run-sic", "bdv-run-iso"],
+)
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # float(d) raises OverflowError, where a tiny d underflows to 0.0
+        ("huge.json", "cells[0]: volume floor d is outside the float range"),
+        # d_iso and D_iso are floats, but D_iso**3 raises OverflowError
+        ("thin-367.json", "cells[0]: C_iso is outside the float range"),
+    ],
+    ids=["huge-triangle", "thin-tetrahedron"],
+)
+def test_overflowing_intermediate_exit_1(argv, name, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(FAILING_DOCS[name][0])
+    assert main([*argv, "--mesh", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_thin_tetrahedron_in_range_exit_0(tmp_path, capsys):
+    """C_iso does not depend on the hyperlevel: the thin tetrahedron at
+    hyperlevel 340 has the constant whose D_iso**3 overflows at 367."""
+    path = tmp_path / "thin-340.json"
+    path.write_text(FAILING_DOCS[path.name][0])
+    assert main(["constants", "--mesh", str(path)]) == 0
+    assert "C_iso <= 4.03703424646159e+36\n" in capsys.readouterr().out
+    for mode in ("sic", "iso"):
+        assert main(["bdv-run", "--mode", mode, "-N", "3", "--mesh", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("# bound satisfied in every round\n")
+
+
 def test_exponent_above_limit_exit_1_fast(tmp_path, capsys):
     """An exponent of 10**8 would make every vertex a 10**8-bit integer
     row; the loader refuses it before any shift."""

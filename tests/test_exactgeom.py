@@ -174,6 +174,12 @@ class TestVolumeSum:
         with pytest.raises(ValueError):
             volume_sum([[point(0, 0), point(1, 0), point(0, 1, 0)]])
 
+    def test_point_count_mismatch_raises(self):
+        triangle, edge = [point(0, 0), point(1, 0), point(0, 1)], [point(0, 0), point(1, 0)]
+        for simplices in ([triangle, edge], [edge, triangle]):
+            with pytest.raises(ValueError, match="^need n\\+1 points of dimension n$"):
+                volume_sum(simplices)
+
 
 class TestDecimalText:
     """``cli._exact``, the one printer of exact values, must print what

@@ -36,6 +36,19 @@ class TestCountingIdentity:
             assert b == sum(1 for x in nodes if x not in leaves)
             assert c == len(nodes - roots) / 2
 
+    def test_odd_nonroot_count_is_minus_one(self, square):
+        """A leaf set holding one child of a root but not its sibling has an
+        odd number of non-root nodes, which no refinement gives."""
+        root, other = square.forest.roots
+        child, _ = square.forest.ensure_children(root)
+        assert forest_size_identity(Triangulation(square.forest, [child, other])) == (0, 1, -1)
+
+    def test_bisect_leaf_rejects_a_non_leaf(self, square):
+        root = min(square.leaves)
+        square.bisect_leaf(root)
+        with pytest.raises(ValueError, match=f"^node {root} is not a leaf of this triangulation$"):
+            square.bisect_leaf(root)
+
 
 class TestFiner:
     def test_reflexive(self, square):

@@ -14,7 +14,6 @@ from bisectmesh.harness import (
     SequenceError,
     ShapeCensus,
     Trace,
-    _exact_nth_root,
     compute_constants,
     c_iso,
     c_sic,
@@ -147,15 +146,38 @@ class TestDistanceCeilings:
             assert v_2n <= consts.D_pow_2n
 
 
+def exact_nth_root(value: Fraction, k: int):
+    """The k-th root of ``value >= 0`` if it is rational, else None."""
+
+    def iroot(x: int):
+        if x < 2:
+            return x
+        # Integer Newton iteration from above ends at floor(x ** (1/k)).
+        r = 1 << ((x.bit_length() + k - 1) // k)
+        while True:
+            nr = ((k - 1) * r + x // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
+        return r if r**k == x else None
+
+    num, den = iroot(value.numerator), iroot(value.denominator)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
 def reference_shape_census(root, pool, max_generations=400, max_classes=500_000):
     """Reference census on points: values every child of every generation,
     also when its class is already seen, with ``c0`` and the hyperlevel
     scale in each child's value.  Shapes are point tuples, bisected by
     midpoints and keyed by their offsets from the first point; distances
-    are Fraction sums."""
+    are Fraction sums.  D^2 is the exact rational n-th root of the best
+    value, where there is one."""
     n = root.dim
     pts = [pool.point(v) for v in root.vertex_ids]
-    c0 = Fraction(2) ** root.level * simplex_volume(pts) if n else Fraction(0)
+    volume = simplex_volume(pts)
+    c0 = Fraction(2) ** root.level * volume if n else Fraction(0)
     iso_scale_sq = Fraction(4) ** root.hyperlevel
     best_iso = iso_scale_sq * frac_diam_sq(pts)
     best_v = Fraction(0)
@@ -191,7 +213,9 @@ def reference_shape_census(root, pool, max_generations=400, max_classes=500_000)
         classes=len(seen),
         generations=generations,
         settled=not frontier,
+        volume=volume,
         max_v_pow_2n=best_v,
+        max_d_sq=exact_nth_root(best_v, n),
         max_iso_sq=best_iso,
     )
 
@@ -480,6 +504,50 @@ class TestCensusMemo:
             assert len(memo) == entries
 
 
+class TestCensusMeasures:
+    """The census reports the root's volume and D^2, which
+    :func:`compute_constants` reads instead of measuring them again."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_volume_and_d_squared_on_seeded_roots(self, n):
+        """Seeded roots of every type at seeded levels and hyperlevels.  The
+        n-th root of ``far**n * 2**e`` is rational exactly when n divides e;
+        for n <= 2 it always is, for n = 3 and 4 both kinds occur."""
+        rng = random.Random(n)
+        kinds = set()
+        for _ in range(12):
+            root, pool = seeded_root(n, rng.randrange(n + 1), rng.randrange(10**6))
+            root = TaggedSimplex(root.horizontal, root.vertical, rng.randrange(8), rng.randrange(4))
+            got = shape_census(root, pool, {})
+            assert got.volume == simplex_volume(root.vertices(pool))
+            assert got.max_d_sq == exact_nth_root(got.max_v_pow_2n, n)
+            kinds.add(got.max_d_sq is None)
+        assert kinds == ({False} if n <= 2 else {False, True})
+
+    @pytest.mark.parametrize(
+        "make",
+        [kuhn_square, lambda: kuhn_cube_mesh(3), lambda: agk_cube(2)],
+        ids=["kuhn-square", "kuhn-cube-3", "agk-2"],
+    )
+    def test_one_volume_per_census_class(self, make, monkeypatch):
+        """``compute_constants`` takes one determinant per memo entry, the
+        census's zero test, and none of its own; congruent roots share it."""
+        calls = []
+        monkeypatch.setattr(
+            harness, "simplex_volume", lambda pts: calls.append(pts) or simplex_volume(pts)
+        )
+        memos = []
+        census = harness.shape_census
+        monkeypatch.setattr(
+            harness,
+            "shape_census",
+            lambda root, pool, memo: memos.append(memo) or census(root, pool, memo),
+        )
+        tri = make()
+        compute_constants(tri)
+        assert len(calls) == len(memos[0]) < len(tri.forest.roots)
+
+
 def test_zero_volume_root_is_rejected():
     pool = VertexPool()
     ids = tuple(pool.id_of(point(*q)) for q in ((0, 0), (1, 1), (2, 2)))
@@ -490,18 +558,20 @@ def test_zero_volume_root_is_rejected():
 
 
 class TestExactNthRoot:
+    """The oracle behind the census's D^2."""
+
     @given(st.integers(0, 10**40), st.integers(1, 4))
     def test_recovers_exact_roots(self, q, k):
-        assert _exact_nth_root(Fraction(q**k), k) == q
+        assert exact_nth_root(Fraction(q**k), k) == q
         if k >= 2 and q >= 1:
-            assert _exact_nth_root(Fraction(q**k + 1), k) is None
+            assert exact_nth_root(Fraction(q**k + 1), k) is None
 
     @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(2, 4))
     def test_recovers_fraction_roots(self, p, q, k):
-        assert _exact_nth_root(Fraction(p, q) ** k, k) == Fraction(p, q)
+        assert exact_nth_root(Fraction(p, q) ** k, k) == Fraction(p, q)
 
     def test_large_square_keeps_exact_d_squared(self):
-        assert _exact_nth_root(Fraction(3**80, 25), 2) == Fraction(3**40, 5)
+        assert exact_nth_root(Fraction(3**80, 25), 2) == Fraction(3**40, 5)
 
 
 class TestConstants:
@@ -534,6 +604,21 @@ class TestConstants:
         ci, _ = c_iso(Fraction(1, 2), 1.0, 2)
         assert c_iso(Fraction(1, 2), 1.2, 2)[0] > ci
         assert c_iso(Fraction(1, 8), 1.0, 2)[0] > ci
+
+    def test_c_iso_overflowing_power_is_inf(self):
+        """Float ``**`` raises OverflowError where ``*`` and ``/`` give inf;
+        D_iso^3 overflows here although D_iso^3 / d_iso would not."""
+        with pytest.raises(OverflowError):
+            (2.0**400) ** 3
+        assert c_iso(Fraction(2**200), 2.0**400, 3) == (math.inf, 512)
+
+    def test_closure_owns_the_mode_rule(self):
+        consts = compute_constants(kuhn_square())
+        assert harness.MODES == ("sic", "iso")
+        assert consts.closure("sic") == (consts.C_sic, 1)
+        assert consts.closure("iso") == (consts.C_iso, consts.first_summand_factor)
+        with pytest.raises(ValueError, match="^unknown mode 'nonsense'$"):
+            consts.closure("nonsense")
 
     def test_unit_ball_volumes(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi)
@@ -573,6 +658,11 @@ class TestRunSequence:
         assert verify_bdv(trace, consts, "sic") == []
         with pytest.raises(ValueError):
             verify_bdv(trace, consts, "nonsense")
+
+    def test_unknown_strategy_is_refused(self, square):
+        with pytest.raises(ValueError, match="^unknown strategy 'nonsense'$"):
+            run_sequence(square, "nonsense", 3)
+        assert len(square.leaves) == 2
 
     def test_per_round_growth_equals_tower_size(self):
         """Cross-check a sample of rounds against the tower of the marked

@@ -104,6 +104,12 @@ class TestInitialDivision:
         with pytest.raises(MarkingError, match=re.escape("must lie in 2..2")):
             resolve_marking(pool, cells, {1: []})
 
+    def test_cells_of_two_dimensions_rejected(self):
+        pool, cells, _ = tripled_triangle_pair()
+        message = "^all cells must be n-simplices of one dimension$"
+        with pytest.raises(MarkingError, match=message):
+            initial_division(pool, [cells[0], cells[1][:2]])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_barycentre_matches_fraction_mean(self, seed):
         """The integer barycentre equals the mean of the points as

@@ -82,6 +82,13 @@ class TestBrickDemands:
         assert set(brick_demands(brick)) == touching
 
 
+def test_play_refuses_no_rounds_and_unknown_strategies():
+    with pytest.raises(ValueError, match="^need at least one round$"):
+        play("random", 0)
+    with pytest.raises(ValueError, match="^unknown strategy 'staircase'$"):
+        play("staircase", 5)
+
+
 class TestPile:
     def test_closure_after_every_round(self):
         rng = random.Random(0)

@@ -177,6 +177,13 @@ class TestRefinementEdge:
         assert repr(refinement_edge(rev)) == repr(frozenset((3, 11)))
         assert set(map(repr, fwd.edges())) == set(map(repr, rev.edges()))
 
+    def test_zero_dimensional_array_is_refused(self, pool2):
+        point_array = TaggedSimplex((0,), ())
+        with pytest.raises(ValueError, match="^0-dimensional array has no refinement edge$"):
+            refinement_edge(point_array)
+        with pytest.raises(ValueError, match="^cannot bisect a 0-dimensional simplex$"):
+            bisect(point_array, pool2)
+
 
 class TestReflectCanonicalize:
     def test_reflect_and_canonical_equal(self, pool2):
@@ -246,6 +253,10 @@ class TestRestrict:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             restrict(self.t, set())
+
+    def test_foreign_vertices_rejected(self):
+        with pytest.raises(ValueError, match=r"^vertices \[6, 9\] not in the T-array$"):
+            restrict(self.t, {9, 1, 6})
 
     @settings(max_examples=300)
     @given(st.data())
