@@ -227,12 +227,14 @@ def _cell_dets(simplices: Iterable[Sequence[DyadicPoint]]) -> Iterator[tuple[int
     There is no common frame: each simplex's points are shifted to its own
     ``exp``, so one vertex with a huge exponent lengthens only the
     determinants of the simplices that hold it.  The determinants are
-    computed as they are taken, so a caller may stop at any of them.  The
-    loop shifts points itself, not through :func:`_rows`: every bdv-run's
-    end-of-run volume check runs it, and through :func:`_rows` it took 2-10%
-    longer on the leaves of seeded bdv-runs (9.66 against 10.59 ms for 2768
-    triangles, 3.23 against 3.45 ms for 643 tetrahedra, 12.74 against 13.04
-    ms for 1776 4-simplices; CPython 3.11 on a 2-vCPU Xeon).
+    computed as they are taken, so a caller may stop at any of them: the
+    loader's zero-volume test takes one per cell of every mesh it reads,
+    :func:`~bisectmesh.refine._segments_cross` up to four orientation signs
+    and :func:`simplex_volume` one.  The loop shifts points itself, not
+    through :func:`_rows`, for the loader: through :func:`_rows` it took
+    2-8% longer on the leaves of seeded refinements (5.07 against 5.49 ms
+    for 1510 triangles, 10.44 against 10.78 ms for 2028 tetrahedra, 58.39
+    against 59.79 ms for 7770 4-simplices; CPython 3.11 on a 2-vCPU Xeon).
     """
     for pts in simplices:
         exp = max([p.exp for p in pts])
@@ -250,29 +252,9 @@ def simplex_volume(vertices: Sequence[DyadicPoint]) -> Fraction:
 
     A degenerate simplex yields volume 0; that is a valid return value.
     """
-    return volume_sum([vertices])
-
-
-def volume_sum(simplices: Iterable[Sequence[DyadicPoint]]) -> Fraction:
-    """Exact total volume of n-simplices, each given by n+1 vertices of
-    dimension n (0 for none, and for 0-simplices).
-
-    The ``|det|`` of :func:`_cell_dets`, each over its simplex's own
-    largest exponent, are added per exponent; each partial sum is shifted
-    once to the largest exponent, and there is one division at the end.
-    """
-    simplices = list(simplices)
-    n = len(simplices[0]) - 1 if simplices else 0
-    if any(len(c) != n + 1 for c in simplices):
-        raise ValueError("need n+1 points of dimension n")
-    by_exp: dict[int, int] = {}
-    for det, exp in _cell_dets(simplices):
-        by_exp[exp] = by_exp.get(exp, 0) + abs(det)
-    if not n:
-        return Fraction(0)
-    top = max(by_exp)
-    total = sum(t << (n * (top - exp)) for exp, t in by_exp.items())
-    return Fraction(total, (1 << (n * top)) * math.factorial(n))
+    ((det, exp),) = _cell_dets([vertices])
+    n = len(vertices) - 1
+    return Fraction(abs(det), (1 << (n * exp)) * math.factorial(n))
 
 
 def _locate(simplex: Sequence[DyadicPoint], pts: Sequence[DyadicPoint]) -> list:

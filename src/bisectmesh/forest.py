@@ -9,10 +9,8 @@ on node ids.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactgeom import volume_sum
 from .tarray import TaggedSimplex, VertexPool, bisect
 
 
@@ -125,11 +123,6 @@ class Triangulation:
 
     def cells(self) -> list[TaggedSimplex]:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]
-
-    def total_volume(self) -> Fraction:
-        """Exact total leaf volume, as one integer sum (:func:`volume_sum`)."""
-        nodes, pool = self.forest.nodes, self.forest.pool
-        return volume_sum(nodes[nid].tarray.vertices(pool) for nid in self.leaves)
 
     def node_set(self) -> frozenset:
         """fo(P): the leaves together with all their ancestors and all roots."""

@@ -15,10 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Optional
 
-from .exactgeom import _canonical, _max_gap_sq, _rows, _unsigned, midpoint, simplex_volume
+from .exactgeom import _canonical, _max_gap_sq, _rows, _unsigned, simplex_volume
 from .tarray import TaggedSimplex, refinement_edge
 from .forest import Triangulation, forest_size_identity
 from .refine import max_jump, refine
@@ -359,7 +359,8 @@ STRATEGIES = ("random-leaf", "max-level-leaf", "staircase-adversary", "quasitowe
 
 
 class SequenceError(AssertionError):
-    """An invariant (counting identity, bisection, conformity) broke mid-run."""
+    """An invariant (bisection, counting identity, conformity, the final leaf
+    set's structure) broke during a run."""
 
 
 def _top(heap: list, leaves: set) -> int:
@@ -376,11 +377,13 @@ def run_sequence(
     seed: Optional[int] = None,
 ) -> Trace:
     """Drive N single-marking refinement rounds, asserting the counting
-    identity, the bisection rule, and conformity after every round.
+    identity, the bisection rule, and conformity after every round, and the
+    leaf set's structure at the end.
 
     Each bisection of a parent with vertex-id set ``P`` and refinement edge
-    ``{a, b}`` must create a vertex ``m`` outside ``P`` at the exact midpoint
-    of ``a`` and ``b``, and children with vertex-id sets exactly ``P - a + m``
+    ``{a, b}`` must create a vertex ``m`` outside ``P`` with ``2 m == a + b``
+    on the three points' integer rows (not through ``midpoint``, which the
+    bisection calls), and children with vertex-id sets exactly ``P - a + m``
     and ``P - b + m``.  For a non-degenerate parent this implies volume
     conservation: the hyperplane through ``m`` and ``P - {a, b}`` cuts the
     parent into the two children, and moving ``a`` (or ``b``) to ``m`` halves
@@ -388,10 +391,19 @@ def run_sequence(
     off-centre point on the edge, a duplicated half, and a correct bisection
     of another edge.
 
-    The total volume is still checked at the end, as one integer sum of
-    the leaves' determinants, each taken at its leaf's own largest exponent
-    and each partial sum shifted once per distinct exponent (see
-    :func:`~bisectmesh.exactgeom.volume_sum`).
+    At the end, every node of fo(P)
+    (:meth:`~bisectmesh.forest.Triangulation.node_set`) but a leaf must hold
+    both children in it and no leaf a child, so the leaves are those of a
+    full subforest over all roots; and each count of the counting identity
+    must equal the logged bisections.  The bisected nodes are distinct
+    ancestors of final leaves, so the counts make them exactly the
+    subforest's inner nodes, each checked above, and by induction from the
+    roots the leaves fill the roots with their total volume: the audit
+    takes no determinant.  It
+    rejects a lost leaf, a leaf kept beside its descendant, and a leaf
+    swapped for a node of the same depth elsewhere, which keeps every count
+    and the volume.  Out of scope is geometry that no bisection made: the
+    roots (the loader rejects a root of zero volume).
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,
@@ -457,7 +469,6 @@ def run_sequence(
             shallow if trace.rounds % 4 == 3 else deep, leaves
         ),
     }[strategy]
-    initial_volume = tri.total_volume()
     bisections = 0
     for rnd in range(1, n_rounds + 1):
         marked = pick()
@@ -486,7 +497,7 @@ def run_sequence(
         trace.rows.append(
             (rnd, marked, len(log), cells_total, nonroot, max_jump(forest, log))
         )
-    _full_invariants(tri, initial_volume, bisections)
+    _full_invariants(tri, bisections)
     return trace
 
 
@@ -498,16 +509,26 @@ def _bisects(forest, node_id: int) -> bool:
     a, b = refinement_edge(node.tarray)
     kids = {frozenset(forest.tarray(c).vertex_ids) for c in node.children}
     pts = forest.pool.points
+    (rm, ra, rb), _ = _rows([pts[m], pts[a], pts[b]])
     return (
         m not in p
         and kids == {frozenset(p - {a} | {m}), frozenset(p - {b} | {m})}
-        and pts[m] == midpoint(pts[a], pts[b])
+        and [x << 1 for x in rm] == list(map(add, ra, rb))
     )
 
 
-def _full_invariants(tri: Triangulation, initial_volume: Fraction, bisections: int):
-    if tri.total_volume() != initial_volume:
-        raise SequenceError("total leaf volume drifted from the initial volume")
+def _full_invariants(tri: Triangulation, bisections: int):
+    """The end-of-run audit of the leaf set; see run_sequence."""
+    nodes, leaves = tri.forest.nodes, tri.leaves
+    fo = tri.node_set()
+    broken = []
+    for nid in fo:  # an inner node holds both children in fo, a leaf neither
+        ch = nodes[nid].children
+        held = 0 if ch is None else (ch[0] in fo) + (ch[1] in fo)
+        if held != (0 if nid in leaves else 2):
+            broken.append(nid)
+    if broken:
+        raise SequenceError(f"leaves are not those of a full subforest at node {min(broken)}")
     a, b, c = forest_size_identity(tri)
     if not (a == b == c == bisections):
         raise SequenceError(f"counting identity violated: {a}, {b}, {c}, {bisections}")

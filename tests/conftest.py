@@ -8,7 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from bisectmesh import DyadicPoint, VertexPool, Triangulation, kuhn
-from bisectmesh.exactgeom import _rows, _solve_all
+from bisectmesh.exactgeom import _rows, _solve_all, simplex_volume
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.meshio import mesh_to_dict
 from bisectmesh.tarray import TaggedSimplex
@@ -56,6 +56,11 @@ def barycentric(pt, simplex):
     if any(c < 0 for c in coords):
         return None
     return [Fraction(c, den) for c in coords]
+
+
+def leaf_volume(tri):
+    """Exact total volume of the leaves of ``tri``, one simplex at a time."""
+    return sum((simplex_volume(t.vertices(tri.forest.pool)) for t in tri.cells()), Fraction(0))
 
 
 def frac_sq_dist(a, b):

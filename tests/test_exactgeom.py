@@ -17,11 +17,23 @@ from bisectmesh.exactgeom import (
     DyadicPoint,
     midpoint,
     simplex_volume,
-    volume_sum,
 )
 from bisectmesh.meshio import MeshFormatError, mesh_from_dict
 
-from conftest import frac_det, frac_solve, frac_sq_dist, fractions_of, point, scaled_point
+from conftest import (
+    frac_det,
+    frac_solve,
+    frac_sq_dist,
+    fractions_of,
+    leaf_volume,
+    point,
+    scaled_point,
+)
+
+
+def volumes(simplices):
+    """Exact total volume of ``simplices``, one ``simplex_volume`` each."""
+    return sum((simplex_volume(s) for s in simplices), Fraction(0))
 
 
 def dyadic_fractions(lo, hi, max_exp):
@@ -153,32 +165,32 @@ class TestVolume:
 
 
 class TestVolumeSum:
+    """Volumes of simplices over different exponents add up exactly, one
+    :func:`simplex_volume` each."""
+
     def test_mixed_exponents(self):
-        """Leaves over 2**0, 2**3 and 2**-1 grids, summed at one exponent."""
+        """Leaves over 2**0, 2**3 and 2**-1 grids."""
         e = Fraction(1, 8)
         simplices = [
             [point(0, 0), point(1, 0), point(0, 1)],
             [point(0, 0), point(e, 0), point(e, 3 * e)],
             [point(1, 1), point(5, 1), point(Fraction(5, 2), Fraction(7, 2))],
         ]
-        want = sum((simplex_volume(s) for s in simplices), Fraction(0))
-        assert want == Fraction(1, 2) + Fraction(3, 128) + 5
-        assert volume_sum(simplices) == want
-        assert volume_sum(simplices[::-1]) == want
+        assert volumes(simplices) == Fraction(1, 2) + Fraction(3, 128) + 5
 
     def test_degenerate_and_empty(self):
-        assert volume_sum([[point(0, 0), point(1, 1), point(2, 2)]]) == 0
-        assert volume_sum([]) == 0
+        assert volumes([[point(0, 0), point(1, 1), point(2, 2)]]) == 0
+        assert volumes([]) == 0
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            volume_sum([[point(0, 0), point(1, 0), point(0, 1, 0)]])
+            volumes([[point(0, 0), point(1, 0), point(0, 1, 0)]])
 
     def test_point_count_mismatch_raises(self):
         triangle, edge = [point(0, 0), point(1, 0), point(0, 1)], [point(0, 0), point(1, 0)]
         for simplices in ([triangle, edge], [edge, triangle]):
             with pytest.raises(ValueError, match="^need n\\+1 points of dimension n$"):
-                volume_sum(simplices)
+                volumes(simplices)
 
 
 class TestDecimalText:
@@ -395,7 +407,7 @@ class TestKernelOracle:
                 [[x - y for x, y in zip(fractions_of(v), p0)] for v in simplex[1:]]
             )
             want += abs(det) / math.factorial(len(simplex) - 1)
-        assert volume_sum(simplices) == want
+        assert volumes(simplices) == want
 
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(points(n), max_size=5)))
     def test_distances(self, pts):
@@ -437,8 +449,8 @@ def _pair(c: Fraction) -> list:
 
 
 class TestOwnExponentDeterminants:
-    """``_cell_dets`` takes each simplex at its own largest exponent; the
-    volume sum and the loader's zero-volume test run on it.  Checked
+    """``_cell_dets`` takes each simplex at its own largest exponent;
+    ``simplex_volume`` and the loader's zero-volume test run on it.  Checked
     against Fraction determinants, with vertex exponents from 0 to 2**12."""
 
     TOPS = [0, 1, 2, 3, 5, 8, 13, 64, 65, 700, 1000, 2047, 4095, 4096]
@@ -457,8 +469,7 @@ class TestOwnExponentDeterminants:
             assert Fraction(det, 1 << (n * exp)) == want
         assert len({exp for _, exp in dets}) >= len(self.TOPS)
         want = sum(abs(_oracle_det(s)) for s in simplices) / math.factorial(n)
-        assert volume_sum(simplices) == want
-        assert volume_sum(simplices[::-1]) == want
+        assert volumes(simplices) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.integers(2, 3), st.booleans())
@@ -488,7 +499,7 @@ class TestOwnExponentDeterminants:
                 mesh_from_dict(doc)
         else:
             tri, _, _ = mesh_from_dict(doc)
-            assert tri.total_volume() == sum(
+            assert leaf_volume(tri) == sum(
                 abs(_oracle_det(s)) for s in simplices
             ) / math.factorial(n)
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
-from bisectmesh.exactgeom import DyadicPoint, simplex_volume
+from bisectmesh.exactgeom import DyadicPoint
 from bisectmesh.forest import finer, forest_size_identity, overlay, underlay
 from bisectmesh.refine import refine
-from conftest import kuhn_cube_mesh, kuhn_square, staircase_mesh
+from conftest import kuhn_cube_mesh, kuhn_square, leaf_volume, staircase_mesh
 from lemmas import closure01, tower, verify_forest_characterisation
 
 
@@ -108,8 +108,8 @@ class TestOverlayUnderlay:
         for _ in range(4):
             refine(p, rng.choice(sorted(p.leaves)))
             refine(q, rng.choice(sorted(q.leaves)))
-        assert overlay(p, q).total_volume() == Fraction(1)
-        assert underlay(p, q).total_volume() == Fraction(1)
+        assert leaf_volume(overlay(p, q)) == 1
+        assert leaf_volume(underlay(p, q)) == 1
 
 
 class TestDemands:
@@ -281,17 +281,15 @@ def refined(tri, rounds, rng):
 
 
 class TestTotalVolume:
-    """``total_volume`` shifts every leaf's determinant to one exponent and
-    divides once; it must equal the sum of the leaves' Fraction volumes."""
+    """The leaves of a refined offset unit cube, over different exponents,
+    fill the cube: their exact volumes add up to 1."""
 
     @staticmethod
     def check(tri):
         pool = tri.forest.pool
-        cells = tri.cells()
-        exps = {max(p.exp for p in t.vertices(pool)) for t in cells}
+        exps = {max(p.exp for p in t.vertices(pool)) for t in tri.cells()}
         assert len(exps) > 1  # the leaves' rows are over different exponents
-        per_leaf = sum((simplex_volume(t.vertices(pool)) for t in cells), Fraction(0))
-        assert tri.total_volume() == per_leaf == 1
+        assert leaf_volume(tri) == 1
 
     @pytest.mark.parametrize("n, rounds", [(2, 40), (3, 25), (4, 20)])
     def test_offset_cubes(self, n, rounds):

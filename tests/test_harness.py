@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn
-from bisectmesh import forest as forest_mod, harness, tarray
+from bisectmesh import exactgeom, forest as forest_mod, harness, meshio, tarray
 from bisectmesh.exactgeom import DyadicPoint, midpoint, simplex_volume
 from bisectmesh.harness import (
     SequenceError,
@@ -881,23 +882,6 @@ class TestSequenceInvariants:
         with pytest.raises(SequenceError, match="^round 1: counting identity broken$"):
             run_sequence(kuhn_square(), "random-leaf", 3, seed=0)
 
-    def test_off_edge_bisection_drifts_the_volume(self, monkeypatch):
-        """With the bisection-rule check switched off, an off-edge new
-        vertex passes every per-round check and is caught by the volume."""
-        calls = []
-
-        def bisect(s, pool):
-            calls.append(s)
-            if len(calls) == 1:
-                return _corrupted_bisect("off-edge", s, pool)
-            return tarray.bisect(s, pool)
-
-        monkeypatch.setattr(forest_mod, "bisect", bisect)
-        monkeypatch.setattr(harness, "_bisects", lambda forest, node_id: True)
-        message = "^total leaf volume drifted from the initial volume$"
-        with pytest.raises(SequenceError, match=message):
-            run_sequence(kuhn_square(), "random-leaf", 1, seed=0)
-
     def test_run_from_a_refined_leaf_set_breaks_the_forest_identity(self):
         """The forest counts from its roots, so a run that starts from a
         refined mesh in the same arena fails the end-of-run identity."""
@@ -905,6 +889,116 @@ class TestSequenceInvariants:
         refine(tri, min(tri.leaves))
         with pytest.raises(SequenceError, match=r"^counting identity violated: 6, 6, 6, 4$"):
             run_sequence(tri, "max-level-leaf", 2)
+
+
+class TestFaultyMidpoint:
+    """``_bisects`` tests ``2 m == a + b`` itself, so a fault in
+    ``midpoint``, which the bisection calls, cannot pass the check too."""
+
+    @pytest.mark.parametrize(
+        "mesh", [kuhn_square, lambda: single_kuhn(4)], ids=["square", "kuhn-4-simplex"]
+    )
+    def test_quarter_point_is_rejected(self, mesh, monkeypatch):
+        """The faulty midpoint is the point a quarter of the way from the
+        lexicographically smaller end: symmetric, so the mesh stays
+        conforming, and on the edge, so the volume is kept."""
+
+        def quarter(a, b):
+            lo, hi = sorted((a, b), key=fractions_of)
+            return midpoint(lo, midpoint(lo, hi))
+
+        monkeypatch.setattr(tarray, "midpoint", quarter)
+        # a harness that compared against midpoint() would see the same fault
+        monkeypatch.setattr(harness, "midpoint", quarter, raising=False)
+        with pytest.raises(SequenceError, match="children do not partition cell"):
+            run_sequence(mesh(), "random-leaf", 40, seed=3)
+
+
+def seeded_square():
+    """The Kuhn square after 30 seeded ``refine`` calls, and its number of
+    bisections."""
+    tri = kuhn_square()
+    rng = random.Random(5)
+    bisections = sum(len(refine(tri, rng.choice(sorted(tri.leaves)))) for _ in range(30))
+    return tri, bisections
+
+
+def first_child(tri, nid):
+    return tri.forest.ensure_children(nid)[0]
+
+
+class TestLeafSetAudit:
+    """The end-of-run audit: the leaves must be those of a full subforest
+    over all roots.  Leaf 64 of the seeded square and the first child of
+    leaf 57 are both at level 6, so swapping them keeps every count and
+    the total volume."""
+
+    MESSAGE = r"^leaves are not those of a full subforest at node {}$"
+
+    @pytest.mark.parametrize("fault", ["swap-same-depth", "swap-other-depth", "lost-leaf"])
+    def test_names_a_node(self, fault):
+        tri, bisections = seeded_square()
+        harness._full_invariants(tri, bisections)
+        forest = tri.forest
+        level = lambda nid: forest.tarray(nid).level
+        if fault == "swap-same-depth":
+            new = first_child(tri, 57)
+            assert level(new) == level(64)
+        elif fault == "swap-other-depth":
+            new = first_child(tri, min(nid for nid in tri.leaves if level(nid) == 7))
+            assert level(new) == level(64) + 2
+        else:
+            new = None
+        tri.leaves.remove(64)
+        parents = [forest.nodes[64].parent]
+        if new is not None:
+            tri.leaves.add(new)
+            parents.append(forest.nodes[new].parent)
+        with pytest.raises(SequenceError, match=self.MESSAGE.format(min(parents))):
+            harness._full_invariants(tri, bisections)
+
+    def test_swapped_leaf_fails_the_run(self, monkeypatch):
+        """The same-depth swap after the last round of a run, whose rounds
+        refine the seeded square's leaves: every per-round check passes."""
+        rng = random.Random(5)
+        logs = []
+
+        def seeded_refine(tri, target):
+            logs.append(refine(tri, rng.choice(sorted(tri.leaves))))
+            if len(logs) == 30:
+                tri.leaves.remove(64)
+                tri.leaves.add(first_child(tri, 57))
+            return logs[-1]
+
+        want = min(57, seeded_square()[0].forest.nodes[64].parent)
+        monkeypatch.setattr(harness, "refine", seeded_refine)
+        with pytest.raises(SequenceError, match=self.MESSAGE.format(want)):
+            run_sequence(kuhn_square(), "random-leaf", 30, seed=0)
+        assert len(logs) == 30
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [lambda: kuhn_cube_mesh(3), lambda: single_kuhn(4)],
+    ids=["kuhn-cube-3", "kuhn-4-simplex"],
+)
+def test_run_takes_no_determinant(mesh, monkeypatch):
+    """``run_sequence`` audits by structure alone: no ``_cell_dets`` call
+    through any module that binds it."""
+    tri = mesh()
+    calls = []
+    cell_dets = exactgeom._cell_dets
+
+    def counted(simplices):
+        calls.append(simplices)
+        return cell_dets(simplices)
+
+    for module in (exactgeom, meshio, importlib.import_module("bisectmesh.refine")):
+        monkeypatch.setattr(module, "_cell_dets", counted)
+    run_sequence(tri, "random-leaf", 40, seed=0)
+    assert calls == []
+    simplex_volume(tri.cells()[0].vertices(tri.forest.pool))
+    assert len(calls) == 1  # the counter sees a call
 
 
 def reference_ancestor_vertices(forest, nid, h_target):

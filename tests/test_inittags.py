@@ -27,6 +27,7 @@ from conftest import (
     point,
     kuhn_cube_cells,
     kuhn_square,
+    leaf_volume,
     one_sided_square,
     tripled_tet,
     tripled_triangle_pair,
@@ -66,7 +67,7 @@ class TestInitialDivision:
         tri3 = initial_division(pool3, cells3)
         assert len(tri3.leaves) == math.factorial(4) // 2
         assert check_sic(tri3) == []
-        assert tri3.total_volume() == Fraction(27, 6)
+        assert leaf_volume(tri3) == Fraction(27, 6)
 
     def test_vertex_marking_tags_without_division(self):
         pool = VertexPool()
