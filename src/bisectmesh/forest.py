@@ -136,22 +136,6 @@ class Triangulation:
         return frozenset(seen)
 
 
-def forest_size_identity(tri: Triangulation) -> tuple[int, int, int]:
-    """The three counts of the counting theorem; the caller asserts equality.
-
-    Returns ``(#cells - #initial, #non-leaves, #(forest \\ roots) / 2)``.
-    """
-    forest = tri.forest
-    nodes = tri.node_set()
-    cells_minus_initial = len(tri.leaves) - len(forest.roots)
-    nonleaves = sum(1 for nid in nodes if nid not in tri.leaves)
-    nonroot = len(nodes) - len(forest.roots)
-    half, rem = divmod(nonroot, 2)
-    if rem:
-        return cells_minus_initial, nonleaves, -1
-    return cells_minus_initial, nonleaves, half
-
-
 def finer(p: Triangulation, q: Triangulation) -> bool:
     """True iff fo(P) is a superset of fo(Q); requires the same root set."""
     _require_same_roots(p, q)

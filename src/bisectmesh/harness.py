@@ -20,7 +20,7 @@ from typing import Optional
 
 from .exactgeom import _canonical, _max_gap_sq, _rows, _unsigned, simplex_volume
 from .tarray import TaggedSimplex, refinement_edge
-from .forest import Triangulation, forest_size_identity
+from .forest import Triangulation
 from .refine import max_jump, refine
 
 
@@ -359,8 +359,10 @@ STRATEGIES = ("random-leaf", "max-level-leaf", "staircase-adversary", "quasitowe
 
 
 class SequenceError(AssertionError):
-    """An invariant (bisection, counting identity, conformity, the final leaf
-    set's structure) broke during a run."""
+    """An invariant broke during a run: a bisection's rule, a round's count
+    of cells against the logged bisections, conformity, or at the end the
+    leaf set's structure and its inner nodes against the logged
+    bisections."""
 
 
 def _top(heap: list, leaves: set) -> int:
@@ -376,9 +378,14 @@ def run_sequence(
     n_rounds: int,
     seed: Optional[int] = None,
 ) -> Trace:
-    """Drive N single-marking refinement rounds, asserting the counting
-    identity, the bisection rule, and conformity after every round, and the
-    leaf set's structure at the end.
+    """Drive N single-marking refinement rounds from the roots, asserting
+    the bisection rule, the count of logged bisections, and conformity
+    after every round, and the leaf set's structure at the end.
+
+    Raises ``ValueError`` for an unknown strategy, and up front when
+    ``tri``'s leaves are not its forest's roots: the audit below accounts
+    for every bisection from the roots, and the constants
+    (:func:`compute_constants`, #T_0 in :func:`verify_bdv`) describe them.
 
     Each bisection of a parent with vertex-id set ``P`` and refinement edge
     ``{a, b}`` must create a vertex ``m`` outside ``P`` with ``2 m == a + b``
@@ -391,19 +398,21 @@ def run_sequence(
     off-centre point on the edge, a duplicated half, and a correct bisection
     of another edge.
 
-    At the end, every node of fo(P)
-    (:meth:`~bisectmesh.forest.Triangulation.node_set`) but a leaf must hold
-    both children in it and no leaf a child, so the leaves are those of a
-    full subforest over all roots; and each count of the counting identity
-    must equal the logged bisections.  The bisected nodes are distinct
-    ancestors of final leaves, so the counts make them exactly the
-    subforest's inner nodes, each checked above, and by induction from the
-    roots the leaves fill the roots with their total volume: the audit
-    takes no determinant.  It
-    rejects a lost leaf, a leaf kept beside its descendant, and a leaf
-    swapped for a node of the same depth elsewhere, which keeps every count
-    and the volume.  Out of scope is geometry that no bisection made: the
-    roots (the loader rejects a root of zero volume).
+    At the end, one walk of fo(P)
+    (:meth:`~bisectmesh.forest.Triangulation.node_set`) checks two things.
+    Every node of fo(P) but a leaf holds both children in it and no leaf
+    holds a child, so the leaves are those of a full subforest over all
+    roots.  And its inner nodes, fo(P) minus the leaves, are exactly the
+    set of nodes the run logged as bisected, each checked by the rule
+    above.  By induction from the roots the leaves then fill the roots with
+    their total volume, so the audit takes no determinant; and #cells -
+    #roots, the inner nodes and half the non-roots all equal the logged
+    bisections, so the counting identity holds.  The audit rejects a lost
+    leaf, a leaf kept beside its descendant, a leaf swapped for a node of
+    the same depth elsewhere, and a logged bisection undone while a leaf is
+    split unlogged; the last two keep every count and the volume.  Out of
+    scope is geometry that no bisection made: the roots (the loader rejects
+    a root of zero volume).
 
     The conformity assertion is exact and cheap: starting from a conforming
     mesh, the only hanging candidates after a round are the new midpoints,
@@ -428,6 +437,8 @@ def run_sequence(
         raise ValueError(f"unknown strategy {strategy!r}")
     forest = tri.forest
     leaves = tri.leaves
+    if leaves != set(forest.roots):
+        raise ValueError("a run starts from the roots: the leaves are not the forest's roots")
     rng = random.Random(seed)
     trace = Trace(len(leaves))
     last_created: list[int] = []
@@ -469,7 +480,7 @@ def run_sequence(
             shallow if trace.rounds % 4 == 3 else deep, leaves
         ),
     }[strategy]
-    bisections = 0
+    bisected: set[int] = set()
     for rnd in range(1, n_rounds + 1):
         marked = pick()
         log = refine(tri, marked)
@@ -489,15 +500,14 @@ def run_sequence(
             born(c1)
             born(c2)
             last_created.extend((c1, c2))
-        bisections += len(log)
+        bisected.update(node_id for node_id, _ in log)
         cells_total = len(tri.leaves)
-        nonroot = 2 * bisections
-        if cells_total - trace.initial_cells != bisections:
+        if cells_total - trace.initial_cells != len(bisected):
             raise SequenceError(f"round {rnd}: counting identity broken")
         trace.rows.append(
-            (rnd, marked, len(log), cells_total, nonroot, max_jump(forest, log))
+            (rnd, marked, len(log), cells_total, 2 * len(bisected), max_jump(forest, log))
         )
-    _full_invariants(tri, bisections)
+    _full_invariants(tri, bisected)
     return trace
 
 
@@ -517,11 +527,11 @@ def _bisects(forest, node_id: int) -> bool:
     )
 
 
-def _full_invariants(tri: Triangulation, bisections: int):
+def _full_invariants(tri: Triangulation, bisected: set[int]):
     """The end-of-run audit of the leaf set; see run_sequence."""
     nodes, leaves = tri.forest.nodes, tri.leaves
     fo = tri.node_set()
-    broken = []
+    broken = list((fo - leaves) ^ bisected)  # inner nodes are the logged ones
     for nid in fo:  # an inner node holds both children in fo, a leaf neither
         ch = nodes[nid].children
         held = 0 if ch is None else (ch[0] in fo) + (ch[1] in fo)
@@ -529,9 +539,6 @@ def _full_invariants(tri: Triangulation, bisections: int):
             broken.append(nid)
     if broken:
         raise SequenceError(f"leaves are not those of a full subforest at node {min(broken)}")
-    a, b, c = forest_size_identity(tri)
-    if not (a == b == c == bisections):
-        raise SequenceError(f"counting identity violated: {a}, {b}, {c}, {bisections}")
 
 
 def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:

@@ -5,6 +5,8 @@
   :func:`closure01` closes the demand relation over the generated forest.
 * :func:`verify_forest_characterisation`: the vertex-set characterisation
   of an admissible forest.
+* :func:`forest_size_identity`: the three counts of the counting theorem,
+  #cells - #initial, the inner nodes and half the non-roots of fo(P).
 * :func:`tower_patch_spotcheck`: the tower lemma behind the bound of 2n
   recursive bisections per simplex per round, that every deep tower layer
   lies inside one vertex patch of the matching hyperlevel-uniform
@@ -22,6 +24,22 @@ from bisectmesh.harness import _h0
 from bisectmesh.refine import refine
 
 from conftest import frac_diam_sq
+
+
+def forest_size_identity(tri: Triangulation) -> tuple[int, int, int]:
+    """The three counts of the counting theorem; the caller asserts equality.
+
+    Returns ``(#cells - #initial, #non-leaves, #(forest \\ roots) / 2)``.
+    """
+    forest = tri.forest
+    nodes = tri.node_set()
+    cells_minus_initial = len(tri.leaves) - len(forest.roots)
+    nonleaves = sum(1 for nid in nodes if nid not in tri.leaves)
+    nonroot = len(nodes) - len(forest.roots)
+    half, rem = divmod(nonroot, 2)
+    if rem:
+        return cells_minus_initial, nonleaves, -1
+    return cells_minus_initial, nonleaves, half
 
 
 def tower(tri: Triangulation, child_of_leaf: int) -> frozenset:

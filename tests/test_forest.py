@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
 from bisectmesh.exactgeom import DyadicPoint
-from bisectmesh.forest import finer, forest_size_identity, overlay, underlay
+from bisectmesh.forest import finer, overlay, underlay
 from bisectmesh.refine import refine
 from conftest import kuhn_cube_mesh, kuhn_square, leaf_volume, staircase_mesh
-from lemmas import closure01, tower, verify_forest_characterisation
+from lemmas import closure01, forest_size_identity, tower, verify_forest_characterisation
 
 
 class TestCountingIdentity:

@@ -26,7 +26,7 @@ from bisectmesh.harness import (
 from bisectmesh.cli import main
 from bisectmesh.inittags import VertexPartition, agk_init
 from bisectmesh.meshio import write_mesh
-from bisectmesh.refine import refine
+from bisectmesh.refine import check_conforming, refine
 from bisectmesh.tarray import TaggedSimplex, refinement_edge
 
 from conftest import (
@@ -882,13 +882,39 @@ class TestSequenceInvariants:
         with pytest.raises(SequenceError, match="^round 1: counting identity broken$"):
             run_sequence(kuhn_square(), "random-leaf", 3, seed=0)
 
-    def test_run_from_a_refined_leaf_set_breaks_the_forest_identity(self):
-        """The forest counts from its roots, so a run that starts from a
-        refined mesh in the same arena fails the end-of-run identity."""
+    def test_run_from_a_refined_leaf_set_is_refused(self, monkeypatch):
+        """The audit accounts for every bisection from the roots, so a run
+        that starts from a refined mesh is refused before its first round."""
         tri = kuhn_square()
         refine(tri, min(tri.leaves))
-        with pytest.raises(SequenceError, match=r"^counting identity violated: 6, 6, 6, 4$"):
+        monkeypatch.setattr(harness, "refine", None)
+        with pytest.raises(ValueError, match="^a run starts from the roots: the leaves are not "
+                           "the forest's roots$"):
             run_sequence(tri, "max-level-leaf", 2)
+
+    def test_undone_bisection_and_unlogged_split_are_named(self, monkeypatch):
+        """In the last round, logged node 57 is merged back into a leaf and
+        leaf 39 is split unlogged: every count holds and the leaves are
+        those of a full subforest, but the mesh has hanging nodes."""
+        logs = []
+
+        def faulty_refine(tri, target):
+            logs.append(refine(tri, target))
+            if len(logs) == 30:
+                for child in tri.forest.nodes[57].children:
+                    tri.leaves.remove(child)
+                    tri._unindex_leaf(child)
+                tri.leaves.add(57)
+                tri._index_leaf(57)
+                tri.bisect_leaf(39)
+            return logs[-1]
+
+        monkeypatch.setattr(harness, "refine", faulty_refine)
+        tri = kuhn_square()
+        with pytest.raises(SequenceError, match=TestLeafSetAudit.MESSAGE.format(39)):
+            run_sequence(tri, "random-leaf", 30, seed=5)
+        assert 57 in {nid for log in logs[:-1] for nid, _ in log}
+        assert len(check_conforming(tri)) == 2
 
 
 class TestFaultyMidpoint:
@@ -915,12 +941,14 @@ class TestFaultyMidpoint:
 
 
 def seeded_square():
-    """The Kuhn square after 30 seeded ``refine`` calls, and its number of
-    bisections."""
+    """The Kuhn square after 30 seeded ``refine`` calls, and the set of
+    nodes they bisected."""
     tri = kuhn_square()
     rng = random.Random(5)
-    bisections = sum(len(refine(tri, rng.choice(sorted(tri.leaves)))) for _ in range(30))
-    return tri, bisections
+    bisected = set()
+    for _ in range(30):
+        bisected.update(nid for nid, _ in refine(tri, rng.choice(sorted(tri.leaves))))
+    return tri, bisected
 
 
 def first_child(tri, nid):
@@ -929,7 +957,7 @@ def first_child(tri, nid):
 
 class TestLeafSetAudit:
     """The end-of-run audit: the leaves must be those of a full subforest
-    over all roots.  Leaf 64 of the seeded square and the first child of
+    over all roots whose inner nodes are the logged bisections.  Leaf 64 of the seeded square and the first child of
     leaf 57 are both at level 6, so swapping them keeps every count and
     the total volume."""
 
@@ -937,8 +965,8 @@ class TestLeafSetAudit:
 
     @pytest.mark.parametrize("fault", ["swap-same-depth", "swap-other-depth", "lost-leaf"])
     def test_names_a_node(self, fault):
-        tri, bisections = seeded_square()
-        harness._full_invariants(tri, bisections)
+        tri, bisected = seeded_square()
+        harness._full_invariants(tri, bisected)
         forest = tri.forest
         level = lambda nid: forest.tarray(nid).level
         if fault == "swap-same-depth":
@@ -955,7 +983,7 @@ class TestLeafSetAudit:
             tri.leaves.add(new)
             parents.append(forest.nodes[new].parent)
         with pytest.raises(SequenceError, match=self.MESSAGE.format(min(parents))):
-            harness._full_invariants(tri, bisections)
+            harness._full_invariants(tri, bisected)
 
     def test_swapped_leaf_fails_the_run(self, monkeypatch):
         """The same-depth swap after the last round of a run, whose rounds
@@ -977,11 +1005,14 @@ class TestLeafSetAudit:
         assert len(logs) == 30
 
 
-@pytest.mark.parametrize(
+audited_runs = pytest.mark.parametrize(
     "mesh",
     [lambda: kuhn_cube_mesh(3), lambda: single_kuhn(4)],
     ids=["kuhn-cube-3", "kuhn-4-simplex"],
 )
+
+
+@audited_runs
 def test_run_takes_no_determinant(mesh, monkeypatch):
     """``run_sequence`` audits by structure alone: no ``_cell_dets`` call
     through any module that binds it."""
@@ -999,6 +1030,22 @@ def test_run_takes_no_determinant(mesh, monkeypatch):
     assert calls == []
     simplex_volume(tri.cells()[0].vertices(tri.forest.pool))
     assert len(calls) == 1  # the counter sees a call
+
+
+@audited_runs
+def test_run_walks_the_forest_once(mesh, monkeypatch):
+    """The end-of-run audit reads fo(P) in one ``node_set`` walk."""
+    calls = []
+    node_set = Triangulation.node_set
+
+    def counted(tri):
+        calls.append(tri)
+        return node_set(tri)
+
+    monkeypatch.setattr(Triangulation, "node_set", counted)
+    tri = mesh()
+    run_sequence(tri, "random-leaf", 40, seed=0)
+    assert calls == [tri]
 
 
 def reference_ancestor_vertices(forest, nid, h_target):
