@@ -329,7 +329,8 @@ def compute_constants(tri: Triangulation) -> Constants:
 class Trace:
     initial_cells: int
     rows: list = field(default_factory=list)
-    # row: (round, marked_cell, cells_added, cells_total, forest_nonroot, jump)
+    # row: (round, marked_cell, cells_added, cells_total, forest_nonroot)
+    max_jump: int = 0  # the largest refine.max_jump of any round
 
     @property
     def rounds(self) -> int:
@@ -339,13 +340,9 @@ class Trace:
     def final_cells(self) -> int:
         return self.rows[-1][3] if self.rows else self.initial_cells
 
-    @property
-    def max_jump(self) -> int:
-        return max((r[5] for r in self.rows), default=0)
-
     def csv_lines(self, bound_per_round: float) -> list[str]:
         lines = ["round,marked_cell,cells_added,cells_total,forest_nonroot,bound,ratio"]
-        for rnd, cell, added, total, nonroot, _ in self.rows:
+        for rnd, cell, added, total, nonroot in self.rows:
             bound = bound_per_round * rnd
             grown = total - self.initial_cells
             ratio = grown / bound if bound else 0.0
@@ -486,10 +483,10 @@ def run_sequence(
         log = refine(tri, marked)
         last_created = []
         # bisections first: a broken one can leave a hanging node behind
-        for node_id, _ in log:
+        for node_id in log:
             if not _bisects(forest, node_id):
                 raise SequenceError(f"round {rnd}: children do not partition cell {node_id}")
-        for node_id, _ in log:
+        for node_id in log:
             c1, c2 = forest.nodes[node_id].children
             edge = refinement_edge(forest.tarray(node_id))
             if tri.edge_sharers(edge):
@@ -500,13 +497,12 @@ def run_sequence(
             born(c1)
             born(c2)
             last_created.extend((c1, c2))
-        bisected.update(node_id for node_id, _ in log)
+        bisected.update(log)
         cells_total = len(tri.leaves)
         if cells_total - trace.initial_cells != len(bisected):
             raise SequenceError(f"round {rnd}: counting identity broken")
-        trace.rows.append(
-            (rnd, marked, len(log), cells_total, 2 * len(bisected), max_jump(forest, log))
-        )
+        trace.rows.append((rnd, marked, len(log), cells_total, 2 * len(bisected)))
+        trace.max_jump = max(trace.max_jump, max_jump(forest, log))
     _full_invariants(tri, bisected)
     return trace
 
@@ -554,7 +550,7 @@ def verify_bdv(trace: Trace, constants: Constants, mode: str) -> list[str]:
     first = (factor - 1) * trace.initial_cells
     num, den = (Fraction(constant) * (1 + Fraction(1, 10**9))).as_integer_ratio()
     problems = []
-    for rnd, _, _, total, _, _ in trace.rows:
+    for rnd, _, _, total, _ in trace.rows:
         grown = total - trace.initial_cells
         bound = first - (-num * rnd // den)  # first + ceil(num rnd / den)
         if grown > bound:

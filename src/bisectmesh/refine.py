@@ -22,15 +22,15 @@ class RefinementError(RuntimeError):
     (a pairwise-compatibility violation on a hand-made tagging)."""
 
 
-def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
+def refine(tri: Triangulation, target: int) -> list[int]:
     """Refine ``tri`` in place so it becomes strictly finer than the leaf
     ``target``; returns the bisection log.
 
-    The log holds ``(node_id, origin_leaf_id)`` pairs in bisection order,
-    where the origin is the leaf of the input triangulation whose subtree
-    the bisection happened in.  A guard bounds the closure work in this
-    round (``64 * dim * #cells`` loop steps) and turns a non-refineable
-    tagging into a :class:`RefinementError` instead of divergence.
+    The log holds the bisected node ids in bisection order, so a node
+    whose parent was bisected in the same round comes after it: only a
+    leaf is bisected.  A guard bounds the closure work in this round
+    (``64 * dim * #cells`` loop steps) and turns a non-refineable tagging
+    into a :class:`RefinementError` instead of divergence.
 
     Every stack entry is a leaf: the target is one, a pushed entry is a
     leaf sharer, and a bisection removes only the sharers of the top's
@@ -46,8 +46,7 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
     forest = tri.forest
     dim = forest.tarray(target).dim
     budget = 64 * dim * len(tri.leaves)
-    origin: dict[int, int] = {}
-    bisections: list[tuple[int, int]] = []
+    bisections: list[int] = []
     stack = [target]
     while stack:
         if budget == 0:
@@ -68,24 +67,23 @@ def refine(tri: Triangulation, target: int) -> list[tuple[int, int]]:
             stack.append(min(incompatible))
             continue
         for u in sorted(sharers):
-            src = origin.get(u, u)
-            c1, c2 = tri.bisect_leaf(u)
-            origin[c1] = origin[c2] = src
-            bisections.append((u, src))
+            tri.bisect_leaf(u)
+            bisections.append(u)
         stack.pop()
     return bisections
 
 
-def max_jump(forest, bisections: list[tuple[int, int]]) -> int:
+def max_jump(forest, bisections: list[int]) -> int:
     """Largest level increase any input leaf suffered in one :func:`refine`
-    round, from the bisection log it returned."""
-    return max(
-        (
-            forest.tarray(node_id).level + 1 - forest.tarray(origin).level
-            for node_id, origin in bisections
-        ),
-        default=0,
-    )
+    round: the depth of the round's bisection tree, read from its log.
+    Each bisection adds exactly one level, and the log lists a parent
+    before its children, so one walk gives each new node its depth below
+    its input leaf; no level is read."""
+    depth: dict[int, int] = {}
+    for u in bisections:
+        c1, c2 = forest.nodes[u].children
+        depth[c1] = depth[c2] = depth.get(u, 0) + 1
+    return max(depth.values(), default=0)
 
 
 def _box(pts: list) -> tuple[list, list]:

@@ -134,8 +134,9 @@ def test_c04_closure_estimate_sic():
         4,
         ok,
         f"1000 sequences (n=2, N<=200), {violations} bound violations; "
-        f"counting identity, volume conservation, and conformity asserted "
-        f"every round; {elapsed:.1f}s",
+        f"bisection rule, cells against logged bisections, and conformity "
+        f"asserted every round, and the leaf-set audit, which proves the "
+        f"volume kept, at the end; {elapsed:.1f}s",
     )
 
 

@@ -692,7 +692,7 @@ class TestRunSequence:
             consts = dataclasses.replace(consts, C_sic=constant, C_iso=constant)
             for grown in (first + bound, first + bound + 1):
                 trace = Trace(2)
-                trace.rows = [(k, 0, grown, 2 + grown, 2 * grown, 1)]
+                trace.rows = [(k, 0, grown, 2 + grown, 2 * grown)]
                 report = verify_bdv(trace, consts, mode)
                 if grown == first + bound:
                     assert report == []
@@ -708,7 +708,7 @@ class TestRunSequence:
         forged = Trace(trace.initial_cells)
         forged.rows = [list(r) for r in trace.rows]
         forged.rows[4] = tuple(
-            [5, 0, 10**6, trace.initial_cells + 10**6, 2 * 10**6, 1]
+            [5, 0, 10**6, trace.initial_cells + 10**6, 2 * 10**6]
         )
         report = verify_bdv(forged, consts, "sic")
         assert report and "round 5" in report[0]
@@ -783,7 +783,7 @@ class TestPicks:
             assert marked == _scan_pick(tri, strategy, len(rounds), last_created)
             log = refine(t, marked)
             rounds.append(marked)
-            last_created = [c for nid, _ in log for c in tri.forest.nodes[nid].children]
+            last_created = [c for nid in log for c in tri.forest.nodes[nid].children]
             return log
 
         monkeypatch.setattr(harness, "refine", checked_refine)
@@ -871,7 +871,7 @@ class TestSequenceInvariants:
     def test_unclosed_bisection_is_a_hanging_node(self, monkeypatch):
         def unclosed(tri, target):
             tri.bisect_leaf(target)
-            return [(target, target)]
+            return [target]
 
         monkeypatch.setattr(harness, "refine", unclosed)
         with pytest.raises(SequenceError, match=r"^round 1: bisected edge .* \(hanging node\)$"):
@@ -913,7 +913,7 @@ class TestSequenceInvariants:
         tri = kuhn_square()
         with pytest.raises(SequenceError, match=TestLeafSetAudit.MESSAGE.format(39)):
             run_sequence(tri, "random-leaf", 30, seed=5)
-        assert 57 in {nid for log in logs[:-1] for nid, _ in log}
+        assert 57 in {nid for log in logs[:-1] for nid in log}
         assert len(check_conforming(tri)) == 2
 
 
@@ -947,7 +947,7 @@ def seeded_square():
     rng = random.Random(5)
     bisected = set()
     for _ in range(30):
-        bisected.update(nid for nid, _ in refine(tri, rng.choice(sorted(tri.leaves))))
+        bisected.update(refine(tri, rng.choice(sorted(tri.leaves))))
     return tri, bisected
 
 

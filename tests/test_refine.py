@@ -710,6 +710,36 @@ class TestGss:
             frontier = nxt
         assert split_level == 4
 
+    @pytest.mark.parametrize(
+        "mesh, n, rounds",
+        [(kuhn_square, 2, 40), (lambda: kuhn_cube_mesh(3), 3, 20), (lambda: single_kuhn(4), 4, 12)],
+        ids=["square", "kuhn-3-cube", "kuhn-4-simplex"],
+    )
+    def test_jump_is_the_largest_level_gap_to_the_input_leaf(self, mesh, n, rounds):
+        """Oracle for the depth walk: each new leaf climbs ``parent`` to the
+        leaf of the mesh before the round it lies in, and the largest level
+        difference found is the round's jump.  A logged node whose parent was
+        logged in the same round comes after that parent."""
+        tri = mesh()
+        forest = tri.forest
+        rng = random.Random(7)
+        jumps = []
+        for _ in range(rounds):
+            before = set(tri.leaves)
+            log = refine(tri, rng.choice(sorted(before)))
+            gaps = []
+            for leaf in tri.leaves - before:
+                up = leaf
+                while up not in before:
+                    up = forest.nodes[up].parent
+                gaps.append(forest.tarray(leaf).level - forest.tarray(up).level)
+            jumps.append(max(gaps))
+            assert max_jump(forest, log) == jumps[-1] <= 2 * n
+            at = {nid: k for k, nid in enumerate(log)}
+            for k, nid in enumerate(log):
+                assert at.get(forest.nodes[nid].parent, -1) < k
+        assert max(jumps) > 1  # some round bisects below a new node
+
     def test_random_suite_jump_bounded(self):
         rng = random.Random(13)
         for n, rounds in ((2, 25), (3, 12), (4, 6)):
