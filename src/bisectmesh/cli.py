@@ -95,7 +95,10 @@ def _cmd_check(args):
             print(p)
         print(f"FAIL {args.what}: {len(problems)} problem(s)")
         return EXIT_VERIFY
-    print(f"PASS {args.what}")
+    what = args.what
+    if what == "sic":  # --depth is at least 1; the default is n + 1
+        what += f" (uniform refinements to depth {args.depth or tri.cells()[0].dim + 1})"
+    print(f"PASS {what}")
     return EXIT_OK
 
 

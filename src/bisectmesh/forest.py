@@ -74,7 +74,11 @@ class Triangulation:
     each leaf vertex to the leaves holding it.  An edge is the ``frozenset``
     of its two vertex ids (:meth:`TaggedSimplex.edges`, :func:`refinement_edge`);
     a leaf carries it when it holds both ends, so :meth:`edge_sharers`
-    intersects the two ends' stars."""
+    intersects the two ends' stars.
+
+    The stars are an unordered index that no output reads in order.  No
+    star is ever empty: :meth:`bisect_leaf` is the only mutator, and every
+    vertex of a bisected leaf is a vertex of one of its children."""
 
     def __init__(self, forest: Forest, leaves: Iterable[int]):
         self.forest = forest
@@ -99,10 +103,7 @@ class Triangulation:
 
     def _unindex_leaf(self, nid: int):
         for v in self.forest.tarray(nid).vertex_ids:
-            sharers = self.vertex_index[v]
-            sharers.discard(nid)
-            if not sharers:
-                del self.vertex_index[v]
+            self.vertex_index[v].discard(nid)
 
     def bisect_leaf(self, nid: int) -> tuple[int, int]:
         """Replace a leaf by its two children; no conformity closure here."""

@@ -440,7 +440,7 @@ def run_sequence(
     trace = Trace(len(leaves))
     last_created: list[int] = []
     if strategy == "random-leaf":
-        seen = list(leaves)
+        seen = sorted(leaves)
         born = seen.append
     else:  # a sorted list is a heap
         deep = sorted((-forest.tarray(nid).level, nid) for nid in leaves)

@@ -36,12 +36,10 @@ class MarkingError(ValueError):
     pass
 
 
-def _subsimplices(cells: Sequence[tuple], m: int) -> set:
-    """The m-subsimplices of the mesh, as vertex-id frozensets."""
-    subs = set()
-    for cell in cells:
-        subs.update(frozenset(c) for c in combinations(cell, m + 1))
-    return subs
+def _subsimplices(cells: Sequence[tuple], m: int) -> list:
+    """The m-subsimplices of the mesh, as ascending vertex-id lists, sorted."""
+    subs = {c for cell in cells for c in combinations(sorted(cell), m + 1)}
+    return sorted(map(list, subs))
 
 
 def resolve_marking(
@@ -52,7 +50,8 @@ def resolve_marking(
     Every free m-subsimplex (one containing no point of type > m) must
     contain exactly one type-m point; a type-m point lying in no free
     m-subsimplex is an extra point, and a type outside ``2..n`` has no
-    subsimplices.  Raises :class:`MarkingError` otherwise.  Returns
+    subsimplices.  Raises :class:`MarkingError` otherwise; the free ones are
+    walked in sorted vertex-id order, so a count error names the lowest.  Returns
     ``{subsimplex: (point, support)}``, where the support lists, in
     ascending id order, the subsimplex's vertices at which the point's
     barycentric coordinate is nonzero.
@@ -66,14 +65,13 @@ def resolve_marking(
     higher: list[DyadicPoint] = []
     for m in range(n, 1, -1):
         points = marking.get(m, [])
-        free = {
-            s
-            for s in _subsimplices(cells, m)
-            if all(c is None for c in _locate([pool.point(v) for v in s], higher))
-        }
+        free = [
+            ids
+            for ids in _subsimplices(cells, m)
+            if all(c is None for c in _locate([pool.point(v) for v in ids], higher))
+        ]
         used = [False] * len(points)
-        for s in free:
-            ids = sorted(s)
+        for ids in free:
             located = _locate([pool.point(v) for v in ids], points)
             inside = [(i, coords) for i, coords in enumerate(located) if coords is not None]
             if len(inside) != 1:
@@ -82,7 +80,7 @@ def resolve_marking(
                     f"{ids}; need exactly one"
                 )
             i, coords = inside[0]
-            assignment[s] = points[i], [v for v, c in zip(ids, coords) if c]
+            assignment[frozenset(ids)] = points[i], [v for v, c in zip(ids, coords) if c]
             used[i] = True
         for i, q in enumerate(points):
             if not used[i]:
@@ -100,7 +98,7 @@ def barycentre_marking(
     (n+1)!/2 cells per simplex."""
     n = len(cells[0]) - 1
     return {
-        m: [_barycentre(pool, s) for s in sorted(map(sorted, _subsimplices(cells, m)))]
+        m: [_barycentre(pool, s) for s in _subsimplices(cells, m)]
         for m in range(n, 1, -1)
     }
 
@@ -185,16 +183,15 @@ def agk_init(
 
 
 def _cell_pairs(tri: Triangulation):
-    """Pairs of leaves sharing at least one vertex, as ``(a, b, sa, sb,
-    shared)``: the node ids, their T-arrays and their common vertex ids."""
+    """Pairs ``a < b`` of leaves sharing a vertex, in sorted order, as ``(a,
+    b, sa, sb, shared)``: the node ids, their T-arrays and common vertex ids."""
     forest = tri.forest
-    seen = set()
+    pairs = set()
     for sharers in tri.vertex_index.values():
-        for a, b in combinations(sorted(sharers), 2):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                sa, sb = forest.tarray(a), forest.tarray(b)
-                yield a, b, sa, sb, set(sa.vertex_ids) & set(sb.vertex_ids)
+        pairs.update(combinations(sorted(sharers), 2))
+    for a, b in sorted(pairs):
+        sa, sb = forest.tarray(a), forest.tarray(b)
+        yield a, b, sa, sb, set(sa.vertex_ids) & set(sb.vertex_ids)
 
 
 def check_sic(tri: Triangulation, depth: Optional[int] = None) -> list[str]:

@@ -122,8 +122,7 @@ def check_conforming(tri: Triangulation) -> list[str]:
     leaf's facets lie on slab planes, as on the Kuhn-cube refinements
     measured in :func:`_leaf_frame`, its slabs meet in the leaf itself, so
     only a leaf with a hanging vertex reaches an elimination.
-    Problems are listed by vertex in ``tri.vertex_index`` order, then by
-    leaf in ``tri.leaves`` order.
+    Problems are listed by vertex id, then leaf id.
     """
     return _hanging(tri, _leaf_frame(tri))
 
@@ -161,11 +160,10 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
     forest = tri.forest
     pool = forest.pool
     points = pool.points
-    rank = {v: k for k, v in enumerate(rows)}
     by_x = sorted(rows, key=lambda v: rows[v][0])
     columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
     hits = []
-    for pos, leaf in enumerate(tri.leaves):
+    for leaf in tri.leaves:
         cell = forest.tarray(leaf)
         ids = cell.vertex_ids
         lo, hi = _box([rows[v] for v in ids])
@@ -180,12 +178,12 @@ def _hanging(tri: Triangulation, rows: dict) -> list[str]:
         located = _locate(cell.vertices(pool), [points[v] for v in boxed])
         for vid, coords in zip(boxed, located):
             if coords is not None:
-                hits.append((rank[vid], pos, vid, leaf))
+                hits.append((vid, leaf))
     hits.sort()
     return [
         f"hanging node: vertex {vid} lies in leaf {leaf} "
         "without being one of its vertices"
-        for _, _, vid, leaf in hits
+        for vid, leaf in hits
     ]
 
 
@@ -275,8 +273,8 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
 
 
 def _bisect_all(tri: Triangulation) -> Triangulation:
-    """Bisect every leaf of ``tri`` once, in place, with no closure."""
-    for leaf in list(tri.leaves):
+    """Bisect every leaf of ``tri`` once, in place, in leaf-id order, with no closure."""
+    for leaf in sorted(tri.leaves):
         tri.bisect_leaf(leaf)
     return tri
 
@@ -286,9 +284,9 @@ _GUARD_ROUNDS = 10_000
 
 
 def _sweep(tri: Triangulation, wanted, failure: str) -> Triangulation:
-    """Bisect the leaves whose T-array ``wanted`` accepts until none is left."""
+    """Bisect the leaves that ``wanted`` accepts, in leaf-id order, until none is left."""
     for _ in range(_GUARD_ROUNDS):
-        work = [leaf for leaf in tri.leaves if wanted(tri.forest.tarray(leaf))]
+        work = [leaf for leaf in sorted(tri.leaves) if wanted(tri.forest.tarray(leaf))]
         if not work:
             return tri
         for leaf in work:
@@ -320,7 +318,7 @@ def quasi_uniform_refine(tri: Triangulation) -> Triangulation:
     forest = tri.forest
     pool = forest.pool
     targets: set[frozenset] = set()
-    for leaf in tri.leaves:
+    for leaf in sorted(tri.leaves):  # midpoints are interned in leaf-id order
         t = forest.tarray(leaf)
         targets.update(t.edges())
         for triple in combinations(t.vertex_ids, 3):

@@ -293,6 +293,46 @@ def test_depth_outside_check_sic_exit_1(square_path, argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mesh, depth, shown",
+    [(kuhn_square, [], 3), (kuhn_square, ["--depth", "2"], 2),
+     (lambda: single_kuhn(3), [], 4), (lambda: single_kuhn(3), ["--depth", "1"], 1)],
+    ids=["square", "square-depth-2", "kuhn-3-simplex", "kuhn-3-simplex-depth-1"],
+)
+def test_check_sic_pass_names_its_depth(mesh, depth, shown, tmp_path, capsys):
+    """A ``PASS sic`` holds only up to the depth it tested, so the line
+    names it: ``--depth`` when given, n + 1 otherwise."""
+    path = tmp_path / "mesh.json"
+    write_mesh(path, mesh())
+    assert main(["check", "sic", "--mesh", str(path), *depth]) == 0
+    assert capsys.readouterr().out == f"PASS sic (uniform refinements to depth {shown})\n"
+
+
+# Two hanging vertices in leaf 0: vertex 3, the corner of the third cell,
+# and vertex 4, the corner of the second.
+TWO_HANGING = (
+    '{"dim": 2,\n'
+    ' "vertices": [[["0","0"],["0","0"]], [["8","0"],["0","0"]], [["0","0"],["8","0"]],\n'
+    '              [["1","0"],["1","0"]], [["2","0"],["2","0"]], [["20","0"],["2","0"]],\n'
+    '              [["2","0"],["20","0"]], [["-6","0"],["1","0"]], [["-6","0"],["2","0"]]],\n'
+    ' "cells": [{"horizontal": [0, 1, 2]}, {"horizontal": [4, 5, 6]}, '
+    '{"horizontal": [3, 7, 8]}]}\n'
+)
+
+
+def test_check_conforming_lists_hanging_nodes_by_vertex_id(tmp_path, capsys):
+    """Problems come by vertex id, then leaf id, whatever order the loader
+    or the stars hold the vertices in."""
+    path = tmp_path / "two-hanging.json"
+    path.write_text(TWO_HANGING)
+    assert main(["check", "conforming", "--mesh", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "hanging node: vertex 3 lies in leaf 0 without being one of its vertices",
+        "hanging node: vertex 4 lies in leaf 0 without being one of its vertices",
+        "FAIL conforming: 2 problem(s)",
+    ]
+
+
 def test_check_sic_depth_0_exit_1(tmp_path, capsys):
     """Depth 0 checks no edge, so it must be refused, not read as the
     default or passed: the mesh fails at every depth from 1."""

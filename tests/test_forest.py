@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
 from bisectmesh.exactgeom import DyadicPoint
 from bisectmesh.forest import finer, overlay, underlay
-from bisectmesh.refine import refine
-from conftest import kuhn_cube_mesh, kuhn_square, leaf_volume, staircase_mesh
+from bisectmesh.harness import STRATEGIES, run_sequence
+from bisectmesh.refine import (
+    hyperlevel_uniform_refine, quasi_uniform_refine, refine, uniform_refine,
+)
+from conftest import kuhn_cube_mesh, kuhn_square, leaf_volume, single_kuhn, staircase_mesh
 from lemmas import closure01, forest_size_identity, tower, verify_forest_characterisation
 
 
@@ -222,6 +225,55 @@ def test_edge_sharers_match_leaf_scan(n, seed, rounds, unclosed):
             assert got == want
             got.add(-1)
             assert tri.edge_sharers(edge) == want
+
+
+def assert_stars_fresh(tri):
+    """The stars kept through bisection are those a fresh index of the leaves
+    builds, compared as an unordered map, and none is empty."""
+    assert tri.vertex_index == Triangulation(tri.forest, tri.leaves).vertex_index
+    assert all(tri.vertex_index.values())
+
+
+STAR_MESHES = {
+    "square": (kuhn_square, 4, 6),
+    "cube-3": (lambda: kuhn_cube_mesh(3), 1, 3),
+    "kuhn-4-simplex": (lambda: single_kuhn(4), 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_MESHES))
+class TestKeptStars:
+    """:meth:`Triangulation.bisect_leaf` discards a bisected leaf from its
+    stars and never deletes a key, so no star may stay behind empty or
+    differ from a fresh index, after any way of refining."""
+
+    def test_refine_rounds(self, name):
+        make = STAR_MESHES[name][0]
+        for seed in range(3):
+            rng = random.Random(seed)
+            tri = make()
+            for _ in range(12):
+                refine(tri, rng.choice(sorted(tri.leaves)))
+                assert_stars_fresh(tri)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_sequence(self, name, strategy):
+        tri = STAR_MESHES[name][0]()
+        run_sequence(tri, strategy, 15, seed=3)
+        assert_stars_fresh(tri)
+
+    def test_sweeps(self, name):
+        make, j, uniform_rounds = STAR_MESHES[name]
+        sweeps = [
+            lambda tri: hyperlevel_uniform_refine(tri, j),
+            lambda tri: [uniform_refine(tri) for _ in range(uniform_rounds)],
+            quasi_uniform_refine,
+        ]
+        for sweep in sweeps:
+            tri = make()
+            sweep(tri)
+            assert len(tri.leaves) > len(tri.forest.roots)
+            assert_stars_fresh(tri)
 
 
 class TestCharacterisation:

@@ -10,6 +10,7 @@ from bisectmesh.inittags import (
     MarkingError,
     _barycentre,
     VertexPartition,
+    _cell_pairs,
     agk_init,
     check_isocochange,
     check_pc,
@@ -26,6 +27,7 @@ from conftest import (
     fractions_of,
     point,
     kuhn_cube_cells,
+    kuhn_grid,
     kuhn_square,
     leaf_volume,
     one_sided_square,
@@ -94,6 +96,16 @@ class TestInitialDivision:
             resolve_marking(pool, cells, {2: [point(3, 1), point(2, 1), point(6, 2)]})
         with pytest.raises(MarkingError):  # point outside every cell
             resolve_marking(pool, cells, {2: [point(3, 1), point(6, 2), point(50, 50)]})
+
+    def test_first_marking_error_names_the_lowest_subsimplex(self):
+        """Free subsimplices are walked in sorted id order, so of the two
+        empty triangles the error names [0, 1, 2], not [1, 2, 3]."""
+        pool = VertexPool()
+        ids = [pool.id_of(point(*q)) for q in [(0, 0), (4, 0), (0, 4), (4, 4)]]
+        assert ids == [0, 1, 2, 3]
+        message = "type-2 marking gives 0 points in subsimplex [0, 1, 2]; need exactly one"
+        with pytest.raises(MarkingError, match=re.escape(message)):
+            resolve_marking(pool, [(0, 1, 2), (1, 2, 3)], {2: []})
 
     def test_marking_type_outside_range_rejected(self):
         """A type-7 point on a triangle mesh has no 7-subsimplex to divide;
@@ -399,3 +411,20 @@ class TestCheckPcIsoCoChange:
             pool, [TaggedSimplex((a, b), (c,), 0, 1)]
         )
         assert check_retahyco(tri2) != []
+
+
+def test_cell_pairs_come_in_pair_order():
+    """The pair verifiers report in the order of ``_cell_pairs``: every
+    pair of leaves with a common vertex once, sorted by ``(a, b)``, not in
+    the order of the vertex stars."""
+    tri = kuhn_grid(2, 2)
+    forest = tri.forest
+    leaves = sorted(tri.leaves)
+    want = [
+        (a, b)
+        for i, a in enumerate(leaves)
+        for b in leaves[i + 1 :]
+        if set(forest.tarray(a).vertex_ids) & set(forest.tarray(b).vertex_ids)
+    ]
+    got = [(a, b) for a, b, *_ in _cell_pairs(tri)]
+    assert got == want

@@ -10,6 +10,7 @@ from bisectmesh import DyadicPoint, Triangulation, VertexPool
 from bisectmesh.forest import overlay, underlay
 from bisectmesh.refine import (
     RefinementError,
+    _bisect_all,
     _segments_cross,
     check_conforming,
     check_conforming_2d_exact,
@@ -181,7 +182,8 @@ class TestCheckConforming:
 
 def reference_check_conforming(tri):
     """All-pairs hanging-node scan: every leaf vertex against every leaf's
-    bounding box, then the reference ``barycentric``."""
+    bounding box, then the reference ``barycentric``, by vertex id, then
+    leaf id."""
     forest = tri.forest
     pool = forest.pool
     problems = []
@@ -192,8 +194,8 @@ def reference_check_conforming(tri):
         ids = forest.tarray(leaf).vertex_ids
         cols = list(zip(*(rows[v] for v in ids)))
         boxes[leaf] = ([min(c) for c in cols], [max(c) for c in cols], ids)
-    for vid, q in rows.items():
-        for leaf, (lo, hi, ids) in boxes.items():
+    for vid, q in sorted(rows.items()):
+        for leaf, (lo, hi, ids) in sorted(boxes.items()):
             if vid in ids or any(c < a or b < c for c, a, b in zip(q, lo, hi)):
                 continue
             if barycentric(pool.point(vid), [pool.point(v) for v in ids]) is not None:
@@ -749,3 +751,16 @@ class TestGss:
                 log = refine(tri, rng.choice(sorted(tri.leaves)))
                 worst = max(worst, max_jump(tri.forest, log))
             assert worst <= 2 * n
+
+
+def test_bisect_all_numbers_new_nodes_in_leaf_id_order():
+    """A sweep bisects in leaf-id order, whatever order the leaf set holds:
+    of the leaves {4, 8}, node 4 is bisected first and gets the next two
+    ids."""
+    tri = kuhn_square()
+    for _ in range(3):
+        refine(tri, min(tri.leaves))
+    assert {4, 8} <= tri.leaves and len(tri.forest.nodes) == 10
+    _bisect_all(Triangulation(tri.forest, [4, 8]))
+    assert tri.forest.nodes[4].children == (10, 11)
+    assert tri.forest.nodes[8].children == (12, 13)
