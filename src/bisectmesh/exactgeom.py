@@ -92,6 +92,13 @@ class DyadicPoint:
         p.nums, p.exp = _canonical(nums, exp)
         return p
 
+    @classmethod
+    def _of_canonical(cls, nums: tuple, exp: int) -> "DyadicPoint":
+        """The point ``nums / 2**exp`` for a tuple already in canonical form."""
+        p = object.__new__(cls)
+        p.nums, p.exp = nums, exp
+        return p
+
     @property
     def dim(self) -> int:
         return len(self.nums)

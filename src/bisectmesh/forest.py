@@ -40,12 +40,6 @@ class Forest:
         self.nodes: list[Node] = []
         self.roots: list[int] = []
 
-    def add_root(self, tarray: TaggedSimplex) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(tarray, None, None))
-        self.roots.append(nid)
-        return nid
-
     def tarray(self, nid: int) -> TaggedSimplex:
         return self.nodes[nid].tarray
 
@@ -76,34 +70,49 @@ class Triangulation:
     a leaf carries it when it holds both ends, so :meth:`edge_sharers`
     intersects the two ends' stars.
 
-    The stars are an unordered index that no output reads in order.  No
+    The stars are built the first time ``vertex_index`` is read, and
+    :meth:`bisect_leaf` keeps them up to date only once they exist, so a
+    triangulation that is only loaded, hashed, overlaid or scanned builds
+    none.  They are an unordered index that no output reads in order.  No
     star is ever empty: :meth:`bisect_leaf` is the only mutator, and every
     vertex of a bisected leaf is a vertex of one of its children."""
 
     def __init__(self, forest: Forest, leaves: Iterable[int]):
         self.forest = forest
         self.leaves: set[int] = set(leaves)
-        self.vertex_index: dict[int, set[int]] = {}
-        for leaf in self.leaves:
-            self._index_leaf(leaf)
+        self._stars: Optional[dict[int, set[int]]] = None
+
+    @property
+    def vertex_index(self) -> dict[int, set[int]]:
+        if self._stars is None:
+            self._stars = {}
+            for leaf in self.leaves:
+                self._index_leaf(leaf)
+        return self._stars
 
     @classmethod
     def from_cells(cls, pool: VertexPool, cells: Iterable[TaggedSimplex]):
+        """A new forest whose roots are ``cells``, in order, as its leaves."""
         forest = Forest(pool)
-        for c in cells:
-            forest.add_root(c)
-        return cls(forest, list(forest.roots))
+        forest.nodes = [Node(c, None, None) for c in cells]
+        forest.roots = list(range(len(forest.nodes)))
+        return cls(forest, forest.roots)
 
     def copy(self) -> "Triangulation":
-        return Triangulation(self.forest, self.leaves)
+        """The same leaves in the same forest; stars already built are
+        copied, one set per vertex, and otherwise left to be built."""
+        out = Triangulation(self.forest, self.leaves)
+        if self._stars is not None:
+            out._stars = {v: set(star) for v, star in self._stars.items()}
+        return out
 
     def _index_leaf(self, nid: int):
         for v in self.forest.tarray(nid).vertex_ids:
-            self.vertex_index.setdefault(v, set()).add(nid)
+            self._stars.setdefault(v, set()).add(nid)
 
     def _unindex_leaf(self, nid: int):
         for v in self.forest.tarray(nid).vertex_ids:
-            self.vertex_index[v].discard(nid)
+            self._stars[v].discard(nid)
 
     def bisect_leaf(self, nid: int) -> tuple[int, int]:
         """Replace a leaf by its two children; no conformity closure here."""
@@ -111,16 +120,19 @@ class Triangulation:
             raise ValueError(f"node {nid} is not a leaf of this triangulation")
         c1, c2 = self.forest.ensure_children(nid)
         self.leaves.remove(nid)
-        self._unindex_leaf(nid)
-        for c in (c1, c2):
-            self.leaves.add(c)
-            self._index_leaf(c)
+        self.leaves.add(c1)
+        self.leaves.add(c2)
+        if self._stars is not None:
+            self._unindex_leaf(nid)
+            self._index_leaf(c1)
+            self._index_leaf(c2)
         return c1, c2
 
     def edge_sharers(self, edge: frozenset) -> set:
         """A new set of the leaves holding both ends of ``edge``."""
         a, b = edge
-        return self.vertex_index.get(a, set()) & self.vertex_index.get(b, set())
+        stars = self.vertex_index
+        return stars.get(a, set()) & stars.get(b, set())
 
     def cells(self) -> list[TaggedSimplex]:
         return [self.forest.tarray(nid) for nid in sorted(self.leaves)]

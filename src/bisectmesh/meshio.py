@@ -27,7 +27,8 @@ import json
 import re
 import sys
 from decimal import Decimal
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, lshift, sub
 from typing import Optional
 
 from .exactgeom import DyadicPoint, _cell_dets, _reduced
@@ -54,13 +55,26 @@ _MAX_LEVEL = 1 << 20
 # the engine's own meshes stay near exponent 118 (adapt-deep, level 235).
 _MAX_EXP = 1 << 16
 
+# The texts of canonical ``["num","exp"]`` pairs, each written "num exp" and
+# joined by single spaces: "0 0", a nonzero numerator over "0", or an odd
+# numerator over a positive exponent of at most the five digits of _MAX_EXP.
+_PAIR = r"(?:0 0|-?[1-9][0-9]* 0|-?(?:[1-9][0-9]*)?[13579] [1-9][0-9]{0,4})"
+_PAIRS_TEXT = re.compile(rf"{_PAIR}(?: {_PAIR})*")
+
 
 def _point_to_json(p: DyadicPoint, i: int) -> list:
-    """``p`` as JSON pairs; a failure names the path ``vertices[i]``."""
-    pairs = [_reduced(x, p.exp) for x in p.nums]
+    """``p`` as JSON pairs; a failure names the path ``vertices[i]``.  A
+    coordinate over exponent 0, or with an odd numerator, is already in
+    lowest terms."""
+    exp = p.exp
+    text = str(exp)
     try:
-        return [[str(num), str(exp)] for num, exp in pairs]
+        return [
+            [str(x), text] if x & 1 or not exp else list(map(str, _reduced(x, exp)))
+            for x in p.nums
+        ]
     except ValueError:  # str() past the interpreter's digit limit
+        pairs = [_reduced(x, exp) for x in p.nums]
         limit = sys.get_int_max_str_digits()
         digits = max(Decimal(num).adjusted() + 1 for num, _ in pairs)
         raise ValueError(
@@ -116,57 +130,76 @@ def _point_from_json(obj, dim: int, where: str, i: int) -> DyadicPoint:
     return DyadicPoint._of([num << (exp - e) for num, e in pairs], exp)
 
 
-def mesh_to_dict(tri: Triangulation, partition: Optional[VertexPartition] = None) -> dict:
-    pool = tri.forest.pool
-    cells = tri.cells()
-    used: list[int] = sorted({v for c in cells for v in c.vertex_ids})
-    remap = {v: i for i, v in enumerate(used)}
-    doc = {
-        "dim": cells[0].dim,
-        "vertices": [_point_to_json(pool.point(v), i) for i, v in enumerate(used)],
-        "cells": [
-            {
-                "horizontal": [remap[v] for v in c.horizontal],
-                "vertical": [remap[v] for v in c.vertical],
-                "hyperlevel": c.hyperlevel,
-                "level": c.level,
-            }
-            for c in cells
-        ],
-    }
-    if partition is not None:
-        doc["partition"] = {
-            "v0": sorted(remap[v] for v in partition.v0),
-            "v1": sorted(remap[v] for v in partition.v1),
-        }
-        if partition.order0 is not None:
-            doc["partition"]["order0"] = [remap[v] for v in partition.order0]
-        if partition.order1 is not None:
-            doc["partition"]["order1"] = [remap[v] for v in partition.order1]
-    return doc
+def _column_points(rows: list, dim: int) -> Optional[list]:
+    """The points of the JSON point list ``rows``, checked and read a whole
+    column at a time, or None when a check fails: the caller then walks the
+    rows with :func:`_point_from_json`, which names the first bad path.
+
+    The texts, joined by single spaces, must spell canonical pairs one after
+    another (``_PAIRS_TEXT``).  No canonical text is empty or holds a space,
+    and the joined string holds one space fewer than there are texts, so
+    the i-th text of the match is the i-th text of the list.  A point's
+    exponent is the largest of its pairs', whose numerator is then odd or
+    its exponent 0, so the shifted numerators are canonical as they stand.
+    """
+    if not rows:
+        return []
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
+        return None
+    coords = list(chain.from_iterable(rows))
+    if set(map(type, coords)) != {list} or set(map(len, coords)) != {2}:
+        return None
+    texts = list(chain.from_iterable(coords))
+    if set(map(type, texts)) != {str}:
+        return None
+    joined = " ".join(texts)
+    if joined.count(" ") != len(texts) - 1 or not _PAIRS_TEXT.fullmatch(joined):
+        return None
+    try:
+        ints = list(map(int, texts))
+    except ValueError:  # past the interpreter's digit limit
+        return None
+    nums, exps = ints[0::2], ints[1::2]
+    if max(exps) > _MAX_EXP:
+        return None
+    tops = list(map(max, zip(*[iter(exps)] * dim)))
+    shifts = map(sub, chain.from_iterable(zip(*[tops] * dim)), exps)
+    shifted = map(lshift, nums, shifts)
+    return list(map(DyadicPoint._of_canonical, zip(*[shifted] * dim), tops))
 
 
-def mesh_from_dict(doc: dict):
-    """Returns ``(triangulation, marking, partition)``, the marking as a
-    ``{type: points}`` dict; the latter two may be None."""
-    if not isinstance(doc, dict):
-        raise MeshFormatError("top level: expected an object")
-    dim = doc.get("dim")
-    # a JSON integer is exactly an int: true/false load as bools, which
-    # isinstance counts as ints
-    if type(dim) is not int or dim < 1:
-        raise MeshFormatError("dim: expected a positive integer")
-    vertices = doc.get("vertices")
-    if not isinstance(vertices, list) or not vertices:
-        raise MeshFormatError("vertices: expected a non-empty list")
-    pool = VertexPool()
-    for i, v in enumerate(vertices):
-        if pool.id_of(_point_from_json(v, dim, "vertices", i)) != i:
-            raise MeshFormatError(f"vertices[{i}]: duplicate coordinates")
-    n_ids = len(vertices)
-    raw_cells = doc.get("cells")
-    if not isinstance(raw_cells, list) or not raw_cells:
-        raise MeshFormatError("cells: expected a non-empty list")
+def _column_cells(raw_cells: list, dim: int, n_ids: int) -> Optional[list]:
+    """The tagged cells of the JSON cell list, checked a whole column at a
+    time, or None when a check fails: the caller then walks the cells with
+    :func:`_walk_cells`, which names the first bad path."""
+    if set(map(type, raw_cells)) != {dict}:
+        return None
+    hors = list(map(dict.get, raw_cells, repeat("horizontal")))
+    vers = list(map(dict.get, raw_cells, repeat("vertical"), repeat([])))
+    if set(map(type, hors)) != {list} or set(map(type, vers)) != {list} or not all(hors):
+        return None
+    ids = list(chain.from_iterable(chain(hors, vers)))
+    if set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= n_ids:
+        return None
+    rows = list(map(add, hors, vers))
+    vsets = list(map(frozenset, rows))
+    if (
+        set(map(len, rows)) != {dim + 1}
+        or set(map(len, vsets)) != {dim + 1}
+        or len(set(vsets)) != len(vsets)
+    ):
+        return None
+    levels = list(map(dict.get, raw_cells, repeat("level"), repeat(0)))
+    hypers = list(map(dict.get, raw_cells, repeat("hyperlevel"), repeat(0)))
+    for col in (levels, hypers):
+        if set(map(type, col)) != {int} or min(col) < 0 or max(col) > _MAX_LEVEL:
+            return None
+    return list(map(TaggedSimplex, map(tuple, hors), map(tuple, vers), levels, hypers))
+
+
+def _walk_cells(raw_cells: list, dim: int, n_ids: int) -> list:
+    """The tagged cells of the JSON cell list, checked one cell at a time;
+    the first failure names its path."""
     cells = []
     first_with: dict[frozenset, int] = {}
     for i, c in enumerate(raw_cells):
@@ -200,6 +233,72 @@ def mesh_from_dict(doc: dict):
         cells.append(
             TaggedSimplex(tuple(hor), tuple(ver), level=level, hyperlevel=hyper)
         )
+    return cells
+
+
+def mesh_to_dict(tri: Triangulation, partition: Optional[VertexPartition] = None) -> dict:
+    pool = tri.forest.pool
+    cells = tri.cells()
+    used: list[int] = sorted(set(chain.from_iterable(c.vertex_ids for c in cells)))
+    remap = {v: i for i, v in enumerate(used)}
+    at = remap.__getitem__
+    doc = {
+        "dim": cells[0].dim,
+        "vertices": [_point_to_json(pool.point(v), i) for i, v in enumerate(used)],
+        "cells": [
+            {
+                "horizontal": list(map(at, c.horizontal)),
+                "vertical": list(map(at, c.vertical)),
+                "hyperlevel": c.hyperlevel,
+                "level": c.level,
+            }
+            for c in cells
+        ],
+    }
+    if partition is not None:
+        doc["partition"] = {
+            "v0": sorted(map(at, partition.v0)),
+            "v1": sorted(map(at, partition.v1)),
+        }
+        if partition.order0 is not None:
+            doc["partition"]["order0"] = list(map(at, partition.order0))
+        if partition.order1 is not None:
+            doc["partition"]["order1"] = list(map(at, partition.order1))
+    return doc
+
+
+def mesh_from_dict(doc: dict):
+    """Returns ``(triangulation, marking, partition)``, the marking as a
+    ``{type: points}`` dict; the latter two may be None.
+
+    Vertices, cells and marked points are checked a whole column at a time
+    (:func:`_column_points`, :func:`_column_cells`); only when such a pass
+    fails does the loader walk the elements one by one, to name the first
+    bad JSON path."""
+    if not isinstance(doc, dict):
+        raise MeshFormatError("top level: expected an object")
+    dim = doc.get("dim")
+    # a JSON integer is exactly an int: true/false load as bools, which
+    # isinstance counts as ints
+    if type(dim) is not int or dim < 1:
+        raise MeshFormatError("dim: expected a positive integer")
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list) or not vertices:
+        raise MeshFormatError("vertices: expected a non-empty list")
+    points = _column_points(vertices, dim)
+    pool = None if points is None else VertexPool._numbered(points)
+    if pool is None:
+        pool = VertexPool()
+        for i, v in enumerate(vertices):
+            if pool.id_of(_point_from_json(v, dim, "vertices", i)) != i:
+                raise MeshFormatError(f"vertices[{i}]: duplicate coordinates")
+    n_ids = len(vertices)
+    raw_cells = doc.get("cells")
+    if not isinstance(raw_cells, list) or not raw_cells:
+        raise MeshFormatError("cells: expected a non-empty list")
+    cells = _column_cells(raw_cells, dim, n_ids)
+    if cells is None:
+        cells = _walk_cells(raw_cells, dim, n_ids)
     tri = Triangulation.from_cells(pool, cells)
     dets = _cell_dets(c.vertices(pool) for c in cells)
     for i, (det, _) in enumerate(dets):
@@ -217,10 +316,12 @@ def mesh_from_dict(doc: dict):
                 raise MeshFormatError(f"marking.{key}: {exc}") from exc.__cause__
             if not isinstance(pts, list):
                 raise MeshFormatError(f"marking.{key}: expected a list of points")
-            marking[m] = [
-                _point_from_json(p, dim, f"marking.{key}", i)
-                for i, p in enumerate(pts)
-            ]
+            marking[m] = _column_points(pts, dim)
+            if marking[m] is None:
+                marking[m] = [
+                    _point_from_json(p, dim, f"marking.{key}", i)
+                    for i, p in enumerate(pts)
+                ]
     partition = None
     if "partition" in doc:
         part = doc["partition"]

@@ -9,7 +9,7 @@ coarsest conforming refinement strictly finer than the marked cell.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from itertools import chain, combinations
 from operator import le
 
 from .exactgeom import _cell_dets, _locate
@@ -144,10 +144,12 @@ def _leaf_frame(tri: Triangulation) -> dict:
     and 600 leaves) every leaf facet has one of these n² normals, so there
     only true hits pass the filter.
     """
-    points = tri.forest.pool.points
-    exp = max((points[v].exp for v in tri.vertex_index), default=0)
+    forest = tri.forest
+    points = forest.pool.points
+    verts = set(chain.from_iterable(forest.tarray(leaf).vertex_ids for leaf in tri.leaves))
+    exp = max((points[v].exp for v in verts), default=0)
     rows = {}
-    for v in tri.vertex_index:
+    for v in verts:
         row = points[v].at_exp(exp)
         pairs = list(combinations(row, 2))
         rows[v] = row + [a + b for a, b in pairs] + [a - b for a, b in pairs]
@@ -215,9 +217,9 @@ def check_conforming_2d_exact(tri: Triangulation) -> list[str]:
     """
     forest = tri.forest
     at = forest.pool.points.__getitem__
-    if any(at(v).dim != 2 for v in tri.vertex_index):
-        raise ValueError("check_conforming_2d_exact needs a plane mesh")
     rows = _leaf_frame(tri)
+    if any(at(v).dim != 2 for v in rows):
+        raise ValueError("check_conforming_2d_exact needs a plane mesh")
     problems = _hanging(tri, rows)
     boxes, edges = {}, {}
     for s in tri.leaves:

@@ -40,6 +40,17 @@ class VertexPool:
             self._index[p] = vid
         return vid
 
+    @classmethod
+    def _numbered(cls, points: list) -> Optional["VertexPool"]:
+        """The pool whose id ``i`` is ``points[i]``, or None when two of
+        the points are equal."""
+        pool = cls()
+        pool._index = dict(zip(points, range(len(points))))
+        if len(pool._index) != len(points):
+            return None
+        pool.points = points
+        return pool
+
     def point(self, vid: int) -> DyadicPoint:
         return self.points[vid]
 

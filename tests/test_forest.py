@@ -9,8 +9,10 @@ from bisectmesh import Triangulation, VertexPool, kuhn, refinement_edge
 from bisectmesh.exactgeom import DyadicPoint
 from bisectmesh.forest import finer, overlay, underlay
 from bisectmesh.harness import STRATEGIES, run_sequence
+from bisectmesh.meshio import mesh_hash, read_mesh, write_mesh
 from bisectmesh.refine import (
-    hyperlevel_uniform_refine, quasi_uniform_refine, refine, uniform_refine,
+    check_conforming, check_conforming_2d_exact, hyperlevel_uniform_refine,
+    quasi_uniform_refine, refine, uniform_refine,
 )
 from conftest import kuhn_cube_mesh, kuhn_square, leaf_volume, single_kuhn, staircase_mesh
 from lemmas import closure01, forest_size_identity, tower, verify_forest_characterisation
@@ -274,6 +276,70 @@ class TestKeptStars:
             sweep(tri)
             assert len(tri.leaves) > len(tri.forest.roots)
             assert_stars_fresh(tri)
+
+
+class TestStarsOnFirstUse:
+    """The stars are built the first time ``vertex_index`` is read."""
+
+    def test_copy_of_built_stars(self):
+        """A copy takes one new set per star, equal to a fresh index, and
+        bisecting the copy leaves the source's stars and leaves as they
+        were."""
+        rng = random.Random(8)
+        tri = kuhn_cube_mesh(3)
+        for _ in range(6):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        leaves = set(tri.leaves)
+        stars = {v: set(star) for v, star in tri.vertex_index.items()}
+        twin = tri.copy()
+        assert twin._stars is not None
+        assert twin.vertex_index == Triangulation(tri.forest, tri.leaves).vertex_index
+        assert all(twin.vertex_index[v] is not star for v, star in tri.vertex_index.items())
+        for _ in range(6):
+            refine(twin, rng.choice(sorted(twin.leaves)))
+        twin.bisect_leaf(min(twin.leaves))
+        assert tri.leaves == leaves and tri.vertex_index == stars
+        assert_stars_fresh(twin)
+
+    def test_copy_of_unbuilt_stars_stays_lazy(self):
+        tri = kuhn_square()
+        twin = tri.copy()
+        assert twin._stars is None
+        twin.bisect_leaf(min(twin.leaves))
+        assert twin._stars is None and tri._stars is None
+        assert_stars_fresh(twin)
+
+    def test_loads_hashes_overlays_and_scans_build_none(self, tmp_path, monkeypatch):
+        """``read_mesh``, ``mesh_hash``, ``overlay``, ``underlay`` and both
+        conformity scans take their vertices from the leaves."""
+        rng = random.Random(3)
+        p = kuhn_square()
+        q = Triangulation(p.forest, p.forest.roots)
+        cube = kuhn_cube_mesh(3)
+        for _ in range(10):
+            refine(p, rng.choice(sorted(p.leaves)))
+            refine(q, rng.choice(sorted(q.leaves)))
+            refine(cube, rng.choice(sorted(cube.leaves)))
+        write_mesh(tmp_path / "p.json", p)
+        write_mesh(tmp_path / "cube.json", cube)
+        calls = []
+        index_leaf = Triangulation._index_leaf
+
+        def counted(self, nid):
+            calls.append(nid)
+            index_leaf(self, nid)
+
+        monkeypatch.setattr(Triangulation, "_index_leaf", counted)
+        plane = [read_mesh(tmp_path / "p.json")[0], overlay(p, q), underlay(p, q)]
+        for tri in plane:
+            mesh_hash(tri)
+            assert check_conforming(tri) == []
+            assert check_conforming_2d_exact(tri) == []
+        loaded = read_mesh(tmp_path / "cube.json")[0]
+        mesh_hash(loaded)
+        assert check_conforming(loaded) == []
+        assert calls == []
+        assert all(tri._stars is None for tri in [*plane, loaded])
 
 
 class TestCharacterisation:

@@ -4,12 +4,13 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisectmesh import Triangulation, VertexPool, kuhn
+from bisectmesh import Triangulation, VertexPool, kuhn, meshio
 from bisectmesh.inittags import VertexPartition
 from bisectmesh.meshio import (
     MeshFormatError,
@@ -22,7 +23,8 @@ from bisectmesh.meshio import (
 from bisectmesh.refine import check_conforming, check_conforming_2d_exact, refine
 from bisectmesh.tarray import TaggedSimplex
 
-from conftest import kuhn_grid, kuhn_square, leaf_volume, marked_text, point
+from conftest import fractions_of, kuhn_grid, kuhn_square, leaf_volume, marked_text, point
+from loader_oracle import load_verdict
 
 
 def test_roundtrip_identity(tmp_path):
@@ -524,3 +526,200 @@ def test_written_text_is_json_dumps_indent_1(tmp_path_factory, case):
     write_mesh(path, tri, partition)
     want = json.dumps(mesh_to_dict(tri, partition), indent=1) + "\n"
     assert path.read_bytes() == want.encode()
+
+
+# the leaf counts of the verify workload's conformity meshes
+BENCH_LEAVES = {2: 400, 3: 250, 4: 120}
+
+
+@lru_cache(maxsize=None)
+def bench_text(n):
+    """A seeded bench-size document as JSON text: the Kuhn n-cube moved by
+    a dyadic offset, refined at random leaves to at least
+    ``BENCH_LEAVES[n]`` leaves, with a marking of three of its vertices."""
+    pool = VertexPool()
+    offset = point(*[Fraction(-37, 8), Fraction(5, 1024), 3, Fraction(-1, 2)][:n])
+    cells = [kuhn(list(p), [1] * n, pool, offset=offset) for p in permutations(range(1, n + 1))]
+    tri = Triangulation.from_cells(pool, cells)
+    rng = random.Random(n)
+    while len(tri.leaves) < BENCH_LEAVES[n]:
+        refine(tri, rng.choice(sorted(tri.leaves)))
+    doc = mesh_to_dict(tri)
+    doc["marking"] = {"2": doc["vertices"][1:4]}
+    return json.dumps(doc)
+
+
+def _loaded(doc):
+    """``(message, None)`` when the loader rejects ``doc``, else ``(None,
+    (points, cells, marked points))``, the points as Fraction tuples."""
+    try:
+        tri, marking, _ = mesh_from_dict(doc)
+    except MeshFormatError as exc:
+        return str(exc), None
+    cells = [(c.horizontal, c.vertical, c.level, c.hyperlevel) for c in tri.cells()]
+    marked = {m: [fractions_of(p) for p in pts] for m, pts in (marking or {}).items()}
+    return None, ([fractions_of(p) for p in tri.forest.pool.points], cells, marked)
+
+
+_BAD_TEXTS = [
+    "", " ", "00", "-0", "+1", " 1", "1 ", "1 0", "0 0", "01", "1_0", "0x1", "\u0660", "1.0",
+    "2", "-4", "1" * 5000, "3" * 4301, "65536", "65537", "99999", "100000", str(10**6),
+]
+_NOT_TEXTS = [1, 0, True, False, None, 1.5, [], ["1"], {"1": 0}]
+_IDS_AND_LEVELS = [-1, 0, 1, 2, 3, True, False, 1.0, "1", None, [], 1 << 20, (1 << 20) + 1]
+
+
+def _texts():
+    return (
+        st.sampled_from(_BAD_TEXTS)
+        | st.sampled_from(_NOT_TEXTS)
+        | st.text(alphabet="0123456789- ", max_size=6)
+    )
+
+
+def _mutate(doc, data):
+    """Replace one field of ``doc``: a number text, a pair, a point, a cell
+    id, a level, a whole cell or a marking entry, by a drawn value, or by a
+    copy of another vertex, coordinate or cell (the same cell's ids
+    permuted)."""
+    verts, cells = doc["vertices"], doc["cells"]
+    vert = st.integers(0, len(verts) - 1)
+    cell = st.integers(0, len(cells) - 1)
+    kind = data.draw(st.sampled_from([
+        "none", "text", "exp", "digits", "pair", "point", "same-point", "move", "id",
+        "id-in-cell", "level", "cell", "same-cell", "marking",
+    ]))
+    if kind == "text":
+        i, j, k = data.draw(vert), data.draw(st.integers(0, doc["dim"] - 1)), data.draw(st.integers(0, 1))
+        verts[i][j][k] = data.draw(_texts())
+    elif kind == "exp":
+        i, j = data.draw(vert), data.draw(st.integers(0, doc["dim"] - 1))
+        exp = data.draw(st.sampled_from([1, 3, 65535, 65536, 65537, 99999, 100000, 10**6]))
+        verts[i][j] = [data.draw(st.sampled_from(["1", "-3", "5", "2", "0"])), str(exp)]
+    elif kind == "digits":
+        i, j = data.draw(vert), data.draw(st.integers(0, doc["dim"] - 1))
+        num = data.draw(st.sampled_from(["1" * 5000, "-" + "3" * 4301, "7" * 4300]))
+        verts[i][j] = [num, data.draw(st.sampled_from(["0", "1", "3"]))]
+    elif kind == "move":  # a coordinate of another vertex: duplicates, flat cells
+        i, j = data.draw(vert), data.draw(vert)
+        k = data.draw(st.integers(0, doc["dim"] - 1))
+        verts[i][k] = list(verts[j][k])
+    elif kind == "pair":
+        i, j = data.draw(vert), data.draw(st.integers(0, doc["dim"] - 1))
+        verts[i][j] = data.draw(st.sampled_from(
+            [[], ["1"], ["1", "0", "0"], 5, "1 0", None, {"1": "0"}, ["1", 0], [True, "0"], ("1", "0")]
+        ))
+    elif kind == "point":
+        i = data.draw(vert)
+        verts[i] = data.draw(st.sampled_from(
+            [[], verts[i][:-1], verts[i] + [["0", "0"]], "x", None, 3, [verts[i]]]
+        ))
+    elif kind == "same-point":
+        i, j = data.draw(vert), data.draw(vert)
+        verts[i] = json.loads(json.dumps(verts[j]))
+    elif kind in ("id", "id-in-cell"):
+        c = cells[data.draw(cell)]
+        field = "vertical" if c["vertical"] and data.draw(st.booleans()) else "horizontal"
+        k = data.draw(st.integers(0, len(c[field]) - 1))
+        if kind == "id":
+            value = data.draw(st.sampled_from(_IDS_AND_LEVELS + [len(verts), len(verts) + 7]))
+        else:  # another id of the same cell: a repeated vertex
+            value = data.draw(st.sampled_from(c["horizontal"] + c["vertical"]))
+        c[field][k] = value
+    elif kind == "level":
+        c = cells[data.draw(cell)]
+        field = data.draw(st.sampled_from(["level", "hyperlevel"]))
+        if data.draw(st.booleans()):
+            c.pop(field)
+        else:
+            c[field] = data.draw(st.sampled_from(_IDS_AND_LEVELS + [-5, 7]))
+    elif kind == "cell":
+        cells[data.draw(cell)] = data.draw(st.sampled_from([
+            [], "x", None, {}, {"horizontal": []}, {"horizontal": "ab"}, {"horizontal": [0, 1]},
+            {"horizontal": [0], "vertical": 3}, {"horizontal": [0, 1, 2, 3, 4, 5]},
+        ]))
+    elif kind == "same-cell":
+        i, j = data.draw(cell), data.draw(cell)
+        hor = data.draw(st.permutations(cells[j]["horizontal"]))
+        cells[i] = dict(cells[j], horizontal=hor)
+    elif kind == "marking":
+        marking = doc["marking"]
+        what = data.draw(st.sampled_from(["text", "key", "points", "whole"]))
+        if what == "text":
+            i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, doc["dim"] - 1))
+            marking["2"][i][j][data.draw(st.integers(0, 1))] = data.draw(_texts())
+        elif what == "key":
+            marking[data.draw(st.sampled_from(["02", "-1", "x", "3", ""]))] = []
+        elif what == "points":
+            marking["2"] = data.draw(st.sampled_from([5, None, [], "ab", [[]]]))
+        else:
+            doc["marking"] = data.draw(st.sampled_from([[], None, 3, {}]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from(sorted(BENCH_LEAVES)), data=st.data())
+def test_column_loader_matches_per_element_oracle(n, data):
+    """One field of a bench-size document mutated: type swaps, booleans,
+    non-canonical text, exponents above the limit, numerators past the
+    digit limit, ids out of range, repeated vertices and duplicate points
+    and cells.  The loader's verdict and message are those of the
+    per-element reference walk, and an accepted load reads its points."""
+    doc = json.loads(bench_text(n))
+    _mutate(doc, data)
+    want, points = load_verdict(doc)
+    got, loaded = _loaded(doc)
+    assert got == want
+    if want is None:
+        assert loaded[0] == points
+        raw = doc["cells"]
+        assert loaded[1] == [
+            (tuple(c["horizontal"]), tuple(c.get("vertical", [])), c.get("level", 0),
+             c.get("hyperlevel", 0))
+            for c in raw
+        ]
+
+
+@pytest.mark.parametrize("n", sorted(BENCH_LEAVES))
+def test_well_formed_load_takes_no_per_element_walk(tmp_path, monkeypatch, n):
+    """The column passes accept every well-formed document by themselves:
+    with the per-element pair reader and cell walk made to raise, a
+    bench-size file with a marking still loads."""
+
+    def walked(*args):
+        raise AssertionError("the per-element walk ran on a well-formed document")
+
+    path = tmp_path / "mesh.json"
+    path.write_text(bench_text(n))
+    monkeypatch.setattr(meshio, "_dyadic_from_json", walked)
+    monkeypatch.setattr(meshio, "_walk_cells", walked)
+    tri, marking, _ = read_mesh(path)
+    assert len(tri.leaves) == len(json.loads(bench_text(n))["cells"]) >= BENCH_LEAVES[n]
+    assert len(marking[2]) == 3
+
+
+def test_kuhn_square_64_errors_name_their_paths():
+    """The 64x64 Kuhn square (8192 triangles) fails at its own paths: an
+    even numerator over a positive exponent at vertices[4000][1], and a
+    cell repeating cells[0]."""
+    doc = mesh_to_dict(kuhn_grid(2, 64))
+    assert len(mesh_from_dict(doc)[0].leaves) == 8192
+    bad = json.loads(json.dumps(doc))
+    bad["vertices"][4000][1] = ["2", "1"]
+    with pytest.raises(MeshFormatError, match=re.escape(
+        "vertices[4000][1]: non-canonical dyadic (even numerator)"
+    ) + "$"):
+        mesh_from_dict(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["cells"][8000] = dict(bad["cells"][0])
+    with pytest.raises(MeshFormatError, match=re.escape("cells[8000]: same vertices as cells[0]")):
+        mesh_from_dict(bad)
+
+
+def test_writer_prints_lowest_terms_without_reducing():
+    """Exponent-0 points and odd numerators are printed as they stand; an
+    even numerator over a positive exponent is reduced."""
+    p = point(Fraction(3, 4), 6, 0, Fraction(-1, 2), Fraction(-5, 4))
+    assert meshio._point_to_json(p, 0) == [
+        ["3", "2"], ["6", "0"], ["0", "0"], ["-1", "1"], ["-5", "2"],
+    ]
+    assert meshio._point_to_json(point(6, 0, -7), 0) == [["6", "0"], ["0", "0"], ["-7", "0"]]
