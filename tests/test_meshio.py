@@ -713,13 +713,3 @@ def test_kuhn_square_64_errors_name_their_paths():
     bad["cells"][8000] = dict(bad["cells"][0])
     with pytest.raises(MeshFormatError, match=re.escape("cells[8000]: same vertices as cells[0]")):
         mesh_from_dict(bad)
-
-
-def test_writer_prints_lowest_terms_without_reducing():
-    """Exponent-0 points and odd numerators are printed as they stand; an
-    even numerator over a positive exponent is reduced."""
-    p = point(Fraction(3, 4), 6, 0, Fraction(-1, 2), Fraction(-5, 4))
-    assert meshio._point_to_json(p, 0) == [
-        ["3", "2"], ["6", "0"], ["0", "0"], ["-1", "1"], ["-5", "2"],
-    ]
-    assert meshio._point_to_json(point(6, 0, -7), 0) == [["6", "0"], ["0", "0"], ["-7", "0"]]
