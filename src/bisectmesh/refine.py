@@ -111,17 +111,25 @@ def check_conforming(tri: Triangulation) -> list[str]:
 
     Cost: the V leaf vertices are shifted once to the mesh's largest
     exponent, for the filter only, as rows of n² slab values (see
-    :func:`_leaf_frame`), and sorted by first coordinate.  Per leaf, a
-    binary search and one pass per further slab direction, which stops once
-    only the leaf's own vertices are left, find the vertices in its slabs,
-    and one :func:`_locate` on the leaf's own points and those candidates
-    decides them all, so a deep vertex lengthens only the eliminations it
-    takes part in.  That is O(V n² + V log V + L log V + K n²) filter work
-    for L leaves and K vertices in x-ranges, and at most L eliminations,
+    :func:`_leaf_frame`), and sorted by first coordinate.  A filter finds
+    the vertices in a simplex's slabs by a binary search on the first
+    direction and one pass per further direction, whose bounds it reads
+    only when that pass runs; it stops once only vertices that always pass
+    are left.  Two sibling leaves share one filter, in their parent's
+    slabs, and are certified together when it leaves nothing but their own
+    vertices (the proof is in :func:`_hanging`); otherwise each is filtered
+    again from the parent's survivors.  Roots, and leaves whose sibling is
+    not a leaf, are filtered alone.  One :func:`_locate` on a leaf's own
+    points and its candidates decides them all, so a deep vertex lengthens
+    only the eliminations it takes part in.  That is O(V n² + V log V +
+    F log V + K n²) filter work for F filters, one per sibling pair and per
+    other leaf plus two per pair the parent does not certify, and K
+    vertices in their x-ranges, and at most L eliminations for L leaves,
     against the O(V L) of testing every vertex in every leaf.  Where a
-    leaf's facets lie on slab planes, as on the Kuhn-cube refinements
-    measured in :func:`_leaf_frame`, its slabs meet in the leaf itself, so
-    only a leaf with a hanging vertex reaches an elimination.
+    simplex's facets lie on slab planes, as on the Kuhn-cube refinements
+    measured in :func:`_leaf_frame`, its slabs meet in the simplex itself,
+    so only a leaf with a hanging vertex reaches an elimination, and a
+    sibling pair without one costs one filter.
     Problems are listed by vertex id, then leaf id.
     """
     return _hanging(tri, _leaf_frame(tri))
@@ -132,14 +140,14 @@ def _leaf_frame(tri: Triangulation) -> dict:
     for the filters only: ``{vertex id: row}``.
 
     A row holds the n coordinates, then ``x_i + x_j`` and ``x_i - x_j`` for
-    each ``i < j``: the values of n² linear functionals, so :func:`_box`
-    gives a cell's slabs in those directions.  A point of a closed simplex
-    gives every linear functional a value between that functional's least
-    and greatest over the simplex's vertices, so a slab filter never drops
-    a point of the cell; it only keeps points that the exact solve then
-    rejects.  The slabs are tight where a cell's facets lie on planes
-    ``x_i = c`` or ``x_i ± x_j = c``: then their intersection is the closed
-    cell itself.  Measured, not proved: on random-leaf ``refine`` runs
+    each ``i < j``: the values of n² linear functionals, whose least and
+    greatest over a cell's vertices bound its slabs in those directions.
+    A point of a closed simplex gives every linear functional a value
+    between that functional's least and greatest over the simplex's
+    vertices, so a slab filter never drops a point of the cell; it only
+    keeps points that the exact solve then rejects.  The slabs are tight
+    where a cell's facets lie on planes ``x_i = c`` or ``x_i ± x_j = c``:
+    then their intersection is the closed cell itself.  Measured, not proved: on random-leaf ``refine`` runs
     from the Kuhn 2-, 3- and 4-cube (three seeds each, to about 3000, 1500
     and 600 leaves) every leaf facet has one of these n² normals, so there
     only true hits pass the filter.
@@ -156,31 +164,79 @@ def _leaf_frame(tri: Triangulation) -> dict:
     return rows
 
 
+def _in_slabs(columns: list, pts: list, stop: int, near=None):
+    """Positions in x order of the frame ``columns`` whose values lie within
+    the least and greatest of the rows ``pts`` in every direction: a binary
+    search on the first direction, unless ``near`` already holds the
+    positions to filter, then one pass per direction.  Each direction's
+    bounds are read only when its pass runs, and the passes stop once
+    ``stop`` positions are left, which the caller knows always pass."""
+    directions = zip(columns, zip(*pts))
+    if near is None:
+        col, values = next(directions)
+        near = range(bisect_left(col, min(values)), bisect_right(col, max(values)))
+    for col, values in directions:
+        if len(near) == stop:
+            break
+        a, b = min(values), max(values)
+        near = [k for k in near if a <= col[k] <= b]
+    return near
+
+
 def _hanging(tri: Triangulation, rows: dict) -> list[str]:
     """The scan of :func:`check_conforming`: slabs on the leaf frame
-    ``rows``, each solve on the rows of its own points."""
+    ``rows``, each solve on the rows of its own points.
+
+    When both children c1 and c2 of a node P are leaves, P's slabs are
+    filtered once.  P is bisected at the midpoint m of its refinement edge
+    {a, b}; c1 keeps b and c2 keeps a.  The survivors hold P's n+1 vertices
+    and m, which are n+2 distinct leaf vertices.  If nothing else survives,
+    neither child has a hanging vertex:
+
+    - a vertex in closed c1 or c2 lies in closed P, so it survived;
+    - the only survivor that is not a vertex of c1 is a, and a lies
+      strictly outside c1.  In P's barycentric coordinates every point of
+      c1, the hull of m, b and P's other n-1 vertices, has a-coordinate at
+      most 1/2, that of m, and a has 1.  The same holds for c2 and b.
+
+    This needs P non-degenerate, so that its barycentric coordinates are
+    unique and m is none of its vertices.  The loader rejects zero-volume
+    cells and bisection halves a volume, so no P below a loaded root is
+    degenerate; a degenerate P built in memory may be certified where a
+    solve in one of its children would raise ValueError.  If other
+    vertices survive, each child is filtered from P's survivors, which is
+    exact: its vertices lie in closed P, so its slabs lie inside P's.
+    Roots, and leaves whose sibling is not a leaf, are filtered alone.
+    """
     forest = tri.forest
+    nodes = forest.nodes
     pool = forest.pool
     points = pool.points
+    leaves = tri.leaves
     by_x = sorted(rows, key=lambda v: rows[v][0])
-    columns = list(zip(*(rows[v] for v in by_x)))  # one per axis, in x order
+    columns = list(zip(*(rows[v] for v in by_x)))  # one per direction, in x order
     hits = []
-    for leaf in tri.leaves:
-        cell = forest.tarray(leaf)
+
+    def scan(leaf, near=None):
+        cell = nodes[leaf].tarray
         ids = cell.vertex_ids
-        lo, hi = _box([rows[v] for v in ids])
-        near = range(bisect_left(columns[0], lo[0]), bisect_right(columns[0], hi[0]))
-        for col, a, b in zip(columns[1:], lo[1:], hi[1:]):
-            if len(near) == len(ids):
-                break  # the leaf's own vertices always pass: none other is left
-            near = [k for k in near if a <= col[k] <= b]
+        near = _in_slabs(columns, [rows[v] for v in ids], len(ids), near)
         boxed = [v for v in map(by_x.__getitem__, near) if v not in ids]
-        if not boxed:
-            continue
-        located = _locate(cell.vertices(pool), [points[v] for v in boxed])
-        for vid, coords in zip(boxed, located):
-            if coords is not None:
-                hits.append((vid, leaf))
+        if boxed:
+            located = _locate(cell.vertices(pool), [points[v] for v in boxed])
+            hits.extend((vid, leaf) for vid, at in zip(boxed, located) if at is not None)
+
+    for leaf in leaves:
+        parent = nodes[leaf].parent
+        pair = nodes[parent].children if parent is not None else ()
+        if not (pair and pair[0] in leaves and pair[1] in leaves):
+            scan(leaf)
+        elif leaf == pair[0]:
+            ids = nodes[parent].tarray.vertex_ids
+            near = _in_slabs(columns, [rows[v] for v in ids], len(ids) + 1)
+            if len(near) > len(ids) + 1:
+                scan(pair[0], near)
+                scan(pair[1], near)
     hits.sort()
     return [
         f"hanging node: vertex {vid} lies in leaf {leaf} "

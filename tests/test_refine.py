@@ -506,6 +506,127 @@ class TestSlabFilter:
             assert check_conforming_2d_exact(tri) == reference_check_conforming_2d_exact(tri)
 
 
+
+def _counted_filters(monkeypatch):
+    """Patch the hanging-node scan's slab filter with a call counter; the
+    returned list gets one entry per filter run."""
+    module = importlib.import_module("bisectmesh.refine")
+    calls, real = [], module._in_slabs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_in_slabs", counted)
+    return calls
+
+
+def _sibling(tri, leaf):
+    """The other child of ``leaf``'s parent, or None for a root."""
+    parent = tri.forest.nodes[leaf].parent
+    if parent is None:
+        return None
+    c1, c2 = tri.forest.nodes[parent].children
+    return c2 if leaf == c1 else c1
+
+
+def _filters_wanted(tri):
+    """One filter per sibling pair of leaves and per other leaf."""
+    paired = sum(_sibling(tri, leaf) in tri.leaves for leaf in tri.leaves)
+    return paired // 2 + len(tri.leaves) - paired
+
+
+def _reported_leaves(report):
+    return {int(leaf) for leaf in re.findall(r"in leaf (\d+)", "\n".join(report))}
+
+
+def _start_mesh(n):
+    """A conforming mesh to refine in n dimensions: four intervals of a
+    line, the Kuhn square or the Kuhn n-cube."""
+    if n == 1:
+        return plain_mesh([(Fraction(k, 4),) for k in range(5)], [(k, k + 1) for k in range(4)])
+    return kuhn_square() if n == 2 else kuhn_cube_mesh(n)
+
+
+class TestSiblingPairs:
+    """Two sibling leaves are filtered once, in their parent's slabs, and
+    certified together when only their own vertices survive; otherwise
+    each is filtered again from the parent's survivors."""
+
+    @pytest.mark.parametrize("n, times", [(2, 8), (3, 5), (4, 3)])
+    def test_uniform_refinements_run_one_filter_per_pair(self, monkeypatch, n, times):
+        tri = _start_mesh(n)
+        filters, solves = _counted_filters(monkeypatch), _counted_solves(monkeypatch)
+        for _ in range(times):
+            uniform_refine(tri)
+            filters.clear()
+            assert check_conforming(tri) == []
+            assert len(filters) == len(tri.leaves) // 2
+        assert solves == []
+
+    @pytest.mark.parametrize("n, rounds", [(2, 40), (3, 12), (4, 4)])
+    def test_random_refinements_run_fewer_filters_than_leaves(self, monkeypatch, n, rounds):
+        rng = random.Random(n)
+        tri = _start_mesh(n)
+        for _ in range(rounds):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        filters, solves = _counted_filters(monkeypatch), _counted_solves(monkeypatch)
+        assert check_conforming(tri) == []
+        assert len(filters) == _filters_wanted(tri) < len(tri.leaves)
+        assert solves == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unclosed_bisection_hangs_in_a_pair(self, n):
+        """The new vertex lies in a leaf whose sibling is a leaf too, so the
+        pair's filter cannot certify it and each child is filtered again."""
+        if n == 1:
+            # [0, 4] and [1, 5] overlap; bisecting both makes two pairs,
+            # and 3, the midpoint of [1, 5], lies in [2, 4]
+            tri = plain_mesh([(0,), (4,), (1,), (5,)], [(0, 1), (2, 3)])
+            tri.bisect_leaf(0)
+            tri.bisect_leaf(1)
+        else:
+            tri = _start_mesh(n)
+            for _ in range(2):  # on the Kuhn square, one leaves no shared refinement edge
+                uniform_refine(tri)
+            leaf = next(
+                s for s in sorted(tri.leaves)
+                if tri.edge_sharers(refinement_edge(tri.forest.tarray(s))) - {s, _sibling(tri, s)}
+            )
+            tri.bisect_leaf(leaf)
+        found = check_conforming(tri)
+        assert found == reference_check_conforming(tri)
+        assert any(_sibling(tri, s) in tri.leaves for s in _reported_leaves(found))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_refined_copy_of_a_root_hangs_in_the_root(self, n):
+        """A root and a copy of it refined in memory: every vertex of the
+        copy's leaves but the root's own lies in the coarse root, while the
+        copy's pairs are certified."""
+        base = single_kuhn(n)
+        pool, (cell,) = base.forest.pool, base.cells()
+        tri = Triangulation.from_cells(pool, [cell, cell])
+        for _ in range(n + 2):
+            for leaf in sorted(tri.leaves - {0}):
+                tri.bisect_leaf(leaf)
+        found = check_conforming(tri)
+        assert found == reference_check_conforming(tri)
+        inside = set(tri.vertex_index) - set(cell.vertex_ids)
+        assert found == [
+            f"hanging node: vertex {v} lies in leaf 0 without being one of its vertices"
+            for v in sorted(inside)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 1 << 16), st.sampled_from([1, 2, 3, 4]))
+    def test_random_refinement_and_one_unclosed_bisection(self, seed, n):
+        rng = random.Random(seed)
+        tri = _start_mesh(n)
+        for _ in range(rng.randrange({1: 12, 2: 12, 3: 6, 4: 2}[n] + 1)):
+            refine(tri, rng.choice(sorted(tri.leaves)))
+        tri.bisect_leaf(rng.choice(sorted(tri.leaves)))
+        assert check_conforming(tri) == reference_check_conforming(tri)
+
 plane_coordinates = st.builds(
     lambda n, e: Fraction(n, 1 << e),
     st.integers(-4, 4) | st.integers(-(1 << 70), 1 << 70),
