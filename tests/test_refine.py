@@ -506,7 +506,6 @@ class TestSlabFilter:
             assert check_conforming_2d_exact(tri) == reference_check_conforming_2d_exact(tri)
 
 
-
 def _counted_filters(monkeypatch):
     """Patch the hanging-node scan's slab filter with a call counter; the
     returned list gets one entry per filter run."""
@@ -534,10 +533,6 @@ def _filters_wanted(tri):
     """One filter per sibling pair of leaves and per other leaf."""
     paired = sum(_sibling(tri, leaf) in tri.leaves for leaf in tri.leaves)
     return paired // 2 + len(tri.leaves) - paired
-
-
-def _reported_leaves(report):
-    return {int(leaf) for leaf in re.findall(r"in leaf (\d+)", "\n".join(report))}
 
 
 def _start_mesh(n):
@@ -596,7 +591,8 @@ class TestSiblingPairs:
             tri.bisect_leaf(leaf)
         found = check_conforming(tri)
         assert found == reference_check_conforming(tri)
-        assert any(_sibling(tri, s) in tri.leaves for s in _reported_leaves(found))
+        reported = {int(s) for s in re.findall(r"in leaf (\d+)", "\n".join(found))}
+        assert any(_sibling(tri, s) in tri.leaves for s in reported)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_refined_copy_of_a_root_hangs_in_the_root(self, n):
@@ -626,6 +622,7 @@ class TestSiblingPairs:
             refine(tri, rng.choice(sorted(tri.leaves)))
         tri.bisect_leaf(rng.choice(sorted(tri.leaves)))
         assert check_conforming(tri) == reference_check_conforming(tri)
+
 
 plane_coordinates = st.builds(
     lambda n, e: Fraction(n, 1 << e),
